@@ -12,7 +12,8 @@ Subcommands::
 Configuration is a flat UTF-8 key=value file with [section] headers (see
 README).  Command-line flags override the file.  Every command writes into
 --out and is reproducible: re-running with the same config and seed
-produces byte-identical CSV outputs regardless of --threads.
+produces byte-identical CSV outputs.  ``--threads`` is accepted but not yet
+used.
 """
 
 from __future__ import annotations
@@ -470,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="cap on worker threads (computation is deterministic regardless)",
+        help="accepted but has no effect yet; BLAS keeps its default thread "
+        "count (see ROADMAP item 5)",
     )
     parser.add_argument("--variant", type=str, default=None,
                         choices=[v.value for v in NetworkVariant])

@@ -44,14 +44,18 @@ def _block_view(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     return Z.reshape(Z.shape[:-1] + (n, d))
 
 
+def _block_norms(Zb: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every block of a ``(..., n, d)`` view, as ``(..., n, 1)``."""
+    return np.sqrt(np.einsum("...i,...i->...", Zb, Zb))[..., None]
+
+
 def eta(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     """Block soft-threshold of ``Z`` (last axis = n*d), batched over leading axes."""
     if alpha < 0:
         raise ValueError(f"threshold must be nonnegative, got {alpha}")
     Zb = _block_view(Z, n, d)
-    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
-    safe = np.where(r > 0, r, 1.0)
-    scale = np.maximum(0.0, 1.0 - alpha / safe)
+    r = _block_norms(Zb)
+    scale = np.maximum(0.0, 1.0 - alpha / np.where(r > 0, r, 1.0))
     return (scale * Zb).reshape(Z.shape)
 
 
@@ -62,17 +66,20 @@ def eta_jvp(Z: np.ndarray, alpha: float, V: np.ndarray, n: int, d: int) -> np.nd
     ``(1 - alpha/r) I + (alpha/r) u u^T`` with ``u = z[i]/r``; inactive
     blocks (r <= alpha, including the kink) contribute the zero matrix,
     which keeps training gradients bounded.  The Jacobian is symmetric,
-    so this is also the vector-Jacobian product.
+    so this is also the vector-Jacobian product.  Per block the product is
+    ``s v + c z`` with ``s = 1 - alpha/r`` and ``c = (alpha/r) (u.v) / r``,
+    so the activity mask only touches the two per-block scalars.
     """
     Zb = _block_view(Z, n, d)
     Vb = _block_view(V, n, d)
-    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    r = _block_norms(Zb)
     active = r > alpha
     safe = np.where(active, r, 1.0)
-    U = np.where(active, Zb / safe, 0.0)
-    radial = (U * Vb).sum(axis=-1, keepdims=True)
-    out = np.where(active, (1.0 - alpha / safe) * Vb + (alpha / safe) * radial * U, 0.0)
-    return out.reshape(Z.shape)
+    ratio = alpha / safe
+    radial = np.einsum("...i,...i->...", Zb, Vb)[..., None] / safe
+    s = np.where(active, 1.0 - ratio, 0.0)
+    c = np.where(active, ratio * radial / safe, 0.0)
+    return (s * Vb + c * Zb).reshape(Z.shape)
 
 
 def eta_dalpha(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
@@ -82,11 +89,10 @@ def eta_dalpha(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     (one-sided derivative at the kink).
     """
     Zb = _block_view(Z, n, d)
-    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    r = _block_norms(Zb)
     active = r > alpha
-    safe = np.where(active, r, 1.0)
-    out = np.where(active, -Zb / safe, 0.0)
-    return out.reshape(Z.shape)
+    coef = np.where(active, -1.0 / np.where(active, r, 1.0), 0.0)
+    return (coef * Zb).reshape(Z.shape)
 
 
 def eta_trace(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:

@@ -75,9 +75,22 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> 
     return float(sigma)
 
 
+def _dictionary_norm(D: BlockDictionary) -> float:
+    """||D||_2, computed once per dictionary and kept on it.
+
+    A dictionary's data is read-only, so the norm cannot go stale; this
+    keeps per-sample solver runs from repeating the power iteration.
+    """
+    norm = D.__dict__.get("_spectral_norm")
+    if norm is None:
+        norm = spectral_norm(D.data)
+        object.__setattr__(D, "_spectral_norm", norm)
+    return norm
+
+
 def default_step_size(D: BlockDictionary) -> float:
     """Step size 1/(1.01 ||D||_2^2) used by all baselines."""
-    return 1.0 / (1.01 * spectral_norm(D.data) ** 2)
+    return 1.0 / (1.01 * _dictionary_norm(D) ** 2)
 
 
 def lasso_objective(D: BlockDictionary, y: np.ndarray, x: BlockVector, alpha: float) -> float:
@@ -155,7 +168,7 @@ def bista_run(
     y, x0 = _check_inputs(D, y, x0)
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    L = spectral_norm(D.data) ** 2
+    L = _dictionary_norm(D) ** 2
     if not 0.0 < gamma <= 1.0 / L:
         warnings.warn(
             f"gamma={gamma:.3g} outside the recommended interval (0, {1.0 / L:.3g}]",

@@ -224,6 +224,11 @@ _LOCAL_STAGE = {
 }
 
 
+def _step_term(params: NetworkParams, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Albista's gradient term ``B^T (D x - y)`` for every row of X and Y."""
+    return (X @ params.dictionary.T - Y) @ params.B
+
+
 def layerwise_train(
     params0: NetworkParams, data: TrainData, cfg: TrainConfig
 ) -> tuple[NetworkParams, TrainHistory]:
@@ -232,6 +237,11 @@ def layerwise_train(
     Minibatches are drawn with replacement from the fixed training set.
     A layer that never improves within its step budget is frozen at its
     best observed state and training advances with a warning.
+
+    Layer k only sees the frozen prefix through its output x{k-1}.  For
+    albista, whose B is fixed, the layer's gradient term
+    ``B^T (D x{k-1} - y)`` is therefore computed once per layer for the
+    train and validation sets, and every step of the stage is elementwise.
     """
     if data.X_train.shape[0] < 1 or data.X_val.shape[0] < 1:
         raise ValueError("training and validation sets must be nonempty")
@@ -243,15 +253,27 @@ def layerwise_train(
     local = params.variant in _LOCAL_STAGE
     prefix_train = np.zeros((n_train, params.n_x)) if local else None
     prefix_val = np.zeros((data.X_val.shape[0], params.n_x)) if local else None
+    cached_step = params.variant is NetworkVariant.ALBISTA
+    step_train = step_val = None
 
     for layer in range(1, params.depth + 1):
         kidx = layer - 1
         names = layer_names(params, kidx)
         state = AdamState()
+        if cached_step:
+            step_train = _step_term(params, prefix_train, data.Y_train)
+            step_val = _step_term(params, prefix_val, data.Y_val)
 
         def val_metric() -> float:
             if local:
-                fp = forward(params, data.Y_val, depth=layer, start=kidx, x_init=prefix_val)
+                fp = forward(
+                    params,
+                    data.Y_val,
+                    depth=layer,
+                    start=kidx,
+                    x_init=prefix_val,
+                    step_init=step_val,
+                )
             else:
                 fp = forward(params, data.Y_val, depth=layer)
             return float(batch_nmse_ratios(fp.iterates[-1], data.X_val).max())
@@ -267,6 +289,7 @@ def layerwise_train(
         steps_in_layer = 0
         while steps_in_layer < cfg.max_iters_per_layer and patience < cfg.patience_iters:
             idx = rng.integers(0, n_train, size=cfg.batch_size)
+            X_batch = data.X_train[idx]
             if local:
                 fp = forward(
                     params,
@@ -274,12 +297,13 @@ def layerwise_train(
                     depth=layer,
                     start=kidx,
                     x_init=prefix_train[idx],
+                    step_init=None if step_train is None else step_train[idx],
                 )
-                grads = backward(params, fp, data.X_train[idx])
+                grads = backward(params, fp, X_batch)
             else:
                 fp = forward(params, data.Y_train[idx], depth=layer)
-                grads = backward(params, fp, data.X_train[idx], only_layer=kidx)
-            loss = empirical_risk(fp.iterates[-1], data.X_train[idx])
+                grads = backward(params, fp, X_batch, only_layer=kidx)
+            loss = empirical_risk(fp.iterates[-1], X_batch)
             adam_step(params, grads, state, cfg.learning_rate, names)
             _clamp_alphas(params)
             history.steps.append(global_step)
@@ -310,10 +334,20 @@ def layerwise_train(
             )
         if local:
             prefix_train = forward(
-                params, data.Y_train, depth=layer, start=kidx, x_init=prefix_train
+                params,
+                data.Y_train,
+                depth=layer,
+                start=kidx,
+                x_init=prefix_train,
+                step_init=step_train,
             ).iterates[-1]
             prefix_val = forward(
-                params, data.Y_val, depth=layer, start=kidx, x_init=prefix_val
+                params,
+                data.Y_val,
+                depth=layer,
+                start=kidx,
+                x_init=prefix_val,
+                step_init=step_val,
             ).iterates[-1]
         history.layer_boundaries.append(global_step)
         history.frozen_val_db.append(_ratio_db(best_metric))

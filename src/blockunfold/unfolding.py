@@ -250,14 +250,18 @@ class ForwardPass:
     """Cached forward run: all iterates and pre-threshold points.
 
     ``start`` is the index of the first executed layer; ``iterates[0]`` is
-    the state the run began from (x{0} = 0 for a full pass).
+    the state the run began from (x{0} = 0 for a full pass).  ``residuals``
+    holds ``D x - y`` per executed gradient-step layer; when the run was
+    given ``step_init``, that array stands in for the first layer's
+    ``B^T (D x - y)`` and its residual slot is None.
     """
 
     Y: np.ndarray
     iterates: list[np.ndarray]
     prethresh: list[np.ndarray]
     start: int = 0
-    residuals: list[np.ndarray] | None = None
+    residuals: list[np.ndarray | None] | None = None
+    step_init: np.ndarray | None = None
 
     @property
     def depth(self) -> int:
@@ -279,12 +283,16 @@ def forward(
     depth: int | None = None,
     start: int = 0,
     x_init: np.ndarray | None = None,
+    step_init: np.ndarray | None = None,
 ) -> ForwardPass:
     """Run layers ``start .. depth-1``, keeping every intermediate.
 
     A full pass starts at x{0} = 0; the layer-wise trainer resumes from a
-    cached state ``x_init`` instead of re-running the frozen prefix.  All
-    iterates are retained for diagnostics and for the backward pass.
+    cached state ``x_init`` instead of re-running the frozen prefix.  For
+    albista, whose weight matrix B is fixed, ``step_init`` may also carry
+    the cached gradient term ``B^T (D x_init - y)`` of the first executed
+    layer, one row per sample; that layer then needs no matrix product.
+    All iterates are retained for diagnostics and for the backward pass.
     """
     K = params.depth if depth is None else depth
     if not 0 <= K <= params.depth:
@@ -302,6 +310,17 @@ def forward(
         X = _as_batch(x_init, params.n_x)
         if X.shape[0] != Y.shape[0]:
             raise ValueError("x_init batch size does not match Y")
+    if step_init is not None:
+        if params.variant is not NetworkVariant.ALBISTA:
+            raise ValueError(
+                f"step_init needs the fixed weights of albista, not {params.variant.value}"
+            )
+        step_init = np.asarray(step_init, dtype=np.float64)
+        if step_init.shape != (Y.shape[0], params.n_x):
+            raise ValueError(
+                f"step_init must have shape ({Y.shape[0]}, {params.n_x}), "
+                f"got {step_init.shape}"
+            )
     iterates = [X]
     prethresh = []
     cp_form = params.variant in _CP_FORM
@@ -309,8 +328,12 @@ def forward(
     for k in range(start, K):
         Bk = params.B_at(k)
         if cp_form:
-            R = X @ D.T - Y
-            Z = X - params.gammas[k] * (R @ Bk)
+            if k == start and step_init is not None:
+                R, step = None, step_init
+            else:
+                R = X @ D.T - Y
+                step = R @ Bk
+            Z = X - params.gammas[k] * step
             residuals.append(R)
         else:
             Z = X @ params.S_at(k).T + Y @ Bk
@@ -320,7 +343,12 @@ def forward(
         prethresh.append(Z)
         iterates.append(X)
     return ForwardPass(
-        Y=Y, iterates=iterates, prethresh=prethresh, start=start, residuals=residuals
+        Y=Y,
+        iterates=iterates,
+        prethresh=prethresh,
+        start=start,
+        residuals=residuals,
+        step_init=step_init,
     )
 
 
@@ -390,14 +418,18 @@ def backward(
         k = fp.start + j
         Z = fp.prethresh[j]
         a = params.alphas[k]
-        grads.dalphas[k] = float(np.sum(eta_dalpha(Z, a, n, d) * G))
+        grads.dalphas[k] = float(np.vdot(eta_dalpha(Z, a, n, d), G))
         dZ = eta_jvp(Z, a, G, n, d)
         X_prev = fp.iterates[j]
         Bk = params.B_at(k)
         if v in _CP_FORM:
             g = params.gammas[k]
-            R = fp.residuals[j] if fp.residuals is not None else X_prev @ D.T - fp.Y
-            grads.dgammas[k] = -float(np.sum(dZ * (R @ Bk)))
+            if j == 0 and fp.step_init is not None:
+                step = fp.step_init
+            else:
+                R = fp.residuals[j] if fp.residuals is not None else X_prev @ D.T - fp.Y
+                step = R @ Bk
+            grads.dgammas[k] = -float(np.vdot(dZ, step))
             if v is NetworkVariant.UNTIED_LBISTA_CP:
                 grads.dB_layers[k] += -g * (R.T @ dZ)
             elif v is NetworkVariant.TIED_LBISTA_CP:
@@ -603,48 +635,102 @@ def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> NetworkParams:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A truncated or malformed file raises ValueError naming the file and
+    the offending line or header field.
+    """
+    fields: dict[str, tuple[int, str]] = {}
+    matrices: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as f:
         magic = f.readline().strip()
         if magic != "blockunfold-checkpoint v1":
             raise ValueError(f"{path}: not a checkpoint file (header {magic!r})")
-        fields: dict[str, str] = {}
-        matrices: dict[str, np.ndarray] = {}
-        line = f.readline()
-        while line:
-            parts = line.split()
+        lines = enumerate(f, start=2)
+
+        def next_line() -> tuple[int, list[str]] | None:
+            # every line save_checkpoint writes ends in a newline, so a
+            # last line without one means the file was cut short
+            for lineno, line in lines:
+                if not line.endswith("\n"):
+                    raise ValueError(f"{path}:{lineno}: file ends mid-line (truncated)")
+                return lineno, line.split()
+            return None
+
+        while (entry := next_line()) is not None:
+            lineno, parts = entry
             if not parts:
-                line = f.readline()
                 continue
-            if parts[0] == "matrix":
+            if parts[0] != "matrix":
+                fields[parts[0]] = (lineno, " ".join(parts[1:]))
+                continue
+            try:
                 tag, rows, cols = parts[1], int(parts[2]), int(parts[3])
                 A = np.empty((rows, cols))
-                for r in range(rows):
-                    A[r] = [float(v) for v in f.readline().split()]
-                matrices[tag] = A
-            else:
-                fields[parts[0]] = " ".join(parts[1:])
-            line = f.readline()
-    variant = NetworkVariant(fields["variant"])
-    depth = int(fields["depth"])
-    n, d = (int(v) for v in fields["blocks"].split())
-    alphas = np.array([float(v) for v in fields["alphas"].split()])
-    gammas = (
-        np.array([float(v) for v in fields["gammas"].split()])
-        if "gammas" in fields
-        else None
-    )
-    S_layers = [matrices[f"S.{k}"] for k in range(depth)] if "S.0" in matrices else None
-    B_layers = [matrices[f"B.{k}"] for k in range(depth)] if "B.0" in matrices else None
-    return NetworkParams(
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad matrix header: {exc}") from exc
+            for r in range(rows):
+                row = next_line()
+                if row is None:
+                    raise ValueError(
+                        f"{path}: matrix {tag} (line {lineno}) ends after {r} of {rows} rows"
+                    )
+                row_no, values = row
+                if len(values) != cols:
+                    raise ValueError(
+                        f"{path}:{row_no}: matrix {tag} row has {len(values)} values, "
+                        f"expected {cols}"
+                    )
+                try:
+                    A[r] = [float(v) for v in values]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{row_no}: {exc}") from exc
+            matrices[tag] = A
+
+    def field(name: str, parse):
+        if name not in fields:
+            raise ValueError(f"{path}: missing header field {name!r}")
+        lineno, text = fields[name]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {name} field {text!r}: {exc}") from exc
+
+    def matrix(tag: str) -> np.ndarray:
+        if tag not in matrices:
+            raise ValueError(f"{path}: missing matrix {tag}")
+        return matrices[tag]
+
+    def floats(text: str) -> np.ndarray:
+        return np.array([float(v) for v in text.split()])
+
+    def blocks(text: str) -> tuple[int, int]:
+        n, d = (int(v) for v in text.split())
+        return n, d
+
+    variant = field("variant", NetworkVariant)
+    depth = field("depth", int)
+    n, d = field("blocks", blocks)
+
+    def per_layer(base: str) -> list[np.ndarray] | None:
+        if f"{base}.0" not in matrices:
+            return None
+        return [matrix(f"{base}.{k}") for k in range(depth)]
+
+    kwargs = dict(
         variant=variant,
         n=n,
         d=d,
         depth=depth,
-        dictionary=matrices["D"],
-        alphas=alphas,
-        gammas=gammas,
+        dictionary=matrix("D"),
+        alphas=field("alphas", floats),
+        gammas=field("gammas", floats) if "gammas" in fields else None,
         S=matrices.get("S"),
         B=matrices.get("B"),
-        S_layers=S_layers,
-        B_layers=B_layers,
+        S_layers=per_layer("S"),
+        B_layers=per_layer("B"),
     )
+    try:
+        return NetworkParams(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
 import pytest
 
+from blockunfold import solvers
 from blockunfold.cli import main, read_config
 
 TINY_CFG = """
@@ -133,6 +134,23 @@ class TestPipeline:
         curves = read_eval_curves(out / "eval.csv")
         final = 4
         assert curves["albista_trained"][final] < curves["bista"][final]
+
+    def test_eval_computes_dictionary_norm_once(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        for command in ("gen", "weights"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        calls = []
+        norm = solvers.spectral_norm
+
+        def counting_norm(A, *args, **kwargs):
+            calls.append(A.shape)
+            return norm(A, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "spectral_norm", counting_norm)
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        # one dictionary (the lifted D), 25 test signals
+        assert calls == [(12, 24)]
 
     def test_circulant_pipeline_and_rank_field(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCULANT_CFG)

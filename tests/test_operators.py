@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockunfold.blockcore import BlockVector, l21_norm
 from blockunfold.operators import (
     block_soft_threshold,
     eta,
+    eta_dalpha,
+    eta_jvp,
     onsager_trace,
     threshold_dalpha,
     threshold_jvp,
@@ -172,3 +175,93 @@ class TestOnsagerTrace:
         alpha = 0.5 * r
         got = onsager_trace(BlockVector(z, 1, d), alpha, 1)
         assert got == pytest.approx(d - alpha * (d - 1) / r, rel=1e-12)
+
+
+# The threshold kernels as first written, with np.linalg.norm block norms and
+# np.where masks over whole (..., n, d) arrays: the oracle for the kernels
+# that mask per block.
+
+
+def eta_oracle(Z, alpha, n, d):
+    Zb = Z.reshape(Z.shape[:-1] + (n, d))
+    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    safe = np.where(r > 0, r, 1.0)
+    scale = np.maximum(0.0, 1.0 - alpha / safe)
+    return (scale * Zb).reshape(Z.shape)
+
+
+def eta_jvp_oracle(Z, alpha, V, n, d):
+    Zb = Z.reshape(Z.shape[:-1] + (n, d))
+    Vb = V.reshape(V.shape[:-1] + (n, d))
+    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    active = r > alpha
+    safe = np.where(active, r, 1.0)
+    U = np.where(active, Zb / safe, 0.0)
+    radial = (U * Vb).sum(axis=-1, keepdims=True)
+    out = np.where(active, (1.0 - alpha / safe) * Vb + (alpha / safe) * radial * U, 0.0)
+    return out.reshape(Z.shape)
+
+
+def eta_dalpha_oracle(Z, alpha, n, d):
+    Zb = Z.reshape(Z.shape[:-1] + (n, d))
+    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    active = r > alpha
+    safe = np.where(active, r, 1.0)
+    return np.where(active, -Zb / safe, 0.0).reshape(Z.shape)
+
+
+# Magnitudes below 1e-100 would underflow when squared for the block norm.
+_ENTRIES = st.floats(-10.0, 10.0, allow_subnormal=False).filter(
+    lambda v: v == 0.0 or abs(v) > 1e-100
+)
+
+
+@st.composite
+def threshold_cases(draw):
+    """Batched (Z, V, alpha, n, d) with some zero blocks and some blocks whose
+    norm equals alpha exactly (alpha times a signed unit vector)."""
+    n, d, batch = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    alpha = abs(draw(_ENTRIES)) / 2.0
+    Zb = draw(arrays(np.float64, (batch, n, d), elements=_ENTRIES))
+    V = draw(arrays(np.float64, (batch, n * d), elements=_ENTRIES))
+    kinds = draw(st.lists(st.sampled_from(["free", "zero", "kink"]), min_size=batch * n,
+                          max_size=batch * n))
+    for idx, kind in enumerate(kinds):
+        b, i = divmod(idx, n)
+        if kind != "free":
+            Zb[b, i] = 0.0
+        if kind == "kink":
+            Zb[b, i, draw(st.integers(0, d - 1))] = draw(st.sampled_from([alpha, -alpha]))
+    return Zb.reshape(batch, n * d), V, alpha, n, d
+
+
+class TestKernelsAgainstOracle:
+    @given(case=threshold_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_match_oracle_and_zero_side_at_kink(self, case):
+        Z, V, alpha, n, d = case
+        got = {
+            "eta": eta(Z, alpha, n, d),
+            "eta_jvp": eta_jvp(Z, alpha, V, n, d),
+            "eta_dalpha": eta_dalpha(Z, alpha, n, d),
+        }
+        want = {
+            "eta": eta_oracle(Z, alpha, n, d),
+            "eta_jvp": eta_jvp_oracle(Z, alpha, V, n, d),
+            "eta_dalpha": eta_dalpha_oracle(Z, alpha, n, d),
+        }
+        dead = np.linalg.norm(Z.reshape(Z.shape[0], n, d), axis=-1) <= alpha
+        for name in got:
+            assert got[name].shape == Z.shape
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+            blocks = got[name].reshape(Z.shape[0], n, d)
+            np.testing.assert_array_equal(blocks[dead], 0.0, err_msg=name)
+
+    def test_kink_block_takes_zero_side(self):
+        # ||(3, 4)|| = 5 exactly, so alpha = 5 sits on the kink
+        z = np.array([3.0, 4.0, 0.3, 0.4])
+        v = np.array([1.0, -2.0, 0.5, 0.5])
+        np.testing.assert_array_equal(eta(z, 5.0, 2, 2), 0.0)
+        np.testing.assert_array_equal(eta_jvp(z, 5.0, v, 2, 2), 0.0)
+        np.testing.assert_array_equal(eta_dalpha(z, 5.0, 2, 2), 0.0)

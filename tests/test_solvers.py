@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,18 @@ class TestBista:
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         with pytest.warns(UserWarning, match="gamma"):
             bista_run(D, rng.standard_normal(6), 1.0, 10.0, 1)
+
+    def test_gamma_warning_with_cached_norm(self, rng):
+        # the first call computes ||D||_2 and keeps it on D; the second
+        # call must still compare gamma against 1/||D||_2^2
+        D = random_orthonormal_block_dictionary(6, 3, 2, rng)
+        y = rng.standard_normal(6)
+        L = np.linalg.norm(D.data, 2) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bista_run(D, y, 1.0, default_step_size(D), 1)
+        with pytest.warns(UserWarning, match="gamma"):
+            bista_run(D, y, 1.0, 1.01 / L, 1)
 
     def test_divergence_reports_iteration(self, rng):
         D = BlockDictionary(5.0 * np.eye(4), n=4, d=1)

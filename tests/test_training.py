@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockunfold import training
 from blockunfold.blockcore import MMVProblem, kron_lift
 from blockunfold.training import (
     AdamState,
@@ -304,3 +305,30 @@ class TestLayerwiseTraining:
             b > a
             for a, b in zip(history.layer_boundaries, history.layer_boundaries[1:])
         )
+
+    def test_cached_step_matches_uncached_reference(self, rng, monkeypatch):
+        D, data = toy_data(rng, n_train=60)
+        B_an = D.data + 0.1 * rng.standard_normal(D.data.shape)
+        params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=B_an)
+        cfg = TrainConfig(
+            learning_rate=0.02,
+            patience_iters=4,
+            n_train=60,
+            n_validation=16,
+            batch_size=12,
+            max_iters_per_layer=60,
+            seed=9,
+            eval_every=5,
+        )
+        cached, h_cached = layerwise_train(params, data, cfg)
+
+        def uncached_forward(*args, step_init=None, **kwargs):
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", uncached_forward)
+        ref, h_ref = layerwise_train(params, data, cfg)
+        assert len(h_cached.steps) == len(h_ref.steps)
+        assert h_cached.layer_boundaries == h_ref.layer_boundaries
+        np.testing.assert_allclose(h_cached.train_losses, h_ref.train_losses, rtol=1e-10)
+        np.testing.assert_allclose(cached.alphas, ref.alphas, rtol=1e-10)
+        np.testing.assert_allclose(cached.gammas, ref.gammas, rtol=1e-10)

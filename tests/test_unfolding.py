@@ -248,6 +248,56 @@ class TestBackward:
         assert g_tail.dgammas[2] == pytest.approx(g_full.dgammas[2], rel=1e-12)
 
 
+class TestCachedStep:
+    """``step_init`` carries albista's B^T (D x - y) for the first executed layer."""
+
+    def _case(self, rng, depth=4, start=2, batch=5):
+        D, x_star, y = make_problem(rng)
+        params = perturbed_init(NetworkVariant.ALBISTA, D, depth, rng)
+        scales = rng.uniform(0.5, 1.5, size=(batch, 1))
+        Y = scales * y
+        Xs = scales * x_star
+        head = forward(params, Y, depth=start)
+        X0 = head.iterates[-1]
+        step = (X0 @ params.dictionary.T - Y) @ params.B
+        return params, Y, Xs, X0, step
+
+    def test_forward_backward_match_uncached(self, rng):
+        params, Y, Xs, X0, step = self._case(rng)
+        for depth in (3, 4):
+            plain = forward(params, Y, depth=depth, start=2, x_init=X0)
+            cached = forward(params, Y, depth=depth, start=2, x_init=X0, step_init=step)
+            for a, b in zip(plain.iterates, cached.iterates):
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+            g_plain = backward(params, plain, Xs)
+            g_cached = backward(params, cached, Xs)
+            np.testing.assert_allclose(g_cached.dalphas, g_plain.dalphas, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(g_cached.dgammas, g_plain.dgammas, rtol=1e-12, atol=1e-15)
+            assert np.any(g_cached.dgammas[2:depth] != 0.0)
+
+    def test_full_pass_from_zero(self, rng):
+        params, Y, *_ = self._case(rng)
+        step0 = -Y @ params.B
+        plain = forward(params, Y)
+        cached = forward(params, Y, step_init=step0)
+        np.testing.assert_allclose(cached.iterates[-1], plain.iterates[-1], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant", [v for v in NetworkVariant if v is not NetworkVariant.ALBISTA]
+    )
+    def test_rejected_for_other_variants(self, rng, variant):
+        D, _, y = make_problem(rng)
+        params = init_from_bista(variant, D, 3)
+        with pytest.raises(ValueError, match="albista"):
+            forward(params, y, step_init=np.zeros((1, params.n_x)))
+
+    def test_rejects_misshaped_step(self, rng):
+        params, Y, _, X0, step = self._case(rng)
+        for bad in (step[:-1], step[:, :-1], step[0], step[..., None]):
+            with pytest.raises(ValueError, match="step_init must have shape"):
+                forward(params, Y, depth=3, start=2, x_init=X0, step_init=bad)
+
+
 class TestInit:
     def test_spectral_norm_matches_svd(self, rng):
         D, _, _ = make_problem(rng, m=5, n=7, d=2)
@@ -337,4 +387,47 @@ class TestCheckpoint:
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(path)
+
+    def test_every_truncation_names_the_file(self, tmp_path, rng):
+        D, _, _ = make_problem(rng, m=3, n=3, d=2)
+        params = perturbed_init(NetworkVariant.ALBISTA, D, 2, rng)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        full = path.read_bytes()
+        cut_path = tmp_path / "cut.txt"
+        for size in range(len(full)):
+            cut_path.write_bytes(full[:size])
+            with pytest.raises(ValueError, match="cut.txt"):
+                load_checkpoint(cut_path)
+
+    @staticmethod
+    def _saved_albista(tmp_path, rng):
+        D, _, _ = make_problem(rng)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, perturbed_init(NetworkVariant.ALBISTA, D, 3, rng))
+        return path
+
+    def test_short_matrix_row_names_the_line(self, tmp_path, rng):
+        path = self._saved_albista(tmp_path, rng)
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("matrix D")) + 1
+        lines[row] = " ".join(lines[row].split()[:-1]) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"ckpt.txt:{row + 1}: matrix D row has"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["variant", "depth", "blocks", "alphas"])
+    def test_missing_header_field_is_named(self, tmp_path, rng, name):
+        path = self._saved_albista(tmp_path, rng)
+        kept = [line for line in path.read_text().splitlines(keepends=True)
+                if not line.startswith(name + " ")]
+        path.write_text("".join(kept))
+        with pytest.raises(ValueError, match=f"ckpt.txt: missing header field '{name}'"):
+            load_checkpoint(path)
+
+    def test_bad_field_value_names_the_line(self, tmp_path, rng):
+        path = self._saved_albista(tmp_path, rng)
+        path.write_text(path.read_text().replace("depth 3", "depth three"))
+        with pytest.raises(ValueError, match="ckpt.txt:3: bad depth field"):
             load_checkpoint(path)
