@@ -42,15 +42,8 @@ class Experiment:
     patience: int = 30
 
 
-def solver_curve(run, X, Y, iters):
-    acc = np.zeros(iters + 1)
-    count = 0
-    for x_star, y in zip(X, Y):
-        if not x_star @ x_star > 0:
-            continue
-        acc += np.asarray(run(y=y, iters=iters, x_star=x_star).nmse)
-        count += 1
-    return 10.0 * np.log10(acc / count)
+def nmse_curve(iterates, X):
+    return np.array([mean_nmse_db(Xk, X) for Xk in iterates])
 
 
 def main():
@@ -95,20 +88,17 @@ def main():
 
     gamma = default_step_size(D)
     B_dict = BlockDictionary(B, n=exp.n, d=exp.d)
+    # the baselines run once on the test rows with x* != 0
+    nonzero = np.einsum("ij,ij->i", X_test, X_test) > 0
+    X_nz, Y_nz = X_test[nonzero], Y_test[nonzero]
     curves = {
-        "bista": solver_curve(
-            lambda y, iters, x_star: bista_run(D, y, 1.0, gamma, iters, x_star=x_star),
-            X_test, Y_test, exp.depth),
-        "fast_bista": solver_curve(
-            lambda y, iters, x_star: fast_bista_run(D, y, 1.0, gamma, iters, x_star=x_star),
-            X_test, Y_test, exp.depth),
-        "alamp": solver_curve(
-            lambda y, iters, x_star: alamp_run(D, B_dict, gamma, gamma, iters, y, x_star=x_star),
-            X_test, Y_test, exp.depth),
-        "albista_init": np.array(
-            [mean_nmse_db(Xk, X_test) for Xk in forward(params, Y_test).iterates]),
-        "albista_trained": np.array(
-            [mean_nmse_db(Xk, X_test) for Xk in forward(trained, Y_test).iterates]),
+        "bista": nmse_curve(bista_run(D, Y_nz, 1.0, gamma, exp.depth).iterates, X_nz),
+        "fast_bista": nmse_curve(
+            fast_bista_run(D, Y_nz, 1.0, gamma, exp.depth).iterates, X_nz),
+        "alamp": nmse_curve(
+            alamp_run(D, B_dict, gamma, gamma, exp.depth, Y_nz).iterates, X_nz),
+        "albista_init": nmse_curve(forward(params, Y_test).iterates, X_test),
+        "albista_trained": nmse_curve(forward(trained, Y_test).iterates, X_test),
     }
 
     args.out.mkdir(parents=True, exist_ok=True)

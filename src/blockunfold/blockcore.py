@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "kron_lift",
     "mmv_vectorize",
     "mmv_devectorize",
+    "write_matrix",
     "save_matrix",
     "load_matrix",
 ]
@@ -256,7 +258,8 @@ def _pairwise_block_spectral_max(G: np.ndarray, n: int, d: int) -> float:
     """max over i != j of ||G[i*d:(i+1)*d, j*d:(j+1)*d]||_2.
 
     Spectral norms come from singular values of the d x d sub-blocks,
-    exact at these sizes; no power iteration needed.
+    exact at these sizes; no power iteration needed.  One batched SVD per
+    block row keeps the working set to that row's ``(n, d, d)`` stack.
     """
     if d == 1:
         off = np.abs(G).copy()
@@ -264,11 +267,10 @@ def _pairwise_block_spectral_max(G: np.ndarray, n: int, d: int) -> float:
         return float(off.max())
     best = 0.0
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            sub = G[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            best = max(best, float(np.linalg.norm(sub, 2)))
+        row = G[i * d : (i + 1) * d].reshape(d, n, d).transpose(1, 0, 2)
+        sigma = np.linalg.svd(row, compute_uv=False)[:, 0]
+        sigma[i] = 0.0
+        best = max(best, float(sigma.max()))
     return best
 
 
@@ -358,29 +360,54 @@ def mmv_devectorize(x: BlockVector) -> np.ndarray:
 # decimal values printed with 17 significant digits (float64 round-trips).
 
 
+def write_matrix(f: TextIO, A: np.ndarray, prefix: str = "") -> None:
+    """Write 2-d ``A`` to an open text file: a ``{prefix}rows cols`` header
+    line, then one line per row."""
+    rows, cols = A.shape
+    f.write(f"{prefix}{rows} {cols}\n")
+    row_format = " ".join(["%.17g"] * cols) + "\n"
+    for row in A:
+        f.write(row_format % tuple(row.tolist()))
+
+
 def save_matrix(path: str | Path, A: np.ndarray) -> None:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim == 1:
         A = A[:, None]
     if A.ndim != 2:
         raise ValueError(f"can only save 1-d or 2-d arrays, got shape {A.shape}")
-    rows, cols = A.shape
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{rows} {cols}\n")
-        for r in range(rows):
-            f.write(" ".join(f"{v:.17g}" for v in A[r]) + "\n")
+        write_matrix(f, A)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
+    """Read a matrix written by :func:`save_matrix`.
+
+    A truncated or malformed file raises ValueError naming the file and
+    the line.  Every line ``save_matrix`` writes ends in a newline, so a
+    last line without one means the file was cut short.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        rows, cols = int(header[0]), int(header[1])
-        A = np.empty((rows, cols))
+        header = f.readline()
+        try:
+            if not header.endswith("\n"):
+                raise ValueError("no newline")
+            rows, cols = (int(v) for v in header.split())
+            A = np.empty((rows, cols))
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: malformed header {header!r}: {exc}") from exc
         for r in range(rows):
-            vals = f.readline().split()
+            line = f.readline()
+            lineno = r + 2
+            if not line:
+                raise ValueError(f"{path}: ends after {r} of {rows} rows (line {lineno} missing)")
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: file ends mid-line (truncated)")
+            vals = line.split()
             if len(vals) != cols:
-                raise ValueError(f"{path}: row {r} has {len(vals)} values, expected {cols}")
-            A[r] = [float(v) for v in vals]
+                raise ValueError(f"{path}:{lineno}: row has {len(vals)} values, expected {cols}")
+            try:
+                A[r] = [float(v) for v in vals]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return A

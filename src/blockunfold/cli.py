@@ -288,25 +288,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _solver_curve(run, X_test: np.ndarray, Y_test: np.ndarray, iters: int) -> np.ndarray:
-    """Mean NMSE (dB) per iteration of a per-sample solver."""
-    sums = np.zeros(iters + 1)
-    count = 0
-    for x_star, y in zip(X_test, Y_test):
-        if not x_star @ x_star > 0:
-            continue
-        trace = run(y=y, iters=iters, x_star=x_star)
-        sums += np.asarray(trace.nmse)
-        count += 1
-    if count == 0:
-        raise ValueError("evaluation needs at least one nonzero test signal")
-    mean_ratio = sums / count
-    return 10.0 * np.log10(np.maximum(mean_ratio, 1e-30))
-
-
-def _network_curve(params, X_test, Y_test) -> np.ndarray:
-    fp = forward(params, Y_test)
-    return np.array([mean_nmse_db(Xk, X_test) for Xk in fp.iterates])
+def _curve(iterates, X_star: np.ndarray) -> np.ndarray:
+    """Mean NMSE (dB) per layer or iteration, over the rows with x* != 0."""
+    return np.array([mean_nmse_db(Xk, X_star) for Xk in iterates])
 
 
 def cmd_eval(cfg: ExperimentConfig) -> int:
@@ -322,29 +306,31 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     B_dict = BlockDictionary(lifted_B, n=D.n, d=D.d)
     K_layers = cfg.depth
 
+    # the baselines run once on the rows every curve averages over
+    nonzero = np.einsum("ij,ij->i", X_test, X_test) > 0
+    if not nonzero.any():
+        raise ValueError("evaluation needs at least one nonzero test signal")
+    X_nz, Y_nz = X_test[nonzero], Y_test[nonzero]
     curves: dict[str, np.ndarray] = {}
-    curves["bista"] = _solver_curve(
-        lambda y, iters, x_star: bista_run(D, y, alpha, gamma, iters, x_star=x_star),
-        X_test, Y_test, K_layers,
+    curves["bista"] = _curve(bista_run(D, Y_nz, alpha, gamma, K_layers).iterates, X_nz)
+    curves["fast_bista"] = _curve(
+        fast_bista_run(D, Y_nz, alpha, gamma, K_layers).iterates, X_nz
     )
-    curves["fast_bista"] = _solver_curve(
-        lambda y, iters, x_star: fast_bista_run(D, y, alpha, gamma, iters, x_star=x_star),
-        X_test, Y_test, K_layers,
-    )
-    curves["alamp"] = _solver_curve(
-        lambda y, iters, x_star: alamp_run(
-            D, B_dict, alpha * gamma, gamma, iters, y, x_star=x_star
-        ),
-        X_test, Y_test, K_layers,
+    curves["alamp"] = _curve(
+        alamp_run(D, B_dict, alpha * gamma, gamma, K_layers, Y_nz).iterates, X_nz
     )
     init_params = init_from_bista(
         cfg.variant, D, K_layers, B_analytic=lifted_B, alpha=alpha
     )
-    curves[f"{cfg.variant.value}_init"] = _network_curve(init_params, X_test, Y_test)
+    curves[f"{cfg.variant.value}_init"] = _curve(
+        forward(init_params, Y_test).iterates, X_test
+    )
     ckpt = cfg.out_dir / "checkpoint.txt"
     if ckpt.exists():
         trained = load_checkpoint(ckpt)
-        curves[f"{trained.variant.value}_trained"] = _network_curve(trained, X_test, Y_test)
+        curves[f"{trained.variant.value}_trained"] = _curve(
+            forward(trained, Y_test).iterates, X_test
+        )
 
     out = cfg.out_dir / "eval.csv"
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

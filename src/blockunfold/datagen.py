@@ -302,26 +302,46 @@ def save_dataset(
 def load_dataset(
     data_dir: str | Path,
 ) -> tuple[ScenarioConfig, ProblemData, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Read a dataset written by :func:`save_dataset`.
+
+    A missing or malformed manifest key, or a split whose files do not hold
+    the manifest's row count, raises ValueError naming the file.
+    """
     data = Path(data_dir)
-    manifest: dict[str, str] = {}
-    with open(data / "manifest.txt", "r", encoding="utf-8") as f:
-        for line in f:
+    manifest_path = data / "manifest.txt"
+    manifest: dict[str, tuple[int, str]] = {}
+    with open(manifest_path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("["):
                 continue
             key, _, value = line.partition("=")
-            manifest[key.strip()] = value.strip()
-    rank = None if manifest["rank"] == "none" else int(manifest["rank"])
-    cfg = ScenarioConfig(
-        scenario=Scenario(manifest["scenario"]),
-        m=int(manifest["m"]),
-        n=int(manifest["n"]),
-        d=int(manifest["d"]),
-        pnz=float(manifest["pnz"]),
-        snr_db=float(manifest["snr_db"]),
+            manifest[key.strip()] = (lineno, value.strip())
+
+    def field(key: str, parse):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing key {key!r}")
+        lineno, text = manifest[key]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}:{lineno}: bad {key} value {text!r}: {exc}") from exc
+
+    rank = field("rank", lambda v: None if v == "none" else int(v))
+    values = dict(
+        scenario=field("scenario", Scenario),
+        m=field("m", int),
+        n=field("n", int),
+        d=field("d", int),
+        pnz=field("pnz", float),
+        snr_db=field("snr_db", float),
         rank=rank,
-        seed=int(manifest["seed"]),
+        seed=field("seed", int),
     )
+    try:
+        cfg = ScenarioConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     K = load_matrix(data / "K.txt")
     kind = MatrixKind.CIRCULANT if cfg.scenario is Scenario.CIRCULANT else MatrixKind.GAUSSIAN
     D = kron_lift(MMVProblem(K, cfg.d, kind))
@@ -331,7 +351,15 @@ def load_dataset(
     problem = ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
     splits = {}
     for split in _SPLITS:
-        x_path = data / f"X_{split}.txt"
-        if x_path.exists() and int(manifest.get(f"n_{split}", "0")) > 0:
-            splits[split] = (load_matrix(x_path), load_matrix(data / f"Y_{split}.txt"))
+        count = field(f"n_{split}", int)
+        if count == 0:
+            continue
+        pair = (load_matrix(data / f"X_{split}.txt"), load_matrix(data / f"Y_{split}.txt"))
+        for name, M in zip((f"X_{split}.txt", f"Y_{split}.txt"), pair):
+            if M.shape[0] != count:
+                raise ValueError(
+                    f"{data / name}: {M.shape[0]} rows, but {manifest_path} "
+                    f"gives n_{split} = {count}"
+                )
+        splits[split] = pair
     return cfg, problem, splits

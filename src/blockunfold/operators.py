@@ -54,8 +54,13 @@ def eta(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     if alpha < 0:
         raise ValueError(f"threshold must be nonnegative, got {alpha}")
     Zb = _block_view(Z, n, d)
-    r = _block_norms(Zb)
-    scale = np.maximum(0.0, 1.0 - alpha / np.where(r > 0, r, 1.0))
+    if alpha == 0.0:
+        # the identity, also for nonzero blocks whose squared norm underflows
+        return Zb.reshape(Z.shape).copy()
+    # alpha / alpha == 1, so the scale is exactly 0 wherever r <= alpha (the
+    # gate of eta_jvp and eta_dalpha) and a block whose squared norm
+    # underflows to 0 is killed rather than kept
+    scale = 1.0 - alpha / np.maximum(_block_norms(Zb), alpha)
     return (scale * Zb).reshape(Z.shape)
 
 

@@ -15,8 +15,8 @@ where ``b{k}`` is the normalized divergence of the threshold at the previous
 pre-threshold point and B may be any feasible weight matrix (B = D recovers
 plain AMP form).
 
-Solvers are pure given their inputs; batch evaluation over many (x*, y)
-pairs may run data-parallel without shared state.
+Solvers are pure given their inputs.  Each takes one measurement vector
+or a batch of them; a batch runs every row at once, one GEMM per step.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import BlockDictionary, BlockVector, block_support
+from .blockcore import BlockDictionary, BlockVector
 from .operators import eta, eta_trace
 
 __all__ = [
@@ -46,11 +46,16 @@ DIVERGENCE_FACTOR = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iteration produces non-finite or exploding state."""
+    """Raised when an iteration produces non-finite or exploding state.
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
+    ``row`` is the offending row of a batched run, None for one signal.
+    """
+
+    def __init__(self, message: str, iteration: int, row: int | None = None):
+        where = "" if row is None else f" in row {row}"
+        super().__init__(f"{message}{where} (iteration {iteration})")
         self.iteration = iteration
+        self.row = row
 
 
 def spectral_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
@@ -93,15 +98,30 @@ def default_step_size(D: BlockDictionary) -> float:
     return 1.0 / (1.01 * _dictionary_norm(D) ** 2)
 
 
-def lasso_objective(D: BlockDictionary, y: np.ndarray, x: BlockVector, alpha: float) -> float:
-    """1/2 ||Dx - y||^2 + alpha ||x||_{2,1}."""
+def lasso_objective(
+    D: BlockDictionary, y: np.ndarray, x: BlockVector | np.ndarray, alpha: float
+) -> float | np.ndarray:
+    """1/2 ||Dx - y||^2 + alpha ||x||_{2,1}.
+
+    One signal (``y`` of shape ``(n_y,)``, ``x`` a BlockVector or
+    ``(n_x,)`` array) gives a float; a batch (``y`` of shape
+    ``(batch, n_y)``, ``x`` of shape ``(batch, n_x)``) gives one value per
+    row.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (D.n_y,):
-        raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},)")
-    if x.n_x != D.n_x or (x.n, x.d) != (D.n, D.d):
-        raise ValueError("x does not match the dictionary's block structure")
-    resid = D.data @ x.data - y
-    return float(0.5 * resid @ resid + alpha * x.block_norms().sum())
+    if y.ndim not in (1, 2) or y.shape[-1] != D.n_y:
+        raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},) or (batch, {D.n_y})")
+    if isinstance(x, BlockVector):
+        if (x.n, x.d) != (D.n, D.d):
+            raise ValueError("x does not match the dictionary's block structure")
+        x = x.data
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != y.shape[:-1] + (D.n_x,):
+        raise ValueError(f"x has shape {x.shape}, expected {y.shape[:-1] + (D.n_x,)}")
+    resid = x @ D.data.T - y
+    block_norms = np.linalg.norm(x.reshape(x.shape[:-1] + (D.n, D.d)), axis=-1)
+    value = 0.5 * np.einsum("...i,...i->...", resid, resid) + alpha * block_norms.sum(axis=-1)
+    return float(value) if y.ndim == 1 else value
 
 
 @dataclass
@@ -109,50 +129,100 @@ class SolverTrace:
     """Iterates x{0..K} with per-iteration diagnostics.
 
     The trace always includes the starting point, so its length is the
-    iteration count plus one.
+    iteration count plus one.  For one signal ``iterates[k]`` has shape
+    ``(n_x,)`` and ``objectives[k]`` and ``nmse[k]`` are floats; for a
+    batch they have shapes ``(batch, n_x)`` and ``(batch,)``, one row per
+    signal.  ``nmse`` is None unless the run was given ``x_star``; a row
+    whose ``x_star`` is zero has NMSE nan.
     """
 
     n: int
     d: int
     iterates: list[np.ndarray] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
-    nmse: list[float] | None = None
-    supports: list[set[int]] = field(default_factory=list)
+    objectives: list = field(default_factory=list)
+    nmse: list | None = None
 
-    def append(self, x: np.ndarray, objective: float, x_star: np.ndarray | None) -> None:
-        self.iterates.append(x.copy())
+    def append(self, X: np.ndarray, objective: np.ndarray, X_star: np.ndarray | None) -> None:
+        self.iterates.append(X)
         self.objectives.append(objective)
-        self.supports.append(block_support(BlockVector(x, self.n, self.d)))
-        if x_star is not None:
+        if X_star is not None:
             if self.nmse is None:
                 self.nmse = []
-            denom = float(x_star @ x_star)
-            self.nmse.append(float((x - x_star) @ (x - x_star)) / denom if denom > 0 else np.nan)
+            err = X - X_star
+            denom = np.einsum("ij,ij->i", X_star, X_star)
+            self.nmse.append(
+                np.einsum("ij,ij->i", err, err) / np.where(denom > 0, denom, np.nan)
+            )
+
+    def single(self) -> "SolverTrace":
+        """The one-signal trace of a batch with one row."""
+        return SolverTrace(
+            self.n,
+            self.d,
+            [X[0] for X in self.iterates],
+            [float(v[0]) for v in self.objectives],
+            None if self.nmse is None else [float(v[0]) for v in self.nmse],
+        )
 
     @property
     def final(self) -> BlockVector:
+        """Last iterate of a one-signal run."""
         return BlockVector(self.iterates[-1], self.n, self.d)
 
     def __len__(self) -> int:
         return len(self.iterates)
 
 
-def _check_inputs(D: BlockDictionary, y: np.ndarray, x0: BlockVector | None):
+def _check_inputs(
+    D: BlockDictionary,
+    y: np.ndarray,
+    x0: BlockVector | None,
+    x_star: np.ndarray | None,
+    iters: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
+    """Batch views of the inputs: ``(Y, X0, X_star, single)``.
+
+    A 1-d ``y`` is run as a batch of one row, and ``single`` tells the
+    caller to return the one-signal trace.  ``x0`` starts every row.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (D.n_y,):
-        raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},)")
+    if y.ndim not in (1, 2) or y.shape[-1] != D.n_y:
+        raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},) or (batch, {D.n_y})")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+    single = y.ndim == 1
+    Y = np.atleast_2d(y)
     if x0 is None:
         x0 = BlockVector.zeros(D.n, D.d)
     elif (x0.n, x0.d) != (D.n, D.d):
         raise ValueError("x0 does not match the dictionary's block structure")
-    return y, x0
+    X0 = np.tile(x0.data, (Y.shape[0], 1))
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=np.float64)
+        if x_star.shape != y.shape[:-1] + (D.n_x,):
+            raise ValueError(
+                f"x_star has shape {x_star.shape}, expected {y.shape[:-1] + (D.n_x,)}"
+            )
+        x_star = np.atleast_2d(x_star)
+    return Y, X0, x_star, single
 
 
-def _guard(x: np.ndarray, y_norm: float, k: int) -> None:
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError("non-finite iterate", k)
-    if np.linalg.norm(x) > DIVERGENCE_FACTOR * max(y_norm, 1.0):
-        raise DivergenceError("iterate norm exceeded divergence guard", k)
+def _guard(X: np.ndarray, limits: np.ndarray, k: int, single: bool) -> None:
+    """Raise for the first row of X that is non-finite or past its limit."""
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    bad = ~(norms <= limits)
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    if np.all(np.isfinite(X[row])):
+        message = "iterate norm exceeded divergence guard"
+    else:
+        message = "non-finite iterate"
+    raise DivergenceError(message, k, None if single else row)
+
+
+def _divergence_limits(Y: np.ndarray) -> np.ndarray:
+    return DIVERGENCE_FACTOR * np.maximum(np.linalg.norm(Y, axis=1), 1.0)
 
 
 def bista_run(
@@ -164,10 +234,13 @@ def bista_run(
     x0: BlockVector | None = None,
     x_star: np.ndarray | None = None,
 ) -> SolverTrace:
-    """Block ISTA with threshold alpha*gamma per step."""
-    y, x0 = _check_inputs(D, y, x0)
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    """Block ISTA with threshold alpha*gamma per step.
+
+    ``y`` is one signal ``(n_y,)`` or a batch ``(batch, n_y)``; a batch
+    runs every row at once, one GEMM per step, with ``x_star`` of shape
+    ``(batch, n_x)``.
+    """
+    Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
     L = _dictionary_norm(D) ** 2
     if not 0.0 < gamma <= 1.0 / L:
         warnings.warn(
@@ -175,15 +248,14 @@ def bista_run(
             stacklevel=2,
         )
     A = D.data
-    y_norm = float(np.linalg.norm(y))
+    limits = _divergence_limits(Y)
     trace = SolverTrace(D.n, D.d)
-    x = x0.data.copy()
-    trace.append(x, lasso_objective(D, y, BlockVector(x, D.n, D.d), alpha), x_star)
+    trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
     for k in range(1, iters + 1):
-        x = eta(x - gamma * (A.T @ (A @ x - y)), alpha * gamma, D.n, D.d)
-        _guard(x, y_norm, k)
-        trace.append(x, lasso_objective(D, y, BlockVector(x, D.n, D.d), alpha), x_star)
-    return trace
+        X = eta(X - gamma * ((X @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
+        _guard(X, limits, k, single)
+        trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    return trace.single() if single else trace
 
 
 def fast_bista_run(
@@ -198,27 +270,24 @@ def fast_bista_run(
     """Momentum block ISTA: Nesterov extrapolation before each threshold step.
 
     With t0 = 1 the first iteration has zero momentum and coincides with
-    the plain method.
+    the plain method.  Batches as :func:`bista_run` does.
     """
-    y, x0 = _check_inputs(D, y, x0)
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
     A = D.data
-    y_norm = float(np.linalg.norm(y))
+    limits = _divergence_limits(Y)
     trace = SolverTrace(D.n, D.d)
-    x = x0.data.copy()
-    x_prev = x.copy()
+    X_prev = X
     t = 1.0
-    trace.append(x, lasso_objective(D, y, BlockVector(x, D.n, D.d), alpha), x_star)
+    trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
     for k in range(1, iters + 1):
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        w = x + ((t - 1.0) / t_next) * (x - x_prev)
-        x_prev = x
-        x = eta(w - gamma * (A.T @ (A @ w - y)), alpha * gamma, D.n, D.d)
+        W = X + ((t - 1.0) / t_next) * (X - X_prev)
+        X_prev = X
+        X = eta(W - gamma * ((W @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
         t = t_next
-        _guard(x, y_norm, k)
-        trace.append(x, lasso_objective(D, y, BlockVector(x, D.n, D.d), alpha), x_star)
-    return trace
+        _guard(X, limits, k, single)
+        trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    return trace.single() if single else trace
 
 
 def alamp_run(
@@ -237,33 +306,29 @@ def alamp_run(
     b{0} = 0 and v{-1} = 0.  The correction b{k} is the threshold Jacobian
     trace at the previous pre-threshold point divided by n_y (configurable
     off via ``onsager=False``, which reduces the scheme to a plain
-    thresholded gradient iteration with matrix B).
+    thresholded gradient iteration with matrix B).  Batches as
+    :func:`bista_run` does, with one correction per row.
     """
-    y, x0 = _check_inputs(D, y, x0)
     if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
         raise ValueError("B and D must share shape and block structure")
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
     A = D.data
     W = B.data
-    n_y = D.n_y
-    y_norm = float(np.linalg.norm(y))
+    limits = _divergence_limits(Y)
     trace = SolverTrace(D.n, D.d)
-    x = x0.data.copy()
-    trace.append(x, lasso_objective(D, y, BlockVector(x, D.n, D.d), alpha), x_star)
-    v_prev = np.zeros(n_y)
-    b = 0.0
+    trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    V_prev = np.zeros_like(Y)
+    b = np.zeros((Y.shape[0], 1))
     for k in range(1, iters + 1):
-        v = y - A @ x + b * v_prev
-        z = x + gamma * (W.T @ v)
-        x = eta(z, alpha, D.n, D.d)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError("non-finite AMP state", k)
-        _guard(x, y_norm, k)
-        b = float(eta_trace(z, alpha, D.n, D.d)) / n_y if onsager else 0.0
-        v_prev = v
-        trace.append(x, lasso_objective(D, y, BlockVector(x, D.n, D.d), alpha), x_star)
-    return trace
+        V = Y - X @ A.T + b * V_prev
+        Z = X + gamma * (V @ W)
+        X = eta(Z, alpha, D.n, D.d)
+        _guard(X, limits, k, single)
+        if onsager:
+            b = eta_trace(Z, alpha, D.n, D.d)[:, None] / D.n_y
+        V_prev = V
+        trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    return trace.single() if single else trace
 
 
 def decorrelation_trace(B: BlockDictionary, D: BlockDictionary) -> float:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import BlockDictionary
+from .blockcore import BlockDictionary, write_matrix
 from .operators import eta, eta_dalpha, eta_jvp
 from .solvers import DivergenceError, default_step_size
 
@@ -605,13 +605,6 @@ def conv_step_fft(
 # then matrix payloads in the shared text matrix format.
 
 
-def _write_matrix(f, tag: str, A: np.ndarray) -> None:
-    rows, cols = A.shape
-    f.write(f"matrix {tag} {rows} {cols}\n")
-    for r in range(rows):
-        f.write(" ".join(f"{v:.17g}" for v in A[r]) + "\n")
-
-
 def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("blockunfold-checkpoint v1\n")
@@ -621,17 +614,17 @@ def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
         f.write("alphas " + " ".join(f"{v:.17g}" for v in params.alphas) + "\n")
         if params.gammas is not None:
             f.write("gammas " + " ".join(f"{v:.17g}" for v in params.gammas) + "\n")
-        _write_matrix(f, "D", params.dictionary)
+        write_matrix(f, params.dictionary, "matrix D ")
         if params.S is not None:
-            _write_matrix(f, "S", params.S)
+            write_matrix(f, params.S, "matrix S ")
         if params.B is not None:
-            _write_matrix(f, "B", params.B)
+            write_matrix(f, params.B, "matrix B ")
         if params.S_layers is not None:
             for k, M in enumerate(params.S_layers):
-                _write_matrix(f, f"S.{k}", M)
+                write_matrix(f, M, f"matrix S.{k} ")
         if params.B_layers is not None:
             for k, M in enumerate(params.B_layers):
-                _write_matrix(f, f"B.{k}", M)
+                write_matrix(f, M, f"matrix B.{k} ")
 
 
 def load_checkpoint(path: str | Path) -> NetworkParams:

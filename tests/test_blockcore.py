@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blockunfold.blockcore import (
     BlockDictionary,
@@ -19,7 +22,9 @@ from blockunfold.blockcore import (
     mmv_vectorize,
     mutual_coherence,
     save_matrix,
+    write_matrix,
 )
+from blockunfold.blockcore import _pairwise_block_spectral_max
 from blockunfold.operators import block_soft_threshold
 
 from conftest import random_orthonormal_block_dictionary, unit_column_matrix
@@ -92,6 +97,19 @@ class TestCoherence:
             mu = mutual_coherence(D.data)
             assert 0.0 <= mu_b <= mu + 1e-12 <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n,d", [(2, 2), (7, 3), (16, 5)])
+    def test_block_row_svd_matches_per_pair_norms(self, rng, n, d):
+        # the per-pair loop of spectral norms is the reference; one batched
+        # SVD per block row runs the same LAPACK routine on the same blocks
+        G = rng.standard_normal((n * d, n * d))
+        loop = max(
+            float(np.linalg.norm(G[i * d : (i + 1) * d, j * d : (j + 1) * d], 2))
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        )
+        assert _pairwise_block_spectral_max(G, n, d) == loop
+
     def test_needs_two_blocks(self, rng):
         D = BlockDictionary(rng.standard_normal((4, 2)), n=1, d=2)
         with pytest.raises(ValueError):
@@ -149,6 +167,14 @@ class TestKroneckerBridge:
         np.testing.assert_array_equal(mmv_devectorize(mmv_vectorize(X)), X)
 
 
+# Finite values of every magnitude, and -0.0, in small matrices.
+_MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(
+        np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)
+    )
+)
+
+
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path, rng):
         A = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-8, 8, size=(7, 3))
@@ -165,6 +191,44 @@ class TestMatrixFormat:
     def test_vector_saved_as_column(self, tmp_path):
         save_matrix(tmp_path / "v.txt", np.array([1.0, 2.0, 3.0]))
         assert load_matrix(tmp_path / "v.txt").shape == (3, 1)
+
+    @given(A=_MATRICES)
+    @settings(max_examples=50, deadline=None)
+    def test_rows_match_per_value_formatting(self, A):
+        # reference: one f-string per numpy scalar, the format's definition
+        f = io.StringIO()
+        write_matrix(f, A, "matrix T ")
+        rows, cols = A.shape
+        want = f"matrix T {rows} {cols}\n" + "".join(
+            " ".join(f"{v:.17g}" for v in row) + "\n" for row in A
+        )
+        assert f.getvalue() == want
+
+    @given(A=_MATRICES)
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_and_every_truncation_names_the_file(self, tmp_path_factory, A):
+        tmp = tmp_path_factory.mktemp("matrix")
+        path = tmp / "full.txt"
+        save_matrix(path, A)
+        np.testing.assert_array_equal(load_matrix(path), A)
+        full = path.read_bytes()
+        cut_path = tmp / "cut.txt"
+        for size in range(len(full)):
+            cut_path.write_bytes(full[:size])
+            with pytest.raises(ValueError, match="cut.txt"):
+                load_matrix(cut_path)
+
+    def test_missing_rows_name_the_file(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("3 2\n1 2\n3 4\n")
+        with pytest.raises(ValueError, match=r"short.txt: ends after 2 of 3 rows \(line 4"):
+            load_matrix(path)
+
+    def test_bad_value_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\n1 2\n3 x\n")
+        with pytest.raises(ValueError, match="bad.txt:3: could not convert"):
+            load_matrix(path)
 
 
 class TestSignalClass:

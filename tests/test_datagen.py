@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockunfold.blockcore import MMVProblem, kron_lift
 from blockunfold.datagen import (
@@ -176,6 +178,84 @@ class TestDatasetFiles:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+@st.composite
+def small_datasets(draw):
+    """A scenario of a few blocks and split sizes 0..2 (0 writes no files)."""
+    circulant = draw(st.booleans())
+    n = draw(st.integers(2, 4))
+    cfg = ScenarioConfig(
+        scenario=Scenario.CIRCULANT if circulant else Scenario.GAUSSIAN,
+        m=n if circulant else draw(st.integers(2, 3)),
+        n=n,
+        d=draw(st.integers(1, 2)),
+        pnz=0.5,
+        snr_db=draw(st.sampled_from([np.inf, 20.0])),
+        rank=n if circulant else None,
+        seed=draw(st.integers(0, 99)),
+    )
+    counts = {split: draw(st.integers(0, 2)) for split in ("train", "val", "test")}
+    return cfg, counts
+
+
+class TestDatasetLoader:
+    @staticmethod
+    def _save(tmp_path, cfg, counts):
+        problem = build_problem(cfg)
+        splits, start = {}, 0
+        for split, count in counts.items():
+            if count:
+                splits[split] = gen_signal_batch(cfg, problem.D, count, start)
+                start += count
+        save_dataset(tmp_path, cfg, problem, splits)
+        return splits
+
+    @given(case=small_datasets())
+    @settings(max_examples=8, deadline=None)
+    def test_every_truncation_names_the_file(self, tmp_path_factory, case):
+        cfg, counts = case
+        data = tmp_path_factory.mktemp("data")
+        splits = self._save(data, cfg, counts)
+        for path in sorted(data.iterdir()):
+            full = path.read_bytes()
+            for size in range(len(full)):
+                path.write_bytes(full[:size])
+                if path.name == "manifest.txt" and size == len(full) - 1:
+                    # only the final newline gone: the manifest is still whole
+                    assert load_dataset(data)[0] == cfg
+                    continue
+                with pytest.raises(ValueError, match=path.name):
+                    load_dataset(data)
+            path.write_bytes(full)
+        cfg2, _, splits2 = load_dataset(data)
+        assert cfg2 == cfg
+        assert splits2.keys() == splits.keys()
+
+    def test_missing_manifest_key_names_the_file(self, tmp_path):
+        cfg = gaussian_cfg()
+        self._save(tmp_path, cfg, {"train": 2})
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("seed = 0\n", ""))
+        with pytest.raises(ValueError, match="manifest.txt: missing key 'seed'"):
+            load_dataset(tmp_path)
+
+    def test_bad_manifest_value_names_the_line(self, tmp_path):
+        cfg = gaussian_cfg()
+        self._save(tmp_path, cfg, {"train": 2})
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("m = 4", "m = four"))
+        with pytest.raises(ValueError, match="manifest.txt:3: bad m value 'four'"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("claimed", [1, 3])
+    def test_row_count_must_match_manifest(self, tmp_path, claimed):
+        cfg = gaussian_cfg()
+        self._save(tmp_path, cfg, {"train": 2})
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("n_train = 2", f"n_train = {claimed}"))
+        with pytest.raises(ValueError, match=f"X_train.txt: 2 rows, but .*n_train = {claimed}"):
+            load_dataset(tmp_path)
 
 
 class TestValidation:

@@ -133,8 +133,11 @@ class TestBista:
     def test_divergence_reports_iteration(self, rng):
         D = BlockDictionary(5.0 * np.eye(4), n=4, d=1)
         with pytest.warns(UserWarning):
-            with pytest.raises(DivergenceError):
+            with pytest.raises(DivergenceError) as err:
                 bista_run(D, np.ones(4), 0.0, 50.0, 200)
+        # one signal: the message names the iteration and no row
+        assert err.value.row is None
+        assert "row" not in str(err.value)
 
     def test_nmse_tracking(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
@@ -212,3 +215,103 @@ class TestDecorrelation:
         D = kron_lift(MMVProblem(K, d))
         B = BlockDictionary(np.kron(w.B.data, np.eye(d)), n=10, d=d)
         assert abs(decorrelation_trace(B, D)) < 1e-8
+
+
+def _mean_db(nmse_rows):
+    return 10.0 * np.log10(np.mean(nmse_rows, axis=0))
+
+
+class TestBatched:
+    """A batch of measurements runs as one solve; the per-sample call is the
+    reference."""
+
+    @staticmethod
+    def _problem(rng, batch=7):
+        K = unit_column_matrix(8, 12, rng)
+        D = kron_lift(MMVProblem(K, 3))
+        w = closed_form_weights(BlockDictionary(K, n=12, d=1))
+        B = BlockDictionary(np.kron(w.B.data, np.eye(3)), n=12, d=3)
+        X = np.zeros((batch, D.n_x))
+        for row in X:
+            blocks = rng.choice(12, size=2, replace=False)
+            for i in blocks:
+                row[3 * i : 3 * i + 3] = rng.standard_normal(3)
+        Y = X @ D.data.T + 0.01 * rng.standard_normal((batch, D.n_y))
+        return D, B, X, Y
+
+    @pytest.mark.parametrize("solver", ["bista", "fast_bista", "alamp"])
+    def test_curves_match_mean_of_per_sample_runs(self, rng, solver):
+        D, B, X, Y = self._problem(rng)
+        gamma = default_step_size(D)
+        runs = {
+            "bista": lambda y, xs: bista_run(D, y, 0.3, gamma, 12, x_star=xs),
+            "fast_bista": lambda y, xs: fast_bista_run(D, y, 0.3, gamma, 12, x_star=xs),
+            "alamp": lambda y, xs: alamp_run(D, B, 0.3 * gamma, gamma, 12, y, x_star=xs),
+        }
+        run = runs[solver]
+        batched = run(Y, X)
+        singles = [run(y, xs) for y, xs in zip(Y, X)]
+        assert len(batched) == 13
+        assert batched.iterates[-1].shape == X.shape
+        assert batched.objectives[-1].shape == (X.shape[0],)
+        per_sample = np.array([s.nmse for s in singles])
+        np.testing.assert_allclose(
+            _mean_db(np.array(batched.nmse).T), _mean_db(per_sample), rtol=0, atol=1e-9
+        )
+        for k in range(13):
+            np.testing.assert_allclose(
+                batched.iterates[k], np.array([s.iterates[k] for s in singles]),
+                rtol=1e-12, atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                batched.objectives[k], [s.objectives[k] for s in singles], rtol=1e-12
+            )
+
+    def test_one_signal_keeps_scalar_trace(self, rng):
+        D, _, X, Y = self._problem(rng, batch=1)
+        trace = bista_run(D, Y[0], 0.3, default_step_size(D), 3, x_star=X[0])
+        assert trace.iterates[-1].shape == (D.n_x,)
+        assert all(isinstance(v, float) for v in trace.objectives + trace.nmse)
+        assert trace.final.n_x == D.n_x
+
+    def test_zero_reference_row_has_nan_nmse(self, rng):
+        D, _, X, Y = self._problem(rng, batch=3)
+        X[1] = 0.0
+        trace = bista_run(D, Y, 0.3, default_step_size(D), 2, x_star=X)
+        assert np.isnan(trace.nmse[-1][1])
+        assert np.all(np.isfinite(trace.nmse[-1][[0, 2]]))
+
+    def test_objective_per_row(self, rng):
+        D, _, X, Y = self._problem(rng, batch=4)
+        values = lasso_objective(D, Y, X, 0.3)
+        assert values.shape == (4,)
+        for value, y, x in zip(values, Y, X):
+            assert value == pytest.approx(
+                lasso_objective(D, y, BlockVector(x, D.n, D.d), 0.3), rel=1e-12
+            )
+
+    def test_shape_mismatch(self, rng):
+        D, _, X, Y = self._problem(rng, batch=4)
+        with pytest.raises(ValueError, match="x has shape"):
+            lasso_objective(D, Y, X[:3], 0.3)
+        with pytest.raises(ValueError, match="x_star has shape"):
+            bista_run(D, Y, 0.3, default_step_size(D), 1, x_star=X[:3])
+        with pytest.raises(ValueError, match="y has shape"):
+            bista_run(D, Y[:, :-1], 0.3, default_step_size(D), 1)
+
+    @pytest.mark.parametrize("solver", ["bista", "fast_bista", "alamp"])
+    def test_divergence_names_the_row(self, solver):
+        # rows 0 and 2 measure nothing and stay at 0; row 1 explodes
+        D = BlockDictionary(5.0 * np.eye(4), n=4, d=1)
+        Y = np.zeros((3, 4))
+        Y[1] = 1.0
+        runs = {
+            "bista": lambda: bista_run(D, Y, 0.0, 50.0, 200),
+            "fast_bista": lambda: fast_bista_run(D, Y, 0.0, 50.0, 200),
+            "alamp": lambda: alamp_run(D, D, 0.0, 50.0, 200, Y, onsager=False),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DivergenceError, match=r"in row 1 \(iteration \d+\)") as err:
+                runs[solver]()
+        assert err.value.row == 1

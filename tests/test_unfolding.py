@@ -227,9 +227,16 @@ class TestBackward:
     def test_restriction_zeroes_other_layers(self, rng):
         D, x_star, y = make_problem(rng)
         params = perturbed_init(NetworkVariant.UNTIED_LBISTA_CP, D, 4, rng)
+        # at these thresholds every block of this instance dies at every
+        # layer, which makes every gradient exactly 0; a tenth keeps blocks
+        # of layer 2 active
+        params.alphas[:] *= 0.1
         fp = forward(params, y)
         grads = backward(params, fp, np.atleast_2d(x_star), only_layer=2)
-        assert grads.dalphas[2] != 0.0 or True
+        full = backward(params, fp, np.atleast_2d(x_star))
+        assert grads.dalphas[2] != 0.0
+        assert grads.dalphas[2] == full.dalphas[2]
+        assert np.any(grads.dB_layers[2] != 0.0)
         for k in (0, 1, 3):
             assert grads.dalphas[k] == 0.0
             np.testing.assert_array_equal(grads.dB_layers[k], 0.0)
