@@ -73,7 +73,7 @@ from .weights import (
 
 log = logging.getLogger("blockunfold")
 
-_CLI_METHODS = ("kkt", "closed_form", "svd_d1", "kronecker", "circulant_fft")
+_CLI_METHODS = ("kkt", "closed_form", "svd_d1", "circulant_fft")
 
 
 @dataclass
@@ -218,8 +218,6 @@ def _compute_base_weights(cfg: ExperimentConfig, problem: ProblemData):
         return kkt_weights(K_dict)
     if method == "svd_d1":
         return svd_weights_d1(problem.K)
-    # closed_form and kronecker both solve at the channel level; the lift
-    # B (x) I_d happens when the network is built.
     return closed_form_weights(K_dict)
 
 
@@ -361,7 +359,11 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     if ckpt.exists():
         params = load_checkpoint(ckpt)
         fp = forward(params, Y_test)
-        constants = measure_constants(params, fp, X_test)
+        try:
+            constants = measure_constants(params, fp, X_test)
+        except ValueError as exc:
+            print(f"error: cannot verify {ckpt}: {exc}", file=sys.stderr)
+            return 2
         try:
             est = estimate_kappa(params, constants)
             kappa, min_ratio, ratios = est.kappa, est.min_ratio, est.ratios

@@ -49,6 +49,13 @@ def _block_norms(Zb: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", Zb, Zb))[..., None]
 
 
+def _scaled_block_norms(Zb: np.ndarray) -> np.ndarray:
+    """Block norms as ``(..., n, 1)``, each block scaled by its largest entry
+    first, so a nonzero block never gets norm 0 by underflow."""
+    top = np.abs(Zb).max(axis=-1, keepdims=True)
+    return top * _block_norms(Zb / np.where(top > 0, top, 1.0))
+
+
 def eta(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     """Block soft-threshold of ``Z`` (last axis = n*d), batched over leading axes."""
     if alpha < 0:
@@ -77,6 +84,9 @@ def eta_jvp(Z: np.ndarray, alpha: float, V: np.ndarray, n: int, d: int) -> np.nd
     """
     Zb = _block_view(Z, n, d)
     Vb = _block_view(V, n, d)
+    if alpha == 0.0:
+        # the identity on every nonzero block, as eta keeps them all
+        return np.where(_scaled_block_norms(Zb) > 0, Vb, 0.0).reshape(Z.shape)
     r = _block_norms(Zb)
     active = r > alpha
     safe = np.where(active, r, 1.0)
@@ -94,7 +104,9 @@ def eta_dalpha(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     (one-sided derivative at the kink).
     """
     Zb = _block_view(Z, n, d)
-    r = _block_norms(Zb)
+    # at alpha = 0 every nonzero block is active, also one whose squared
+    # norm underflows
+    r = _scaled_block_norms(Zb) if alpha == 0.0 else _block_norms(Zb)
     active = r > alpha
     coef = np.where(active, -1.0 / np.where(active, r, 1.0), 0.0)
     return (coef * Zb).reshape(Z.shape)

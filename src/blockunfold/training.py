@@ -20,16 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .unfolding import (
-    NetworkParams,
-    NetworkVariant,
-    backward,
-    forward,
-    get_grad,
-    get_param,
-    layer_names,
-    set_param,
-)
+from .unfolding import NetworkParams, NetworkVariant, backward, forward, stage_arrays
 
 __all__ = [
     "TrainConfig",
@@ -176,21 +167,26 @@ class AdamState:
 
 
 def adam_step(
-    params: NetworkParams,
-    grads,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    names: list[str],
+    layer: int,
 ) -> None:
-    """One bias-corrected Adam update of the named parameters in place."""
+    """One bias-corrected Adam update of a stage's arrays in place.
+
+    ``params`` and ``grads`` map field names to arrays, as
+    :func:`~blockunfold.unfolding.stage_arrays` selects them for the
+    0-based ``layer``, which a non-finite gradient's error names.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name in names:
-        g = np.asarray(get_grad(grads, name), dtype=np.float64)
+    for name, value in params.items():
+        g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name}")
+            raise ValueError(f"non-finite gradient for {name} of layer {layer + 1}")
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
@@ -198,8 +194,7 @@ def adam_step(
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        update = -learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-        set_param(params, name, np.asarray(get_param(params, name)) + update)
+        value += -learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def _clamp_alphas(params: NetworkParams) -> None:
@@ -226,7 +221,8 @@ _LOCAL_STAGE = {
 
 def _step_term(params: NetworkParams, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Albista's gradient term ``B^T (D x - y)`` for every row of X and Y."""
-    return (X @ params.dictionary.T - Y) @ params.B
+    # albista's fixed B is one matrix shared by every layer
+    return (X @ params.dictionary.T - Y) @ params.B[0]
 
 
 def layerwise_train(
@@ -258,7 +254,7 @@ def layerwise_train(
 
     for layer in range(1, params.depth + 1):
         kidx = layer - 1
-        names = layer_names(params, kidx)
+        trained = stage_arrays(params, kidx)
         state = AdamState()
         if cached_step:
             step_train = _step_term(params, prefix_train, data.Y_train)
@@ -279,9 +275,7 @@ def layerwise_train(
             return float(batch_nmse_ratios(fp.iterates[-1], data.X_val).max())
 
         best_metric = val_metric()
-        best_snapshot = {
-            name: np.array(get_param(params, name), copy=True) for name in names
-        }
+        best_snapshot = {name: value.copy() for name, value in trained.items()}
         history.val_steps.append(global_step)
         history.val_nmse_db.append(_ratio_db(best_metric))
         init_metric = best_metric
@@ -299,12 +293,11 @@ def layerwise_train(
                     x_init=prefix_train[idx],
                     step_init=None if step_train is None else step_train[idx],
                 )
-                grads = backward(params, fp, X_batch)
             else:
                 fp = forward(params, data.Y_train[idx], depth=layer)
-                grads = backward(params, fp, X_batch, only_layer=kidx)
+            grads = backward(params, fp, X_batch)
             loss = empirical_risk(fp.iterates[-1], X_batch)
-            adam_step(params, grads, state, cfg.learning_rate, names)
+            adam_step(trained, stage_arrays(grads, kidx), state, cfg.learning_rate, kidx)
             _clamp_alphas(params)
             history.steps.append(global_step)
             history.layers.append(layer)
@@ -317,15 +310,12 @@ def layerwise_train(
                 history.val_nmse_db.append(_ratio_db(metric))
                 if metric < best_metric - cfg.tol:
                     best_metric = metric
-                    best_snapshot = {
-                        name: np.array(get_param(params, name), copy=True)
-                        for name in names
-                    }
+                    best_snapshot = {name: value.copy() for name, value in trained.items()}
                     patience = 0
                 else:
                     patience += 1
         for name, value in best_snapshot.items():
-            set_param(params, name, value)
+            trained[name][...] = value
         if best_metric >= init_metric and steps_in_layer >= cfg.max_iters_per_layer:
             warnings.warn(
                 f"layer {layer} did not improve within {cfg.max_iters_per_layer} steps; "

@@ -40,10 +40,7 @@ __all__ = [
     "forward",
     "backward",
     "init_from_bista",
-    "trainable_names",
-    "get_param",
-    "set_param",
-    "get_grad",
+    "stage_arrays",
     "param_count",
     "circ_conv",
     "adjoint_kernel",
@@ -69,18 +66,22 @@ _CP_FORM = {
     NetworkVariant.ALBISTA,
 }
 _UNTIED = {NetworkVariant.UNTIED_LBISTA, NetworkVariant.UNTIED_LBISTA_CP}
+# untied_cp keeps its step sizes fixed
+_TRAINED_GAMMAS = {NetworkVariant.TIED_LBISTA_CP, NetworkVariant.ALBISTA}
 
 
 @dataclass
 class NetworkParams:
     """Trainable state of one unfolded network plus its fixed dictionary.
 
-    Field usage per variant: ``S``/``B`` hold the shared matrices of the
-    tied variants (``B`` is the fixed analytical matrix for albista),
-    ``S_layers``/``B_layers`` the per-layer matrices of the untied ones.
-    ``gammas`` exists for the gradient-step variants; it is trainable for
-    tied_cp and albista and frozen at its initial value for untied_cp,
-    whose per-layer matrices absorb any rescaling.
+    ``alphas`` and ``gammas`` hold one threshold and one step size per
+    layer.  ``gammas`` exists for the gradient-step variants; it is
+    trainable for tied_cp and albista and frozen at its initial value for
+    untied_cp, whose per-layer matrices absorb any rescaling.  ``S`` (tied
+    and untied only) and ``B`` are per-layer lists of matrices: the untied
+    variants hold K distinct arrays, the tied ones (albista included, whose
+    ``B`` is the fixed analytical matrix) one shared array K times, so an
+    in-place update through any layer reaches every layer.
     """
 
     variant: NetworkVariant
@@ -90,10 +91,8 @@ class NetworkParams:
     dictionary: np.ndarray
     alphas: np.ndarray
     gammas: np.ndarray | None = None
-    S: np.ndarray | None = None
-    B: np.ndarray | None = None
-    S_layers: list[np.ndarray] | None = None
-    B_layers: list[np.ndarray] | None = None
+    S: list[np.ndarray] | None = None
+    B: list[np.ndarray] | None = None
 
     @property
     def n_x(self) -> int:
@@ -108,6 +107,8 @@ class NetworkParams:
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
         K = self.depth
         v = self.variant
+        if K < 1:
+            raise ValueError(f"depth must be >= 1, got {K}")
         if self.dictionary.shape[1] != self.n_x:
             raise ValueError("dictionary width does not match n*d")
         if self.alphas.shape != (K,):
@@ -118,26 +119,18 @@ class NetworkParams:
             self.gammas = np.asarray(self.gammas, dtype=np.float64)
             if self.gammas.shape != (K,):
                 raise ValueError(f"gammas must have shape ({K},)")
-        if v is NetworkVariant.TIED_LBISTA and (self.S is None or self.B is None):
-            raise ValueError("tied variant needs shared S and B")
-        if v in (NetworkVariant.TIED_LBISTA_CP, NetworkVariant.ALBISTA) and self.B is None:
-            raise ValueError(f"{v.value} needs a shared B")
-        if v is NetworkVariant.UNTIED_LBISTA and (
-            self.S_layers is None or self.B_layers is None or len(self.S_layers) != K
-        ):
-            raise ValueError("untied variant needs K per-layer S and B matrices")
-        if v is NetworkVariant.UNTIED_LBISTA_CP and (
-            self.B_layers is None or len(self.B_layers) != K
-        ):
-            raise ValueError("untied_cp variant needs K per-layer B matrices")
+            if self.S is not None:
+                raise ValueError(f"{v.value} has no S matrices")
+        else:
+            self.S = self._layers("S", self.S)
+        self.B = self._layers("B", self.B)
 
-    def S_at(self, k: int) -> np.ndarray:
-        return self.S_layers[k] if self.variant in _UNTIED else self.S
-
-    def B_at(self, k: int) -> np.ndarray:
-        if self.variant in _UNTIED:
-            return self.B_layers[k]
-        return self.B
+    def _layers(self, name: str, layers) -> list[np.ndarray]:
+        if layers is None or len(layers) != self.depth:
+            raise ValueError(f"{self.variant.value} needs {self.depth} per-layer {name} matrices")
+        if self.variant not in _UNTIED and any(M is not layers[0] for M in layers):
+            raise ValueError(f"{self.variant.value} shares one {name} matrix across its layers")
+        return list(layers)
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(
@@ -148,97 +141,45 @@ class NetworkParams:
             dictionary=self.dictionary,
             alphas=self.alphas.copy(),
             gammas=None if self.gammas is None else self.gammas.copy(),
-            S=None if self.S is None else self.S.copy(),
-            B=None if self.B is None else self.B.copy(),
-            S_layers=None if self.S_layers is None else [M.copy() for M in self.S_layers],
-            B_layers=None if self.B_layers is None else [M.copy() for M in self.B_layers],
+            S=_map_layers(np.ndarray.copy, self.S),
+            B=_map_layers(np.ndarray.copy, self.B),
         )
 
 
-# ---------------------------------------------------------------------------
-# trainable-parameter bookkeeping
-#
-# Parameters are addressed by name: "alpha.k", "gamma.k", "S", "B",
-# "S.k", "B.k".  The trainable set matches each variant's declared
-# parameter list; untied_cp keeps its step sizes fixed and albista its
-# weight matrix.
+def _map_layers(fn, layers: list[np.ndarray] | None) -> list[np.ndarray] | None:
+    """Apply ``fn`` once per distinct matrix, so a shared matrix stays shared."""
+    if layers is None:
+        return None
+    mapped = {id(M): fn(M) for M in layers}
+    return [mapped[id(M)] for M in layers]
 
 
-def trainable_names(params: NetworkParams) -> list[str]:
-    v, K = params.variant, params.depth
-    names = [f"alpha.{k}" for k in range(K)]
-    if v in (NetworkVariant.TIED_LBISTA_CP, NetworkVariant.ALBISTA):
-        names += [f"gamma.{k}" for k in range(K)]
-    if v is NetworkVariant.TIED_LBISTA:
-        names += ["S", "B"]
-    elif v is NetworkVariant.TIED_LBISTA_CP:
-        names += ["B"]
-    elif v is NetworkVariant.UNTIED_LBISTA:
-        names += [f"S.{k}" for k in range(K)] + [f"B.{k}" for k in range(K)]
-    elif v is NetworkVariant.UNTIED_LBISTA_CP:
-        names += [f"B.{k}" for k in range(K)]
-    return names
+def stage_arrays(p: "NetworkParams | Gradients", layer: int) -> dict[str, np.ndarray]:
+    """What the training stage of ``layer`` (0-based) updates, by field name.
 
-
-def layer_names(params: NetworkParams, layer: int) -> list[str]:
-    """Parameters updated when training the given layer (0-based step index).
-
-    Per-layer scalars and per-layer matrices belong to their own step;
-    shared matrices take part in every layer's training stage.
+    Per-layer scalars come as one-element views of ``alphas``/``gammas``
+    and matrices as that layer's array, which is the shared one for the
+    tied variants; everything aliases ``p``, so in-place changes land in
+    ``p``.  Called on :class:`Gradients` it selects the matching gradients.
+    albista keeps its weight matrix fixed.
     """
-    active = {f"alpha.{layer}", f"gamma.{layer}", f"S.{layer}", f"B.{layer}", "S", "B"}
-    return [name for name in trainable_names(params) if name in active]
-
-
-def _split(name: str) -> tuple[str, int | None]:
-    if "." in name:
-        base, idx = name.split(".")
-        return base, int(idx)
-    return name, None
-
-
-def get_param(params: NetworkParams, name: str):
-    base, idx = _split(name)
-    if base == "alpha":
-        return params.alphas[idx]
-    if base == "gamma":
-        return params.gammas[idx]
-    if base == "S":
-        return params.S if idx is None else params.S_layers[idx]
-    if base == "B":
-        if idx is None:
-            return params.B
-        return params.B_layers[idx]
-    raise KeyError(name)
-
-
-def set_param(params: NetworkParams, name: str, value) -> None:
-    base, idx = _split(name)
-    if base == "alpha":
-        params.alphas[idx] = float(value)
-    elif base == "gamma":
-        params.gammas[idx] = float(value)
-    elif base == "S":
-        if idx is None:
-            params.S = np.asarray(value, dtype=np.float64)
-        else:
-            params.S_layers[idx] = np.asarray(value, dtype=np.float64)
-    elif base == "B":
-        if idx is None:
-            params.B = np.asarray(value, dtype=np.float64)
-        else:
-            params.B_layers[idx] = np.asarray(value, dtype=np.float64)
-    else:
-        raise KeyError(name)
+    v = p.variant
+    arrays = {"alphas": p.alphas[layer : layer + 1]}
+    if v in _TRAINED_GAMMAS:
+        arrays["gammas"] = p.gammas[layer : layer + 1]
+    if v not in _CP_FORM:
+        arrays["S"] = p.S[layer]
+    if v is not NetworkVariant.ALBISTA:
+        arrays["B"] = p.B[layer]
+    return arrays
 
 
 def param_count(params: NetworkParams) -> int:
     """Number of trainable scalars, matrix entries included."""
-    total = 0
-    for name in trainable_names(params):
-        value = get_param(params, name)
-        total += 1 if np.ndim(value) == 0 else int(np.size(value))
-    return total
+    arrays = [a for k in range(params.depth) for a in stage_arrays(params, k).values()]
+    # a shared matrix is one object in every stage and counts once; the
+    # scalar views are distinct objects, kept alive by ``arrays``
+    return sum(a.size for a in {id(a): a for a in arrays}.values())
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +267,7 @@ def forward(
     cp_form = params.variant in _CP_FORM
     residuals = [] if cp_form else None
     for k in range(start, K):
-        Bk = params.B_at(k)
+        Bk = params.B[k]
         if cp_form:
             if k == start and step_init is not None:
                 R, step = None, step_init
@@ -336,7 +277,7 @@ def forward(
             Z = X - params.gammas[k] * step
             residuals.append(R)
         else:
-            Z = X @ params.S_at(k).T + Y @ Bk
+            Z = X @ params.S[k].T + Y @ Bk
         if not np.all(np.isfinite(Z)):
             raise DivergenceError("non-finite activation", k + 1)
         X = eta(Z, params.alphas[k], n, d)
@@ -354,44 +295,28 @@ def forward(
 
 @dataclass
 class Gradients:
-    """Gradient slots mirroring NetworkParams; zero where not applicable."""
+    """Gradients in the layout of :class:`NetworkParams`.
 
-    dalphas: np.ndarray
-    dgammas: np.ndarray | None = None
-    dS: np.ndarray | None = None
-    dB: np.ndarray | None = None
-    dS_layers: list[np.ndarray] | None = None
-    dB_layers: list[np.ndarray] | None = None
+    A field the variant does not train is None.  The tied variants hold
+    one shared matrix accumulator K times, which sums every layer's
+    contribution; :func:`stage_arrays` selects a stage's gradients as it
+    selects its parameters.
+    """
 
-
-def get_grad(grads: Gradients, name: str):
-    base, idx = _split(name)
-    if base == "alpha":
-        return grads.dalphas[idx]
-    if base == "gamma":
-        return grads.dgammas[idx]
-    if base == "S":
-        return grads.dS if idx is None else grads.dS_layers[idx]
-    if base == "B":
-        return grads.dB if idx is None else grads.dB_layers[idx]
-    raise KeyError(name)
+    variant: NetworkVariant
+    alphas: np.ndarray
+    gammas: np.ndarray | None = None
+    S: list[np.ndarray] | None = None
+    B: list[np.ndarray] | None = None
 
 
-def backward(
-    params: NetworkParams,
-    fp: ForwardPass,
-    X_star: np.ndarray,
-    only_layer: int | None = None,
-) -> Gradients:
+def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Gradients:
     """Gradients of the batch-mean squared loss 1/S sum_j 1/2 ||x{K}_j - x*_j||^2
     with respect to the variant's parameters.
 
-    ``only_layer`` restricts the result to one step's parameter set (the
-    layer-wise training mode): other per-layer slots are zeroed, while
-    shared matrices keep their full accumulated gradient since every stage
-    trains them.  For a resumed pass (``fp.start > 0``) gradients cover the
-    executed layers only, which is exact for variants whose stage
-    parameters do not reach into the frozen prefix.
+    For a resumed pass (``fp.start > 0``) gradients cover the executed
+    layers only, which is exact for variants whose stage parameters do not
+    reach into the frozen prefix.
     """
     v = params.variant
     n, d = params.n, params.d
@@ -401,76 +326,38 @@ def backward(
     if X_star.shape[0] != batch:
         raise ValueError("X_star batch size does not match the forward pass")
 
-    grads = Gradients(dalphas=np.zeros(params.depth))
-    if params.gammas is not None:
-        grads.dgammas = np.zeros(params.depth)
-    if v is NetworkVariant.TIED_LBISTA:
-        grads.dS = np.zeros_like(params.S)
-    if v in (NetworkVariant.TIED_LBISTA, NetworkVariant.TIED_LBISTA_CP):
-        grads.dB = np.zeros_like(params.B)
-    if v is NetworkVariant.UNTIED_LBISTA:
-        grads.dS_layers = [np.zeros_like(M) for M in params.S_layers]
-    if v in _UNTIED:
-        grads.dB_layers = [np.zeros_like(M) for M in params.B_layers]
+    grads = Gradients(variant=v, alphas=np.zeros(params.depth))
+    if v in _TRAINED_GAMMAS:
+        grads.gammas = np.zeros(params.depth)
+    if v not in _CP_FORM:
+        grads.S = _map_layers(np.zeros_like, params.S)
+    if v is not NetworkVariant.ALBISTA:
+        grads.B = _map_layers(np.zeros_like, params.B)
 
     G = (fp.iterates[-1] - X_star) / batch
     for j in reversed(range(fp.depth)):
         k = fp.start + j
         Z = fp.prethresh[j]
         a = params.alphas[k]
-        grads.dalphas[k] = float(np.vdot(eta_dalpha(Z, a, n, d), G))
+        grads.alphas[k] = float(np.vdot(eta_dalpha(Z, a, n, d), G))
         dZ = eta_jvp(Z, a, G, n, d)
         X_prev = fp.iterates[j]
-        Bk = params.B_at(k)
+        Bk = params.B[k]
         if v in _CP_FORM:
             g = params.gammas[k]
-            if j == 0 and fp.step_init is not None:
-                step = fp.step_init
-            else:
-                R = fp.residuals[j] if fp.residuals is not None else X_prev @ D.T - fp.Y
-                step = R @ Bk
-            grads.dgammas[k] = -float(np.vdot(dZ, step))
-            if v is NetworkVariant.UNTIED_LBISTA_CP:
-                grads.dB_layers[k] += -g * (R.T @ dZ)
-            elif v is NetworkVariant.TIED_LBISTA_CP:
-                grads.dB += -g * (R.T @ dZ)
+            R = fp.residuals[j]
+            if grads.gammas is not None:
+                step = fp.step_init if R is None else R @ Bk
+                grads.gammas[k] = -float(np.vdot(dZ, step))
+            if grads.B is not None:
+                grads.B[k] += -g * (R.T @ dZ)
             if j > 0:
                 G = dZ - g * ((dZ @ Bk.T) @ D)
         else:
-            Sk = params.S_at(k)
-            dSk = dZ.T @ X_prev
-            dBk = fp.Y.T @ dZ
-            if v is NetworkVariant.UNTIED_LBISTA:
-                grads.dS_layers[k] += dSk
-                grads.dB_layers[k] += dBk
-            else:
-                grads.dS += dSk
-                grads.dB += dBk
+            grads.S[k] += dZ.T @ X_prev
+            grads.B[k] += fp.Y.T @ dZ
             if j > 0:
-                G = dZ @ Sk
-
-    if only_layer is not None:
-        keep = set(layer_names(params, only_layer))
-        grads.dalphas = np.where(
-            np.arange(params.depth) == only_layer, grads.dalphas, 0.0
-        )
-        if grads.dgammas is not None:
-            if f"gamma.{only_layer}" in keep:
-                grads.dgammas = np.where(
-                    np.arange(params.depth) == only_layer, grads.dgammas, 0.0
-                )
-            else:
-                grads.dgammas = np.zeros(params.depth)
-        if grads.dS_layers is not None:
-            grads.dS_layers = [
-                M if k == only_layer else np.zeros_like(M)
-                for k, M in enumerate(grads.dS_layers)
-            ]
-        if grads.dB_layers is not None:
-            grads.dB_layers = [
-                M if k == only_layer else np.zeros_like(M)
-                for k, M in enumerate(grads.dB_layers)
-            ]
+                G = dZ @ params.S[k]
     return grads
 
 
@@ -489,8 +376,8 @@ def init_from_bista(
     from D itself otherwise; at this initialization the tied variants
     reproduce the classical trajectory exactly when ``B_analytic`` is None.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     gamma0 = default_step_size(D)
     base = D.data if B_analytic is None else np.asarray(B_analytic, dtype=np.float64)
     if base.shape != D.data.shape:
@@ -502,30 +389,30 @@ def init_from_bista(
     if variant is NetworkVariant.TIED_LBISTA:
         B = gamma0 * base
         S = np.eye(D.n_x) - B.T @ D.data
-        return NetworkParams(variant=variant, S=S, B=B, **common)
+        return NetworkParams(variant=variant, S=[S] * depth, B=[B] * depth, **common)
     if variant is NetworkVariant.UNTIED_LBISTA:
         B = gamma0 * base
         S = np.eye(D.n_x) - B.T @ D.data
         return NetworkParams(
             variant=variant,
-            S_layers=[S.copy() for _ in range(depth)],
-            B_layers=[B.copy() for _ in range(depth)],
+            S=[S.copy() for _ in range(depth)],
+            B=[B.copy() for _ in range(depth)],
             **common,
         )
     gammas = np.full(depth, gamma0)
     if variant is NetworkVariant.TIED_LBISTA_CP:
-        return NetworkParams(variant=variant, B=base.copy(), gammas=gammas, **common)
+        return NetworkParams(variant=variant, B=[base.copy()] * depth, gammas=gammas, **common)
     if variant is NetworkVariant.UNTIED_LBISTA_CP:
         return NetworkParams(
             variant=variant,
-            B_layers=[base.copy() for _ in range(depth)],
+            B=[base.copy() for _ in range(depth)],
             gammas=gammas,
             **common,
         )
     if variant is NetworkVariant.ALBISTA:
         if B_analytic is None:
             raise ValueError("albista needs a precomputed analytical weight matrix")
-        return NetworkParams(variant=variant, B=base.copy(), gammas=gammas, **common)
+        return NetworkParams(variant=variant, B=[base.copy()] * depth, gammas=gammas, **common)
     raise ValueError(f"unknown variant {variant}")
 
 
@@ -602,7 +489,8 @@ def conv_step_fft(
 
 # ---------------------------------------------------------------------------
 # checkpoint files: variant tag, depth, block structure, per-layer scalars,
-# then matrix payloads in the shared text matrix format.
+# then matrix payloads in the shared text matrix format: D, then a tied
+# variant's shared S and B once, or an untied one's S.k and B.k per layer.
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
@@ -615,16 +503,14 @@ def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
         if params.gammas is not None:
             f.write("gammas " + " ".join(f"{v:.17g}" for v in params.gammas) + "\n")
         write_matrix(f, params.dictionary, "matrix D ")
-        if params.S is not None:
-            write_matrix(f, params.S, "matrix S ")
-        if params.B is not None:
-            write_matrix(f, params.B, "matrix B ")
-        if params.S_layers is not None:
-            for k, M in enumerate(params.S_layers):
-                write_matrix(f, M, f"matrix S.{k} ")
-        if params.B_layers is not None:
-            for k, M in enumerate(params.B_layers):
-                write_matrix(f, M, f"matrix B.{k} ")
+        for tag, layers in (("S", params.S), ("B", params.B)):
+            if layers is None:
+                continue
+            if params.variant in _UNTIED:
+                for k, M in enumerate(layers):
+                    write_matrix(f, M, f"matrix {tag}.{k} ")
+            else:
+                write_matrix(f, layers[0], f"matrix {tag} ")
 
 
 def load_checkpoint(path: str | Path) -> NetworkParams:
@@ -705,10 +591,10 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
     depth = field("depth", int)
     n, d = field("blocks", blocks)
 
-    def per_layer(base: str) -> list[np.ndarray] | None:
-        if f"{base}.0" not in matrices:
-            return None
-        return [matrix(f"{base}.{k}") for k in range(depth)]
+    def per_layer(tag: str) -> list[np.ndarray]:
+        if variant in _UNTIED:
+            return [matrix(f"{tag}.{k}") for k in range(depth)]
+        return [matrix(tag)] * depth
 
     kwargs = dict(
         variant=variant,
@@ -718,10 +604,8 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
         dictionary=matrix("D"),
         alphas=field("alphas", floats),
         gammas=field("gammas", floats) if "gammas" in fields else None,
-        S=matrices.get("S"),
-        B=matrices.get("B"),
-        S_layers=per_layer("S"),
-        B_layers=per_layer("B"),
+        S=None if variant in _CP_FORM else per_layer("S"),
+        B=per_layer("B"),
     )
     try:
         return NetworkParams(**kwargs)

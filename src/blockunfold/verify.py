@@ -119,10 +119,12 @@ def measure_constants(
         NetworkVariant.TIED_LBISTA_CP,
         NetworkVariant.UNTIED_LBISTA_CP,
     ):
-        raise ValueError("constants are defined for the gradient-step variants")
+        raise ValueError(
+            f"constants are defined for the gradient-step variants, not {params.variant.value}"
+        )
     n, d = params.n, params.d
     D = BlockDictionary(params.dictionary, n=n, d=d)
-    B = BlockDictionary(params.B if params.B is not None else params.B_layers[0], n=n, d=d)
+    B = BlockDictionary(params.B[0], n=n, d=d)
     mu_tilde = cross_block_coherence(B, D)
     C = float(np.max(np.abs(params.gammas[: fp.depth]))) * max_weight_block_norm(B)
     X_star = np.atleast_2d(X_star)
@@ -335,7 +337,7 @@ def calibrated_network(
         dictionary=D.data.copy(),
         alphas=alphas,
         gammas=np.full(depth, gamma),
-        B=B.data.copy(),
+        B=[B.data.copy()] * depth,
     )
     block_counts = np.count_nonzero(
         np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2) > 0, axis=1

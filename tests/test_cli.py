@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from blockunfold import solvers
@@ -213,6 +215,31 @@ class TestVerifyCommand:
         assert "containment=True bound=True" in report
 
 
+    @pytest.mark.parametrize(
+        "variant, message",
+        [
+            ("tied", "not tied"),
+            ("tied_cp", r"infeasible at block \d+: .* = \S+"),
+            ("untied", "not untied"),
+            ("untied_cp", r"infeasible at block \d+: .* = \S+"),
+            ("albista", None),
+        ],
+    )
+    def test_every_variant_checkpoint(self, tmp_path, capsys, variant, message):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        code = main(["all", "--config", cfg, "--out", str(out), "--variant", variant])
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if message is None:
+            assert code == 0
+            assert errors == []
+            return
+        assert code == 2
+        assert len(errors) == 1
+        assert re.search(message, errors[0]), errors[0]
+
+
 class TestErrors:
     def test_missing_dataset_reported(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_CFG)
@@ -238,7 +265,9 @@ class TestErrors:
             read_config(cfg)
 
     def test_unknown_method_rejected(self, tmp_path):
-        bad = TINY_CFG.replace("method = closed_form", "method = magic")
-        cfg = write_cfg(tmp_path, bad)
-        with pytest.raises(ValueError, match="unknown weights method"):
-            read_config(cfg)
+        # kronecker was closed_form under another name and is gone
+        for method in ("magic", "kronecker"):
+            bad = TINY_CFG.replace("method = closed_form", f"method = {method}")
+            cfg = write_cfg(tmp_path, bad)
+            with pytest.raises(ValueError, match=f"unknown weights method '{method}'"):
+                read_config(cfg)

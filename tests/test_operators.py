@@ -190,10 +190,18 @@ def eta_oracle(Z, alpha, n, d):
     return (scale * Zb).reshape(Z.shape)
 
 
+def oracle_norms(Zb, alpha):
+    # at alpha = 0 every nonzero block is active, also one whose squared
+    # norm underflows, so the derivatives need its true norm there
+    if alpha == 0:
+        return true_block_norms(Zb)[..., None]
+    return np.linalg.norm(Zb, axis=-1, keepdims=True)
+
+
 def eta_jvp_oracle(Z, alpha, V, n, d):
     Zb = Z.reshape(Z.shape[:-1] + (n, d))
     Vb = V.reshape(V.shape[:-1] + (n, d))
-    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    r = oracle_norms(Zb, alpha)
     active = r > alpha
     safe = np.where(active, r, 1.0)
     U = np.where(active, Zb / safe, 0.0)
@@ -204,7 +212,7 @@ def eta_jvp_oracle(Z, alpha, V, n, d):
 
 def eta_dalpha_oracle(Z, alpha, n, d):
     Zb = Z.reshape(Z.shape[:-1] + (n, d))
-    r = np.linalg.norm(Zb, axis=-1, keepdims=True)
+    r = oracle_norms(Zb, alpha)
     active = r > alpha
     safe = np.where(active, r, 1.0)
     return np.where(active, -Zb / safe, 0.0).reshape(Z.shape)
@@ -262,6 +270,18 @@ class TestKernelsAgainstOracle:
                                        err_msg=name)
             blocks = got[name].reshape(Z.shape[0], n, d)
             np.testing.assert_array_equal(blocks[dead], 0.0, err_msg=name)
+
+    def test_zero_threshold_keeps_underflowing_blocks(self):
+        # the squared norm of (1e-170, 0) underflows to 0; at alpha = 0 the
+        # threshold is the identity on it, and so is its Jacobian
+        z = np.array([1e-170, 0.0, 0.0, 0.0])
+        v = np.array([1.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(eta(z, 0.0, 2, 2), z)
+        np.testing.assert_array_equal(eta_jvp(z[:2], 0.0, v[:2], 1, 2), [1.0, 1.0])
+        np.testing.assert_array_equal(eta_dalpha(z[:2], 0.0, 1, 2), [-1.0, 0.0])
+        # the zero block keeps the zero side
+        np.testing.assert_array_equal(eta_jvp(z, 0.0, v, 2, 2), [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(eta_dalpha(z, 0.0, 2, 2), [-1.0, 0.0, 0.0, 0.0])
 
     def test_kink_block_takes_zero_side(self):
         # ||(3, 4)|| = 5 exactly, so alpha = 5 sits on the kink

@@ -20,8 +20,8 @@ from blockunfold.unfolding import (
     NetworkVariant,
     backward,
     forward,
-    get_param,
     init_from_bista,
+    stage_arrays,
 )
 
 from conftest import unit_column_matrix
@@ -113,9 +113,11 @@ class TestAdam:
         params = init_from_bista(NetworkVariant.ALBISTA, D, 2, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
         grads = backward(params, fp, fp.iterates[-1])
-        before = params.alphas.copy()
-        adam_step(params, grads, AdamState(), 0.1, ["alpha.0", "alpha.1"])
-        np.testing.assert_array_equal(params.alphas, before)
+        before = params.copy()
+        for k in range(2):
+            adam_step(stage_arrays(params, k), stage_arrays(grads, k), AdamState(), 0.1, k)
+        np.testing.assert_array_equal(params.alphas, before.alphas)
+        np.testing.assert_array_equal(params.gammas, before.gammas)
 
     def test_first_step_is_sign_scaled(self, rng):
         # single-step hand oracle: update = -lr * g / (|g| + eps)
@@ -123,10 +125,10 @@ class TestAdam:
         params = init_from_bista(NetworkVariant.ALBISTA, D, 1, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
         grads = backward(params, fp, data.X_train)
-        g = float(grads.dalphas[0])
+        g = float(grads.alphas[0])
         assert g != 0.0
         before = float(params.alphas[0])
-        adam_step(params, grads, AdamState(), 1e-3, ["alpha.0"])
+        adam_step(stage_arrays(params, 0), stage_arrays(grads, 0), AdamState(), 1e-3, 0)
         expected = before - 1e-3 * g / (abs(g) + 1e-8)
         assert float(params.alphas[0]) == pytest.approx(expected, rel=1e-9)
 
@@ -160,9 +162,66 @@ class TestAdam:
         params = init_from_bista(NetworkVariant.ALBISTA, D, 1, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
         grads = backward(params, fp, data.X_train)
-        grads.dalphas[0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, grads, AdamState(), 1e-3, ["alpha.0"])
+        grads.alphas[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient for alphas of layer 1"):
+            adam_step(stage_arrays(params, 0), stage_arrays(grads, 0), AdamState(), 1e-3, 0)
+
+    @pytest.mark.parametrize(
+        "variant, field",
+        [
+            (NetworkVariant.TIED_LBISTA, "S"),
+            (NetworkVariant.TIED_LBISTA_CP, "gammas"),
+            (NetworkVariant.UNTIED_LBISTA, "S"),
+            (NetworkVariant.UNTIED_LBISTA_CP, "B"),
+            (NetworkVariant.ALBISTA, "gammas"),
+        ],
+        ids=lambda x: getattr(x, "value", x),
+    )
+    def test_non_finite_gradient_names_layer_and_field(self, rng, variant, field):
+        D, data = toy_data(rng)
+        params = init_from_bista(variant, D, 3, B_analytic=D.data.copy())
+        fp = forward(params, data.Y_train)
+        grads = backward(params, fp, data.X_train)
+        stage = stage_arrays(grads, 1)
+        stage[field].flat[0] = np.inf
+        before = params.copy()
+        with pytest.raises(ValueError, match=f"non-finite gradient for {field} of layer 2"):
+            adam_step(stage_arrays(params, 1), stage, AdamState(), 1e-3, 1)
+        # the finite fields ahead of the bad one may have moved; the bad
+        # field itself must not
+        np.testing.assert_array_equal(stage_arrays(params, 1)[field], stage_arrays(before, 1)[field])
+
+    @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
+    def test_stage_step_leaves_other_layers_unchanged(self, rng, variant):
+        """One Adam step of stage k moves that stage and nothing of the others."""
+        D, data = toy_data(rng)
+        B_an = D.data + 0.1 * rng.standard_normal(D.data.shape)
+        params = init_from_bista(variant, D, 4, B_analytic=B_an)
+        # small thresholds keep blocks alive at every layer, so every
+        # gradient of the full pass is nonzero
+        params.alphas[:] *= 0.1
+        before = params.copy()
+        grads = backward(params, forward(params, data.Y_train), data.X_train)
+        k = 2
+        assert all(np.any(g != 0.0) for g in stage_arrays(grads, k).values())
+        assert np.count_nonzero(grads.alphas) == 4
+        adam_step(stage_arrays(params, k), stage_arrays(grads, k), AdamState(), 1e-3, k)
+        for name, value in stage_arrays(params, k).items():
+            assert np.all(value != stage_arrays(before, k)[name]), name
+        others = [j for j in range(4) if j != k]
+        np.testing.assert_array_equal(params.alphas[others], before.alphas[others])
+        if params.gammas is not None:
+            np.testing.assert_array_equal(params.gammas[others], before.gammas[others])
+        untied = variant in (NetworkVariant.UNTIED_LBISTA, NetworkVariant.UNTIED_LBISTA_CP)
+        for after_layers, before_layers in ((params.S, before.S), (params.B, before.B)):
+            if after_layers is None:
+                continue
+            for j in others:
+                if untied:
+                    np.testing.assert_array_equal(after_layers[j], before_layers[j])
+                else:
+                    # one shared matrix: every layer sees the stage's update
+                    assert after_layers[j] is after_layers[k]
 
 
 class TestLayerwiseTraining:

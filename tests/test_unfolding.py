@@ -14,19 +14,18 @@ from blockunfold.unfolding import (
     conv_layer_form,
     conv_step_fft,
     forward,
-    get_grad,
-    get_param,
     init_from_bista,
-    layer_names,
     load_checkpoint,
     param_count,
     save_checkpoint,
-    set_param,
-    trainable_names,
+    stage_arrays,
 )
 from blockunfold.weights import circulant, circulant_weights_fft
 
 from conftest import unit_column_matrix
+
+
+_UNTIED_VARIANTS = (NetworkVariant.UNTIED_LBISTA, NetworkVariant.UNTIED_LBISTA_CP)
 
 
 def make_problem(rng, m=4, n=6, d=2):
@@ -54,32 +53,26 @@ def finite_difference_check(params, Y, X_star, depth, tol=1e-5, h=1e-6):
     fp = forward(params, Y, depth=depth)
     grads = backward(params, fp, X_star)
     worst = 0.0
-    for name in trainable_names(params):
-        value = np.array(get_param(params, name), copy=True)
-        indices = list(np.ndindex(*value.shape)) if value.ndim else [()]
-        for idx in indices:
-            if value.ndim:
-                vp = value.copy()
-                vp[idx] += h
-                set_param(params, name, vp)
-            else:
-                set_param(params, name, float(value) + h)
-            up = loss_at(params, Y, X_star, depth)
-            if value.ndim:
-                vm = value.copy()
-                vm[idx] -= h
-                set_param(params, name, vm)
-            else:
-                set_param(params, name, float(value) - h)
-            down = loss_at(params, Y, X_star, depth)
-            set_param(params, name, value)
-            fd = (up - down) / (2 * h)
-            an = np.array(get_grad(grads, name))[idx] if value.ndim else float(
-                get_grad(grads, name)
-            )
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-5)
-            worst = max(worst, rel)
-            assert rel < tol, f"{name}[{idx}]: fd={fd:.3e} analytic={an:.3e}"
+    checked = []
+    for layer in range(params.depth):
+        analytic = stage_arrays(grads, layer)
+        for name, value in stage_arrays(params, layer).items():
+            # a tied variant's shared matrix is the same object at every layer
+            if any(value is seen for seen in checked):
+                continue
+            checked.append(value)
+            for idx in np.ndindex(*value.shape):
+                saved = value[idx]
+                value[idx] = saved + h
+                up = loss_at(params, Y, X_star, depth)
+                value[idx] = saved - h
+                down = loss_at(params, Y, X_star, depth)
+                value[idx] = saved
+                fd = (up - down) / (2 * h)
+                an = analytic[name][idx]
+                rel = abs(fd - an) / max(abs(fd), abs(an), 1e-5)
+                worst = max(worst, rel)
+                assert rel < tol, f"{name}[{idx}] of layer {layer}: fd={fd:.3e} analytic={an:.3e}"
     return worst
 
 
@@ -179,16 +172,30 @@ class TestParamAccounting:
     def test_untied_cp_gamma_not_trainable(self, rng):
         D, _, _ = make_problem(rng)
         params = init_from_bista(NetworkVariant.UNTIED_LBISTA_CP, D, 3)
-        names = trainable_names(params)
-        assert not any(name.startswith("gamma") for name in names)
+        for k in range(3):
+            assert set(stage_arrays(params, k)) == {"alphas", "B"}
         assert param_count(params) == 3 * (8 * 12) + 3
 
-    def test_layer_names_restriction(self, rng):
+    def test_stage_arrays_restriction(self, rng):
         D, _, _ = make_problem(rng)
         params = init_from_bista(NetworkVariant.TIED_LBISTA, D, 4)
-        assert set(layer_names(params, 2)) == {"alpha.2", "S", "B"}
+        stage = stage_arrays(params, 2)
+        assert set(stage) == {"alphas", "S", "B"}
+        assert stage["S"] is params.S[0] and stage["B"] is params.B[0]
         untied = init_from_bista(NetworkVariant.UNTIED_LBISTA, D, 4)
-        assert set(layer_names(untied, 1)) == {"alpha.1", "S.1", "B.1"}
+        stage = stage_arrays(untied, 1)
+        assert set(stage) == {"alphas", "S", "B"}
+        assert stage["S"] is untied.S[1] and stage["B"] is untied.B[1]
+        assert stage["S"] is not untied.S[0]
+        # the scalars are one-element views: writes land in the network
+        stage["alphas"][0] = 7.0
+        assert untied.alphas[1] == 7.0
+        assert 7.0 not in untied.alphas[[0, 2, 3]]
+        albista = init_from_bista(NetworkVariant.ALBISTA, D, 4, B_analytic=D.data.copy())
+        stage = stage_arrays(albista, 3)
+        assert set(stage) == {"alphas", "gammas"}
+        stage["gammas"][0] = 0.5
+        assert albista.gammas[3] == 0.5
 
 
 class TestBackward:
@@ -197,8 +204,8 @@ class TestBackward:
         params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=D.data.copy())
         fp = forward(params, y)
         grads = backward(params, fp, fp.iterates[-1])
-        np.testing.assert_array_equal(grads.dalphas, 0.0)
-        np.testing.assert_array_equal(grads.dgammas, 0.0)
+        np.testing.assert_array_equal(grads.alphas, 0.0)
+        np.testing.assert_array_equal(grads.gammas, 0.0)
 
     def test_dead_tail_kills_step_gradient(self, rng):
         D, x_star, y = make_problem(rng)
@@ -206,7 +213,7 @@ class TestBackward:
         params.alphas[2] = 1e6
         fp = forward(params, y)
         grads = backward(params, fp, np.atleast_2d(x_star))
-        assert grads.dgammas[2] == 0.0
+        assert grads.gammas[2] == 0.0
 
     @pytest.mark.parametrize("variant", list(NetworkVariant))
     def test_finite_differences(self, variant):
@@ -224,35 +231,18 @@ class TestBackward:
             finite_difference_check(params, Y, Xs, depth=3)
             checked += 1
 
-    def test_restriction_zeroes_other_layers(self, rng):
-        D, x_star, y = make_problem(rng)
-        params = perturbed_init(NetworkVariant.UNTIED_LBISTA_CP, D, 4, rng)
-        # at these thresholds every block of this instance dies at every
-        # layer, which makes every gradient exactly 0; a tenth keeps blocks
-        # of layer 2 active
-        params.alphas[:] *= 0.1
-        fp = forward(params, y)
-        grads = backward(params, fp, np.atleast_2d(x_star), only_layer=2)
-        full = backward(params, fp, np.atleast_2d(x_star))
-        assert grads.dalphas[2] != 0.0
-        assert grads.dalphas[2] == full.dalphas[2]
-        assert np.any(grads.dB_layers[2] != 0.0)
-        for k in (0, 1, 3):
-            assert grads.dalphas[k] == 0.0
-            np.testing.assert_array_equal(grads.dB_layers[k], 0.0)
-
-    def test_resumed_backward_matches_masked_full(self, rng):
+    def test_resumed_backward_matches_full(self, rng):
         D, x_star, y = make_problem(rng)
         params = perturbed_init(NetworkVariant.ALBISTA, D, 4, rng)
         Y = np.atleast_2d(y)
         Xs = np.atleast_2d(x_star)
         full = forward(params, Y, depth=3)
-        g_full = backward(params, full, Xs, only_layer=2)
+        g_full = backward(params, full, Xs)
         head = forward(params, Y, depth=2)
         tail = forward(params, Y, depth=3, start=2, x_init=head.iterates[-1])
         g_tail = backward(params, tail, Xs)
-        assert g_tail.dalphas[2] == pytest.approx(g_full.dalphas[2], rel=1e-12)
-        assert g_tail.dgammas[2] == pytest.approx(g_full.dgammas[2], rel=1e-12)
+        assert g_tail.alphas[2] == pytest.approx(g_full.alphas[2], rel=1e-12)
+        assert g_tail.gammas[2] == pytest.approx(g_full.gammas[2], rel=1e-12)
 
 
 class TestCachedStep:
@@ -266,7 +256,7 @@ class TestCachedStep:
         Xs = scales * x_star
         head = forward(params, Y, depth=start)
         X0 = head.iterates[-1]
-        step = (X0 @ params.dictionary.T - Y) @ params.B
+        step = (X0 @ params.dictionary.T - Y) @ params.B[0]
         return params, Y, Xs, X0, step
 
     def test_forward_backward_match_uncached(self, rng):
@@ -278,13 +268,13 @@ class TestCachedStep:
                 np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
             g_plain = backward(params, plain, Xs)
             g_cached = backward(params, cached, Xs)
-            np.testing.assert_allclose(g_cached.dalphas, g_plain.dalphas, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(g_cached.dgammas, g_plain.dgammas, rtol=1e-12, atol=1e-15)
-            assert np.any(g_cached.dgammas[2:depth] != 0.0)
+            np.testing.assert_allclose(g_cached.alphas, g_plain.alphas, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(g_cached.gammas, g_plain.gammas, rtol=1e-12, atol=1e-15)
+            assert np.any(g_cached.gammas[2:depth] != 0.0)
 
     def test_full_pass_from_zero(self, rng):
         params, Y, *_ = self._case(rng)
-        step0 = -Y @ params.B
+        step0 = -Y @ params.B[0]
         plain = forward(params, Y)
         cached = forward(params, Y, step_init=step0)
         np.testing.assert_allclose(cached.iterates[-1], plain.iterates[-1], rtol=1e-12, atol=1e-12)
@@ -321,7 +311,43 @@ class TestInit:
         D, _, _ = make_problem(rng)
         B = rng.standard_normal(D.data.shape)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=B)
-        np.testing.assert_array_equal(params.B, B)
+        np.testing.assert_array_equal(params.B[0], B)
+
+    @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
+    def test_tied_variants_share_one_matrix(self, tmp_path, rng, variant):
+        D, _, _ = make_problem(rng)
+        params = perturbed_init(variant, D, 3, rng)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        untied = variant in _UNTIED_VARIANTS
+        for p in (params, params.copy(), load_checkpoint(path)):
+            for layers in (p.S, p.B):
+                if layers is None:
+                    continue
+                assert len(layers) == 3
+                distinct = {id(M) for M in layers}
+                assert len(distinct) == (3 if untied else 1)
+        # copy() is deep, and an in-place write reaches every tied layer
+        copied = params.copy()
+        copied.B[0][0, 0] += 1.0
+        assert copied.B[0][0, 0] != params.B[0][0, 0]
+        assert (copied.B[2][0, 0] == copied.B[0][0, 0]) == (not untied)
+
+    def test_tied_rejects_distinct_matrices(self, rng):
+        D, _, _ = make_problem(rng)
+        params = init_from_bista(NetworkVariant.TIED_LBISTA_CP, D, 2)
+        with pytest.raises(ValueError, match="shares one B"):
+            NetworkParams(
+                variant=params.variant, n=params.n, d=params.d, depth=2,
+                dictionary=params.dictionary, alphas=params.alphas,
+                gammas=params.gammas, B=[M.copy() for M in params.B],
+            )
+        with pytest.raises(ValueError, match="needs 2 per-layer B"):
+            NetworkParams(
+                variant=params.variant, n=params.n, d=params.d, depth=2,
+                dictionary=params.dictionary, alphas=params.alphas,
+                gammas=params.gammas, B=params.B[:1],
+            )
 
 
 class TestConvKernelForm:
@@ -389,6 +415,17 @@ class TestCheckpoint:
         fp_a = forward(params, y)
         fp_b = forward(loaded, y)
         np.testing.assert_array_equal(fp_a.iterates[-1], fp_b.iterates[-1])
+
+    @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
+    def test_save_load_save_is_byte_identical(self, tmp_path, variant, rng):
+        D, _, _ = make_problem(rng)
+        params = perturbed_init(variant, D, 3, rng)
+        for k, M in enumerate(params.B if variant in _UNTIED_VARIANTS else []):
+            M += 0.01 * (k + 1)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_checkpoint(first, params)
+        save_checkpoint(second, load_checkpoint(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.txt"

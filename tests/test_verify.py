@@ -67,7 +67,7 @@ class TestSupportContainment:
             dictionary=D.data,
             alphas=np.zeros(2),
             gammas=np.ones(2),
-            B=B.data,
+            B=[B.data] * 2,
         )
         fp = forward(params, Y)
         violations = support_violation_layers(fp, X, D.n, D.d)
@@ -106,7 +106,7 @@ class TestKappa:
             dictionary=np.zeros((n * d, n * d)),
             alphas=np.asarray(alphas, dtype=float),
             gammas=np.asarray(gammas, dtype=float),
-            B=np.zeros((n * d, n * d)),
+            B=[np.zeros((n * d, n * d))] * len(alphas),
         )
 
     def test_exact_edge_gives_one(self):
