@@ -2,8 +2,8 @@
 
 Submodules:
 
-* ``blockcore``  block vectors, dictionaries, coherence measures, Kronecker
-  bridge between MMV and block-sparse form, text matrix format
+* ``blockcore``  block dictionaries, coherence measures, Kronecker lift of
+  an MMV channel matrix to block-sparse form, text matrix format
 * ``operators``  block soft-thresholding and its derivatives
 * ``solvers``    classical baselines (block ISTA, momentum variant, AMP)
 * ``weights``    analytical weight matrices (KKT oracle, closed form, SVD

@@ -24,15 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blockcore import (
-    BlockDictionary,
-    BlockVector,
-    MMVProblem,
-    MatrixKind,
-    kron_lift,
-    load_matrix,
-    save_matrix,
-)
+from .blockcore import BlockDictionary, kron_lift, load_matrix, save_matrix
 from .weights import circulant
 
 __all__ = [
@@ -45,7 +37,6 @@ __all__ = [
     "noise_sigma",
     "build_problem",
     "gen_signal_batch",
-    "gen_signals",
     "sample_signal_class",
     "save_dataset",
     "load_dataset",
@@ -179,11 +170,9 @@ def build_problem(cfg: ScenarioConfig) -> ProblemData:
     if cfg.scenario is Scenario.GAUSSIAN:
         K = gen_gaussian_K(cfg.m, cfg.n, cfg.seed)
         kernel, rank = None, None
-        kind = MatrixKind.GAUSSIAN
     else:
         kernel, K, rank = gen_circulant_K(cfg.n, cfg.rank, cfg.seed)
-        kind = MatrixKind.CIRCULANT
-    D = kron_lift(MMVProblem(K, cfg.d, kind))
+    D = kron_lift(K, cfg.d)
     return ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
 
 
@@ -214,15 +203,6 @@ def gen_signal_batch(
         X[row] = x
         Y[row] = y
     return X, Y
-
-
-def gen_signals(
-    cfg: ScenarioConfig, count: int, start_index: int = 0
-) -> list[tuple[BlockVector, np.ndarray]]:
-    """List of (x*, y) pairs for the scenario (builds the operator itself)."""
-    problem = build_problem(cfg)
-    X, Y = gen_signal_batch(cfg, problem.D, count, start_index=start_index)
-    return [(BlockVector(X[i], cfg.n, cfg.d), Y[i]) for i in range(count)]
 
 
 def sample_signal_class(
@@ -343,8 +323,7 @@ def load_dataset(
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from exc
     K = load_matrix(data / "K.txt")
-    kind = MatrixKind.CIRCULANT if cfg.scenario is Scenario.CIRCULANT else MatrixKind.GAUSSIAN
-    D = kron_lift(MMVProblem(K, cfg.d, kind))
+    D = kron_lift(K, cfg.d)
     kernel = (
         load_matrix(data / "kernel.txt").ravel() if (data / "kernel.txt").exists() else None
     )

@@ -10,26 +10,16 @@ differentiate through it: Jacobian-vector products for backpropagation,
 the derivative with respect to the threshold, and the Jacobian trace used
 as the Onsager correction in approximate message passing.
 
-Everything operates on raw arrays whose last axis has length ``n*d`` so
-batched evaluation is a reshape away; thin wrappers accept
-:class:`~blockunfold.blockcore.BlockVector`.  All functions are pure.
+Everything operates on raw arrays whose last axis has length ``n*d``, with
+the block structure ``(n, d)`` passed alongside, so batched evaluation is a
+reshape away.  All functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .blockcore import BlockVector
-
 __all__ = [
-    "ThresholdReport",
-    "block_soft_threshold",
-    "threshold_jvp",
-    "threshold_vjp",
-    "threshold_dalpha",
-    "onsager_trace",
     "eta",
     "eta_jvp",
     "eta_dalpha",
@@ -121,51 +111,3 @@ def eta_trace(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     safe = np.where(active, r, 1.0)
     per_block = np.where(active, d - alpha * (d - 1) / safe, 0.0)
     return per_block.sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Threshold output with per-block activity and pre-threshold norms."""
-
-    output: BlockVector
-    active: np.ndarray
-    block_norms: np.ndarray
-
-
-def block_soft_threshold(z: BlockVector, alpha: float) -> ThresholdReport:
-    if alpha < 0:
-        raise ValueError(f"threshold must be nonnegative, got {alpha}")
-    norms = z.block_norms()
-    out = eta(z.data, alpha, z.n, z.d)
-    return ThresholdReport(
-        output=BlockVector(out, z.n, z.d),
-        active=norms > alpha,
-        block_norms=norms,
-    )
-
-
-def threshold_jvp(z: BlockVector, alpha: float, v: BlockVector) -> BlockVector:
-    if (z.n, z.d) != (v.n, v.d):
-        raise ValueError("z and v must share block structure")
-    return BlockVector(eta_jvp(z.data, alpha, v.data, z.n, z.d), z.n, z.d)
-
-
-# the block threshold Jacobian is symmetric
-threshold_vjp = threshold_jvp
-
-
-def threshold_dalpha(z: BlockVector, alpha: float) -> BlockVector:
-    return BlockVector(eta_dalpha(z.data, alpha, z.n, z.d), z.n, z.d)
-
-
-def onsager_trace(z: BlockVector, alpha: float, n_y: int) -> float:
-    """Normalized divergence of the threshold at z: tr(d eta/d z) / n_y.
-
-    ``n_y`` is the measurement dimension supplied by the caller; the AMP
-    correction uses the divergence-per-measurement convention.
-    """
-    if alpha < 0:
-        raise ValueError(f"threshold must be nonnegative, got {alpha}")
-    if n_y < 1:
-        raise ValueError(f"n_y must be positive, got {n_y}")
-    return float(eta_trace(z.data, alpha, z.n, z.d)) / n_y

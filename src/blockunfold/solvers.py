@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import BlockDictionary, BlockVector
+from .blockcore import BlockDictionary
 from .operators import eta, eta_trace
 
 __all__ = [
@@ -99,22 +99,17 @@ def default_step_size(D: BlockDictionary) -> float:
 
 
 def lasso_objective(
-    D: BlockDictionary, y: np.ndarray, x: BlockVector | np.ndarray, alpha: float
+    D: BlockDictionary, y: np.ndarray, x: np.ndarray, alpha: float
 ) -> float | np.ndarray:
     """1/2 ||Dx - y||^2 + alpha ||x||_{2,1}.
 
-    One signal (``y`` of shape ``(n_y,)``, ``x`` a BlockVector or
-    ``(n_x,)`` array) gives a float; a batch (``y`` of shape
-    ``(batch, n_y)``, ``x`` of shape ``(batch, n_x)``) gives one value per
-    row.
+    One signal (``y`` of shape ``(n_y,)``, ``x`` of shape ``(n_x,)``)
+    gives a float; a batch (``y`` of shape ``(batch, n_y)``, ``x`` of
+    shape ``(batch, n_x)``) gives one value per row.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != D.n_y:
         raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},) or (batch, {D.n_y})")
-    if isinstance(x, BlockVector):
-        if (x.n, x.d) != (D.n, D.d):
-            raise ValueError("x does not match the dictionary's block structure")
-        x = x.data
     x = np.asarray(x, dtype=np.float64)
     if x.shape != y.shape[:-1] + (D.n_x,):
         raise ValueError(f"x has shape {x.shape}, expected {y.shape[:-1] + (D.n_x,)}")
@@ -136,8 +131,6 @@ class SolverTrace:
     whose ``x_star`` is zero has NMSE nan.
     """
 
-    n: int
-    d: int
     iterates: list[np.ndarray] = field(default_factory=list)
     objectives: list = field(default_factory=list)
     nmse: list | None = None
@@ -157,17 +150,10 @@ class SolverTrace:
     def single(self) -> "SolverTrace":
         """The one-signal trace of a batch with one row."""
         return SolverTrace(
-            self.n,
-            self.d,
             [X[0] for X in self.iterates],
             [float(v[0]) for v in self.objectives],
             None if self.nmse is None else [float(v[0]) for v in self.nmse],
         )
-
-    @property
-    def final(self) -> BlockVector:
-        """Last iterate of a one-signal run."""
-        return BlockVector(self.iterates[-1], self.n, self.d)
 
     def __len__(self) -> int:
         return len(self.iterates)
@@ -176,14 +162,15 @@ class SolverTrace:
 def _check_inputs(
     D: BlockDictionary,
     y: np.ndarray,
-    x0: BlockVector | None,
+    x0: np.ndarray | None,
     x_star: np.ndarray | None,
     iters: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
     """Batch views of the inputs: ``(Y, X0, X_star, single)``.
 
     A 1-d ``y`` is run as a batch of one row, and ``single`` tells the
-    caller to return the one-signal trace.  ``x0`` starts every row.
+    caller to return the one-signal trace.  ``x0``, of shape ``(n_x,)``,
+    starts every row; None starts from zero.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != D.n_y:
@@ -193,10 +180,12 @@ def _check_inputs(
     single = y.ndim == 1
     Y = np.atleast_2d(y)
     if x0 is None:
-        x0 = BlockVector.zeros(D.n, D.d)
-    elif (x0.n, x0.d) != (D.n, D.d):
-        raise ValueError("x0 does not match the dictionary's block structure")
-    X0 = np.tile(x0.data, (Y.shape[0], 1))
+        X0 = np.zeros((Y.shape[0], D.n_x))
+    else:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (D.n_x,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({D.n_x},)")
+        X0 = np.tile(x0, (Y.shape[0], 1))
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=np.float64)
         if x_star.shape != y.shape[:-1] + (D.n_x,):
@@ -231,7 +220,7 @@ def bista_run(
     alpha: float,
     gamma: float,
     iters: int,
-    x0: BlockVector | None = None,
+    x0: np.ndarray | None = None,
     x_star: np.ndarray | None = None,
 ) -> SolverTrace:
     """Block ISTA with threshold alpha*gamma per step.
@@ -249,7 +238,7 @@ def bista_run(
         )
     A = D.data
     limits = _divergence_limits(Y)
-    trace = SolverTrace(D.n, D.d)
+    trace = SolverTrace()
     trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
     for k in range(1, iters + 1):
         X = eta(X - gamma * ((X @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
@@ -264,7 +253,7 @@ def fast_bista_run(
     alpha: float,
     gamma: float,
     iters: int,
-    x0: BlockVector | None = None,
+    x0: np.ndarray | None = None,
     x_star: np.ndarray | None = None,
 ) -> SolverTrace:
     """Momentum block ISTA: Nesterov extrapolation before each threshold step.
@@ -275,7 +264,7 @@ def fast_bista_run(
     Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
     A = D.data
     limits = _divergence_limits(Y)
-    trace = SolverTrace(D.n, D.d)
+    trace = SolverTrace()
     X_prev = X
     t = 1.0
     trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
@@ -298,7 +287,7 @@ def alamp_run(
     iters: int,
     y: np.ndarray,
     onsager: bool = True,
-    x0: BlockVector | None = None,
+    x0: np.ndarray | None = None,
     x_star: np.ndarray | None = None,
 ) -> SolverTrace:
     """AMP-style iteration with weight matrix B and Onsager memory term.
@@ -315,7 +304,7 @@ def alamp_run(
     A = D.data
     W = B.data
     limits = _divergence_limits(Y)
-    trace = SolverTrace(D.n, D.d)
+    trace = SolverTrace()
     trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
     V_prev = np.zeros_like(Y)
     b = np.zeros((Y.shape[0], 1))

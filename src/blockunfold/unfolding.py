@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import BlockDictionary, write_matrix
+from .blockcore import BlockDictionary, _read_matrix, write_matrix
 from .operators import eta, eta_dalpha, eta_jvp
 from .solvers import DivergenceError, default_step_size
 
@@ -525,46 +525,22 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
         magic = f.readline().strip()
         if magic != "blockunfold-checkpoint v1":
             raise ValueError(f"{path}: not a checkpoint file (header {magic!r})")
-        lines = enumerate(f, start=2)
-
-        def next_line() -> tuple[int, list[str]] | None:
+        lineno = 1
+        while line := f.readline():
+            lineno += 1
             # every line save_checkpoint writes ends in a newline, so a
             # last line without one means the file was cut short
-            for lineno, line in lines:
-                if not line.endswith("\n"):
-                    raise ValueError(f"{path}:{lineno}: file ends mid-line (truncated)")
-                return lineno, line.split()
-            return None
-
-        while (entry := next_line()) is not None:
-            lineno, parts = entry
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: file ends mid-line (truncated)")
+            parts = line.split()
             if not parts:
                 continue
             if parts[0] != "matrix":
                 fields[parts[0]] = (lineno, " ".join(parts[1:]))
                 continue
-            try:
-                tag, rows, cols = parts[1], int(parts[2]), int(parts[3])
-                A = np.empty((rows, cols))
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad matrix header: {exc}") from exc
-            for r in range(rows):
-                row = next_line()
-                if row is None:
-                    raise ValueError(
-                        f"{path}: matrix {tag} (line {lineno}) ends after {r} of {rows} rows"
-                    )
-                row_no, values = row
-                if len(values) != cols:
-                    raise ValueError(
-                        f"{path}:{row_no}: matrix {tag} row has {len(values)} values, "
-                        f"expected {cols}"
-                    )
-                try:
-                    A[r] = [float(v) for v in values]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{row_no}: {exc}") from exc
-            matrices[tag] = A
+            tag = parts[1] if len(parts) > 1 else ""
+            matrices[tag] = _read_matrix(f, path, parts[2:], lineno, f"matrix {tag} ")
+            lineno += len(matrices[tag])
 
     def field(name: str, parse):
         if name not in fields:

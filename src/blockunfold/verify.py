@@ -35,12 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockcore import (
-    BlockDictionary,
-    BlockVector,
-    block_support,
-    cross_block_coherence,
-)
+from .blockcore import BlockDictionary, cross_block_coherence
 from .operators import eta
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant
 
@@ -159,11 +154,21 @@ def check_support_containment(
 ) -> ContainmentResult:
     """True iff every iterate's block support is inside supp(x*).
 
-    On violation, reports the first offending layer index (0 = start).
+    A block is active when its norm exceeds ``tol``, by default
+    ``1e-12 * max(1, ||x||_2)`` of the signal it belongs to: exact zeros
+    are unrealizable in floating point.  On violation, reports the first
+    offending layer index (0 = start).
     """
-    star_support = block_support(BlockVector(np.asarray(x_star).ravel(), n, d), tol)
+
+    def support(x: np.ndarray) -> set[int]:
+        x = np.asarray(x, dtype=np.float64).ravel()
+        limit = 1e-12 * max(1.0, float(np.linalg.norm(x))) if tol is None else tol
+        norms = np.linalg.norm(x.reshape(n, d), axis=1)
+        return {int(i) for i in np.flatnonzero(norms > limit)}
+
+    star_support = support(x_star)
     for k, x in enumerate(iterates):
-        supp = block_support(BlockVector(np.asarray(x).ravel(), n, d), tol)
+        supp = support(x)
         if not supp <= star_support:
             return ContainmentResult(contained=False, first_violation=k)
     return ContainmentResult(contained=True, first_violation=None)
@@ -174,8 +179,8 @@ def support_violation_layers(
 ) -> np.ndarray:
     """Per-sample first layer whose support escapes supp(x*); -1 if none.
 
-    Uses the relative activity tolerance of :func:`blockcore.block_support`
-    vectorized over the batch.
+    Uses the relative activity tolerance of
+    :func:`check_support_containment`, vectorized over the batch.
     """
     X_star = np.atleast_2d(X_star)
     batch = X_star.shape[0]

@@ -34,12 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blockcore import (
-    BlockDictionary,
-    MMVProblem,
-    cross_block_coherence,
-    kron_lift,
-)
+from .blockcore import BlockDictionary, cross_block_coherence, kron_lift
 
 __all__ = [
     "WeightMethod",
@@ -238,7 +233,7 @@ def svd_weights_d1(D: np.ndarray) -> AnalyticWeights:
     return _assemble(Bmat, Dd, WeightMethod.SVD_D1)
 
 
-def kron_weights(P: MMVProblem, base: AnalyticWeights) -> AnalyticWeights:
+def kron_weights(K: np.ndarray, d: int, base: AnalyticWeights) -> AnalyticWeights:
     """Lift a d = 1 weight matrix for K to the MMV dictionary K (x) I_d.
 
     The lifted matrix ``base.B (x) I_d`` is feasible and optimal for the
@@ -246,20 +241,20 @@ def kron_weights(P: MMVProblem, base: AnalyticWeights) -> AnalyticWeights:
     """
     if base.B.d != 1:
         raise ValueError("base weights must be at the d = 1 level")
-    if base.B.n != P.n or base.B.n_y != P.m:
-        raise ValueError(
-            f"base weights are {base.B.n_y} x {base.B.n}, expected {P.m} x {P.n}"
-        )
-    diag = np.einsum("ij,ij->j", base.B.data, P.K)
+    D = kron_lift(K, d)  # also checks that K is 2-d and d >= 1
+    K = np.asarray(K, dtype=np.float64)
+    m, n = K.shape
+    if base.B.n != n or base.B.n_y != m:
+        raise ValueError(f"base weights are {base.B.n_y} x {base.B.n}, expected {m} x {n}")
+    diag = np.einsum("ij,ij->j", base.B.data, K)
     if np.max(np.abs(diag - 1.0)) > FEASIBILITY_TOL:
         raise ValueError(
             f"base weights infeasible for K: max |B[:,i]^T K[:,i] - 1| = "
             f"{np.max(np.abs(diag - 1.0)):.3e}"
         )
-    if P.d == 1:
+    if d == 1:
         return base
-    D = kron_lift(P)
-    Bmat = np.kron(base.B.data, np.eye(P.d))
+    Bmat = np.kron(base.B.data, np.eye(d))
     out = _assemble(Bmat, D, WeightMethod.KRONECKER)
     return out
 

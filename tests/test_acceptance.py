@@ -6,18 +6,17 @@ budgets are pinned here, not deferred to calibration.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
 from blockunfold.blockcore import (
     BlockDictionary,
-    BlockVector,
-    MMVProblem,
     block_coherence,
     kron_lift,
     mutual_coherence,
 )
-from blockunfold.cli import main as cli_main
+from blockunfold.cli import main as cli_main, read_config
 from blockunfold.datagen import (
     Scenario,
     ScenarioConfig,
@@ -26,7 +25,7 @@ from blockunfold.datagen import (
     gen_signal_batch,
     sample_signal_class,
 )
-from blockunfold.operators import eta, onsager_trace
+from blockunfold.operators import eta, eta_trace
 from blockunfold.solvers import alamp_run, bista_run, default_step_size
 from blockunfold.training import (
     TrainConfig,
@@ -64,6 +63,9 @@ from test_weights import conditioned_dictionary, hermitian_kernel
 from test_cli import TINY_CFG
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def report(num: int, ok: bool, detail: str) -> bool:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
@@ -96,8 +98,8 @@ def test_criterion_02_kronecker_reduction():
     rng = np.random.default_rng(21)
     K = unit_column_matrix(6, 10, rng)
     base = closed_form_weights(BlockDictionary(K, n=10, d=1))
-    lifted = kron_weights(MMVProblem(K, 3), base)
-    dense = closed_form_weights(kron_lift(MMVProblem(K, 3)))
+    lifted = kron_weights(K, 3, base)
+    dense = closed_form_weights(kron_lift(K, 3))
     rel = np.linalg.norm(lifted.B.data - dense.B.data) / np.linalg.norm(dense.B.data)
     coh_gap = abs(lifted.cross_coherence - base.cross_coherence / 3)
     runtime = time.perf_counter() - t0
@@ -154,7 +156,7 @@ def test_criterion_04_coherence_relations():
     m, n, d = 8, 16, 3
     K = unit_column_matrix(m, n, rng)
     brute = max(abs(K[:, i] @ K[:, j]) for i in range(n) for j in range(n) if i != j)
-    D = kron_lift(MMVProblem(K, d))
+    D = kron_lift(K, d)
     gap = abs(block_coherence(D) - brute / d)
 
     # chain on 50 random instances; the generalized coherence is an infimum,
@@ -164,8 +166,8 @@ def test_criterion_04_coherence_relations():
         r = np.random.default_rng(seed)
         Ki = unit_column_matrix(8, 16, r)
         base = closed_form_weights(BlockDictionary(Ki, n=16, d=1))
-        wi = kron_weights(MMVProblem(Ki, 2), base)
-        Di = kron_lift(MMVProblem(Ki, 2))
+        wi = kron_weights(Ki, 2, base)
+        Di = kron_lift(Ki, 2)
         mu_b = block_coherence(Di)
         mu = mutual_coherence(Di.data)
         mu_tilde = min(wi.cross_coherence, mu_b)
@@ -188,7 +190,7 @@ def test_criterion_05_solver_equivalences():
     rng = np.random.default_rng(24)
     # tied network at classical initialization, 50 iterations
     K = unit_column_matrix(6, 8, rng)
-    D = kron_lift(MMVProblem(K, 2))
+    D = kron_lift(K, 2)
     x_star = np.zeros(16)
     x_star[:4] = rng.standard_normal(4)
     y = D.data @ x_star
@@ -219,8 +221,8 @@ def test_criterion_05_solver_equivalences():
     from blockunfold.solvers import fast_bista_run
 
     warm = fast_bista_run(Dk, yk, 0.1, default_step_size(Dk), 3000)
-    polished = bista_run(Dk, yk, 0.1, default_step_size(Dk), 2000, x0=warm.final)
-    active, inactive = kkt_residuals(Dk, yk, polished.final, 0.1)
+    polished = bista_run(Dk, yk, 0.1, default_step_size(Dk), 2000, x0=warm.iterates[-1])
+    active, inactive = kkt_residuals(Dk, yk, polished.iterates[-1], 0.1)
     ok = (
         tied_err < 1e-12
         and amp_err < 1e-12
@@ -246,7 +248,7 @@ def test_criterion_06_gradient_correctness():
             seed += 1
             r = np.random.default_rng(seed)
             K = unit_column_matrix(3, 4, r)
-            D = kron_lift(MMVProblem(K, 2))
+            D = kron_lift(K, 2)
             x_star = np.zeros(8)
             x_star[:4] = r.standard_normal(4)
             Y = np.stack([D.data @ x_star, 0.6 * (D.data @ x_star)])
@@ -265,7 +267,7 @@ def test_criterion_06_gradient_correctness():
         z = rng.standard_normal(n * d)
         if np.min(np.abs(np.linalg.norm(z.reshape(n, d), axis=1) - 0.4)) < 1e-3:
             continue
-        got = onsager_trace(BlockVector(z, n, d), 0.4, n_y)
+        got = eta_trace(z, 0.4, n, d) / n_y
         want = fd_divergence(z, 0.4, n, d) / n_y
         trace_err = max(trace_err, abs(got - want) / max(abs(want), 1e-12))
     runtime = time.perf_counter() - t0
@@ -286,7 +288,7 @@ def test_criterion_07_error_bound_and_containment():
     )
     problem = build_problem(cfg)
     base = closed_form_weights(BlockDictionary(problem.K, n=n, d=1))
-    w = kron_weights(MMVProblem(problem.K, d), base)
+    w = kron_weights(problem.K, d, base)
     X, Y = sample_signal_class(cfg, problem.D, s=s, count=500)
     params, constants = calibrated_network(problem.D, w.B, 1.0, depth, X, Y, s=s)
     mu = constants.mu
@@ -308,11 +310,39 @@ def test_criterion_07_error_bound_and_containment():
     )
 
 
+# Criterion 08's instance.  scripts/gaussian.cfg ships the same experiment,
+# so `blockunfold all --config scripts/gaussian.cfg` reproduces the layer-10
+# block ISTA and trained ALBISTA figures the criterion prints
+# (test_gaussian_cfg_is_criterion_08_instance).
+CRITERION_08_SCENARIO = ScenarioConfig(
+    scenario=Scenario.GAUSSIAN, m=16, n=64, d=5, pnz=0.1, snr_db=np.inf, seed=2
+)
+CRITERION_08_TRAIN = TrainConfig(
+    learning_rate=0.03,
+    patience_iters=30,
+    tol=1e-5,
+    n_train=1000,
+    n_validation=250,
+    batch_size=250,
+    max_iters_per_layer=800,
+    seed=2,
+    eval_every=10,
+)
+
+
+def test_gaussian_cfg_is_criterion_08_instance():
+    cfg = read_config(REPO / "scripts" / "gaussian.cfg")
+    assert cfg.scenario == CRITERION_08_SCENARIO
+    assert cfg.train == CRITERION_08_TRAIN
+    assert (cfg.n_train, cfg.n_validation, cfg.n_test) == (1000, 250, 500)
+    assert (cfg.variant, cfg.depth, cfg.weights_method) == (
+        NetworkVariant.ALBISTA, 10, "closed_form"
+    )
+
+
 def test_criterion_08_training_effectiveness():
     t0 = time.perf_counter()
-    cfg = ScenarioConfig(
-        scenario=Scenario.GAUSSIAN, m=16, n=64, d=5, pnz=0.1, snr_db=np.inf, seed=2
-    )
+    cfg = CRITERION_08_SCENARIO
     problem = build_problem(cfg)
     D = problem.D
     X_train, Y_train = gen_signal_batch(cfg, D, 1000, 0)
@@ -352,19 +382,8 @@ def test_criterion_08_training_effectiveness():
 
     params = init_from_bista(NetworkVariant.ALBISTA, D, depth, B_analytic=B)
     untrained_db = mean_nmse_db(forward(params, Y_test).iterates[-1], X_test)
-    tc = TrainConfig(
-        learning_rate=0.03,
-        patience_iters=30,
-        tol=1e-5,
-        n_train=1000,
-        n_validation=250,
-        batch_size=250,
-        max_iters_per_layer=800,
-        seed=2,
-        eval_every=10,
-    )
     trained, history = layerwise_train(
-        params, TrainData(X_train, Y_train, X_val, Y_val), tc
+        params, TrainData(X_train, Y_train, X_val, Y_val), CRITERION_08_TRAIN
     )
     trained_db = mean_nmse_db(forward(trained, Y_test).iterates[-1], X_test)
     gap = bista_db - trained_db

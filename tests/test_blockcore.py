@@ -8,60 +8,61 @@ from hypothesis.extra.numpy import arrays
 
 from blockunfold.blockcore import (
     BlockDictionary,
-    BlockVector,
-    MMVProblem,
-    SignalClass,
     block_coherence,
-    block_support,
     cross_block_coherence,
     kron_lift,
-    l20_norm,
-    l21_norm,
     load_matrix,
-    mmv_devectorize,
-    mmv_vectorize,
     mutual_coherence,
     save_matrix,
     write_matrix,
 )
 from blockunfold.blockcore import _pairwise_block_spectral_max
-from blockunfold.operators import block_soft_threshold
+from blockunfold.operators import eta
+from blockunfold.solvers import lasso_objective
+from blockunfold.verify import check_support_containment
 
 from conftest import random_orthonormal_block_dictionary, unit_column_matrix
 
 
+def l21(x, n, d):
+    """The l2,1 norm of a flat block signal, as the objective's penalty term:
+    the objective at zero residual with unit weight."""
+    D = BlockDictionary(np.eye(n * d), n=n, d=d)
+    return lasso_objective(D, x, x, 1.0)
+
+
 class TestNormsAndSupport:
     def test_zero_vector(self):
-        x = BlockVector.zeros(4, 3)
-        assert l21_norm(x) == 0.0
-        assert l20_norm(x) == 0
-        assert block_support(x) == set()
+        # no block of a zero signal is active, so it lies inside any support
+        x = np.zeros(12)
+        assert l21(x, 4, 3) == 0.0
+        assert check_support_containment([x], np.eye(12)[0], 4, 3).contained
 
     def test_pythagorean_block(self):
-        x = BlockVector(np.array([3.0, 4.0]), 1, 2)
-        assert l21_norm(x) == pytest.approx(5.0, abs=1e-15)
+        assert l21(np.array([3.0, 4.0]), 1, 2) == pytest.approx(5.0, abs=1e-15)
 
     def test_one_active_block(self):
-        x = BlockVector(np.array([3.0, 4.0, 0.0, 0.0]), 2, 2)
-        assert l20_norm(x) == 1
-        assert block_support(x) == {0}
+        x = np.array([3.0, 4.0, 0.0, 0.0])
+        assert check_support_containment([x], np.array([1.0, 0.0, 0.0, 0.0]), 2, 2).contained
+        outside = check_support_containment([x], np.array([0.0, 0.0, 1.0, 0.0]), 2, 2)
+        assert not outside.contained and outside.first_violation == 0
 
     def test_l21_is_sum_of_block_norms(self, rng):
-        x = BlockVector(rng.standard_normal(12), 4, 3)
-        manual = sum(np.linalg.norm(x.block(i)) for i in range(4))
-        assert l21_norm(x) == pytest.approx(manual, rel=1e-14)
+        x = rng.standard_normal(12)
+        manual = sum(np.linalg.norm(x[3 * i : 3 * i + 3]) for i in range(4))
+        assert l21(x, 4, 3) == pytest.approx(manual, rel=1e-14)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            BlockVector(np.zeros(5), 2, 2)
+        with pytest.raises(ValueError, match="expected n\\*d = 4"):
+            eta(np.zeros(5), 0.1, 2, 2)
 
     @given(seed=st.integers(0, 10**6), alpha=st.floats(0.0, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_threshold_never_grows_support(self, seed, alpha):
         r = np.random.default_rng(seed)
-        x = BlockVector(r.standard_normal(12), 4, 3)
-        out = block_soft_threshold(x, alpha).output
-        assert block_support(out) <= block_support(x)
+        x = r.standard_normal(12)
+        out = eta(x, alpha, 4, 3)
+        assert check_support_containment([out], x, 4, 3).contained
 
 
 class TestCoherence:
@@ -77,7 +78,7 @@ class TestCoherence:
         brute = max(
             abs(K[:, i] @ K[:, j]) for i in range(n) for j in range(n) if i != j
         )
-        D = kron_lift(MMVProblem(K, d))
+        D = kron_lift(K, d)
         assert block_coherence(D) == pytest.approx(brute / d, abs=1e-12)
 
     def test_gaussian_coherence_statistics(self):
@@ -92,7 +93,7 @@ class TestCoherence:
         # 0 <= mu_b <= mu <= 1 for orthonormal-block unit-column dictionaries
         for _ in range(10):
             K = unit_column_matrix(8, 16, rng)
-            D = kron_lift(MMVProblem(K, 2))
+            D = kron_lift(K, 2)
             mu_b = block_coherence(D)
             mu = mutual_coherence(D.data)
             assert 0.0 <= mu_b <= mu + 1e-12 <= 1.0 + 1e-12
@@ -125,18 +126,18 @@ class TestCoherence:
 class TestKroneckerBridge:
     def test_d1_lift_is_identity_operation(self, rng):
         K = rng.standard_normal((3, 5))
-        D = kron_lift(MMVProblem(K, 1))
+        D = kron_lift(K, 1)
         np.testing.assert_array_equal(D.data, K)
 
     def test_lift_dimensions(self, rng):
-        D = kron_lift(MMVProblem(rng.standard_normal((3, 4)), 2))
+        D = kron_lift(rng.standard_normal((3, 4)), 2)
         assert D.data.shape == (6, 8)
 
     def test_lift_block_structure(self, rng):
         # block i of the lift equals K[:,i] (x) I_d entrywise
         K = rng.standard_normal((3, 4))
         d = 3
-        D = kron_lift(MMVProblem(K, d))
+        D = kron_lift(K, d)
         for i in range(4):
             np.testing.assert_allclose(D.block(i), np.kron(K[:, [i]], np.eye(d)), atol=0)
 
@@ -144,27 +145,26 @@ class TestKroneckerBridge:
         # direct matrix-product oracle: Y = K X, no noise
         K = rng.standard_normal((5, 7))
         X = rng.standard_normal((7, 3))
-        D = kron_lift(MMVProblem(K, 3))
-        lhs = D.data @ mmv_vectorize(X).data
-        rhs = mmv_vectorize(K @ X).data
+        D = kron_lift(K, 3)
+        # row-major flattening of X stacks its rows, one block per coefficient
+        lhs = D.data @ X.reshape(-1)
+        rhs = (K @ X).reshape(-1)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
     def test_lift_entry_cap(self, rng):
-        P = MMVProblem(rng.standard_normal((100, 100)), 200)
         with pytest.raises(ValueError, match="cap"):
-            kron_lift(P, max_entries=10**6)
+            kron_lift(rng.standard_normal((100, 100)), 200, max_entries=10**6)
+
+    def test_lift_input_checks(self, rng):
+        with pytest.raises(ValueError, match="2-d"):
+            kron_lift(rng.standard_normal(4), 2)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            kron_lift(rng.standard_normal((3, 4)), 0)
 
     def test_orthonormal_flag_tracks_unit_columns(self, rng):
         K = unit_column_matrix(4, 6, rng)
-        assert kron_lift(MMVProblem(K, 2)).orthonormal_blocks
-        assert not kron_lift(MMVProblem(2.0 * K, 2)).orthonormal_blocks
-
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_vectorize_round_trip(self, seed):
-        r = np.random.default_rng(seed)
-        X = r.standard_normal((5, 4))
-        np.testing.assert_array_equal(mmv_devectorize(mmv_vectorize(X)), X)
+        assert kron_lift(K, 2).orthonormal_blocks
+        assert not kron_lift(2.0 * K, 2).orthonormal_blocks
 
 
 # Finite values of every magnitude, and -0.0, in small matrices.
@@ -231,26 +231,6 @@ class TestMatrixFormat:
             load_matrix(path)
 
 
-class TestSignalClass:
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            SignalClass(M=0.0, s=2, sigma=0.0)
-        with pytest.raises(ValueError):
-            SignalClass(M=1.0, s=-1, sigma=0.0)
-        with pytest.raises(ValueError):
-            SignalClass(M=1.0, s=2, sigma=-0.5)
-
-    def test_membership(self, rng):
-        cls = SignalClass(M=2.0, s=1, sigma=0.1)
-        inside = BlockVector(np.array([1.0, 1.0, 0.0, 0.0]), 2, 2)
-        too_dense = BlockVector(np.array([1.0, 0.0, 1.0, 0.0]), 2, 2)
-        too_big = BlockVector(np.array([3.0, 0.0, 0.0, 0.0]), 2, 2)
-        assert cls.contains(inside)
-        assert not cls.contains(too_dense)
-        assert not cls.contains(too_big)
-        assert not cls.contains(inside, noise_norm=0.2)
-
-
 class TestValidation:
     def test_orthonormal_flag_enforced(self, rng):
         M = rng.standard_normal((6, 4))
@@ -263,6 +243,7 @@ class TestValidation:
             np.testing.assert_array_equal(D.block(i), D.data[:, 2 * i : 2 * i + 2])
 
     def test_immutability(self, rng):
-        x = BlockVector(rng.standard_normal(6), 3, 2)
+        # the cached ||D||_2 relies on a dictionary's data never changing
+        D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         with pytest.raises(ValueError):
-            x.data[0] = 1.0
+            D.data[0, 0] = 1.0

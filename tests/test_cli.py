@@ -1,9 +1,14 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from blockunfold import solvers
 from blockunfold.cli import main, read_config
+from blockunfold.datagen import Scenario
+from blockunfold.unfolding import NetworkVariant
+
+REPO = Path(__file__).resolve().parents[1]
 
 TINY_CFG = """
 [scenario]
@@ -271,3 +276,16 @@ class TestErrors:
             cfg = write_cfg(tmp_path, bad)
             with pytest.raises(ValueError, match=f"unknown weights method '{method}'"):
                 read_config(cfg)
+
+
+class TestShippedConfigs:
+    # scripts/gaussian.cfg is checked against criterion 08's instance in
+    # tests/test_acceptance.py
+
+    def test_circulant_cfg(self):
+        cfg = read_config(REPO / "scripts" / "circulant.cfg")
+        sc = cfg.scenario
+        assert sc.scenario is Scenario.CIRCULANT
+        assert (sc.m, sc.n, sc.d, sc.rank, sc.seed) == (64, 64, 5, 24, 2)
+        assert cfg.weights_method == "circulant_fft"
+        assert (cfg.variant, cfg.depth) == (NetworkVariant.ALBISTA, 10)

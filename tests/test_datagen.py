@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockunfold.blockcore import MMVProblem, kron_lift
+from blockunfold.blockcore import kron_lift
 from blockunfold.datagen import (
     Scenario,
     ScenarioConfig,
@@ -11,7 +11,6 @@ from blockunfold.datagen import (
     gen_circulant_K,
     gen_gaussian_K,
     gen_signal_batch,
-    gen_signals,
     load_dataset,
     noise_sigma,
     sample_signal_class,
@@ -32,7 +31,7 @@ class TestGaussianMatrix:
 
     def test_lift_has_orthonormal_blocks(self):
         K = gen_gaussian_K(8, 20, seed=3)
-        D = kron_lift(MMVProblem(K, 3))
+        D = kron_lift(K, 3)
         assert D.orthonormal_blocks
         assert D.max_block_gram_residual() <= 1e-10
 
@@ -122,14 +121,6 @@ class TestSignals:
         X2, Y2 = gen_signal_batch(cfg, problem.D, 3, start_index=3)
         np.testing.assert_array_equal(X1[3:], X2)
         np.testing.assert_array_equal(Y1[3:], Y2)
-
-    def test_gen_signals_wrapper(self):
-        cfg = gaussian_cfg()
-        pairs = gen_signals(cfg, 4)
-        assert len(pairs) == 4
-        x, y = pairs[0]
-        assert x.n == cfg.n and x.d == cfg.d
-        assert y.shape == (cfg.n_y,)
 
     def test_rejection_sampler_bounds_support(self):
         cfg = gaussian_cfg(pnz=0.3)

@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockunfold.blockcore import BlockVector, l21_norm
-from blockunfold.operators import (
-    block_soft_threshold,
-    eta,
-    eta_dalpha,
-    eta_jvp,
-    onsager_trace,
-    threshold_dalpha,
-    threshold_jvp,
-    threshold_vjp,
-)
+from blockunfold.operators import eta, eta_dalpha, eta_jvp, eta_trace
 
 
 def fd_jvp(z, alpha, v, n, d, h=1e-6):
@@ -32,37 +22,50 @@ def fd_divergence(z, alpha, n, d, h=1e-6):
     return total
 
 
+def l21(x, n, d):
+    return float(np.linalg.norm(x.reshape(n, d), axis=1).sum())
+
+
+# Draws for the symmetry test: block norms stay at least 1e-3 away from
+# alpha, where the Jacobian is smooth.
+@st.composite
+def off_kink_cases(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+    z = draw(arrays(np.float64, n * d, elements=entries))
+    u = draw(arrays(np.float64, n * d, elements=entries))
+    v = draw(arrays(np.float64, n * d, elements=entries))
+    alpha = draw(st.floats(0.0, 10.0))
+    assume(np.all(np.abs(np.linalg.norm(z.reshape(n, d), axis=1) - alpha) >= 1e-3))
+    return z, alpha, u, v, n, d
+
+
 class TestBlockSoftThreshold:
     def test_zero_threshold_is_identity(self, rng):
-        z = BlockVector(rng.standard_normal(8), 4, 2)
-        out = block_soft_threshold(z, 0.0)
-        np.testing.assert_array_equal(out.output.data, z.data)
+        z = rng.standard_normal(8)
+        np.testing.assert_array_equal(eta(z, 0.0, 4, 2), z)
 
     def test_direct_evaluation(self):
-        z = BlockVector(np.array([1.2, 1.6]), 1, 2)
-        out = block_soft_threshold(z, 0.5)
-        np.testing.assert_allclose(out.output.data, [0.9, 1.2], atol=1e-15)
-        assert out.block_norms[0] == pytest.approx(2.0)
-        assert out.active[0]
+        out = eta(np.array([1.2, 1.6]), 0.5, 1, 2)
+        np.testing.assert_allclose(out, [0.9, 1.2], atol=1e-15)
 
     def test_subthreshold_block_killed(self):
-        z = BlockVector(np.array([0.4, 0.0]), 1, 2)
-        out = block_soft_threshold(z, 0.5)
-        np.testing.assert_array_equal(out.output.data, [0.0, 0.0])
-        assert not out.active[0]
+        np.testing.assert_array_equal(eta(np.array([0.4, 0.0]), 0.5, 1, 2), [0.0, 0.0])
 
     def test_negative_threshold_rejected(self, rng):
-        z = BlockVector(rng.standard_normal(4), 2, 2)
         with pytest.raises(ValueError):
-            block_soft_threshold(z, -0.1)
+            eta(rng.standard_normal(4), -0.1, 2, 2)
 
     def test_report_consistency(self, rng):
-        z = BlockVector(rng.standard_normal(12), 4, 3)
-        out = block_soft_threshold(z, 0.7)
+        # a block survives iff its norm exceeds the threshold
+        z = rng.standard_normal(12)
+        out = eta(z, 0.7, 4, 3).reshape(4, 3)
+        norms = np.linalg.norm(z.reshape(4, 3), axis=1)
         for i in range(4):
-            assert out.active[i] == (out.block_norms[i] > 0.7)
-            if not out.active[i]:
-                np.testing.assert_array_equal(out.output.block(i), 0.0)
+            if norms[i] > 0.7:
+                np.testing.assert_allclose(np.linalg.norm(out[i]), norms[i] - 0.7, rtol=1e-12)
+            else:
+                np.testing.assert_array_equal(out[i], 0.0)
 
     @given(seed=st.integers(0, 10**6), alpha=st.floats(0.0, 3.0))
     @settings(max_examples=80, deadline=None)
@@ -76,37 +79,32 @@ class TestBlockSoftThreshold:
 
     def test_is_proximal_map_of_l21(self, rng):
         # dense grid search oracle on a d=1, n=2 instance
-        z = BlockVector(np.array([0.8, -0.5]), 2, 1)
+        z = np.array([0.8, -0.5])
         alpha = 0.3
-        out = block_soft_threshold(z, alpha).output.data
+        out = eta(z, alpha, 2, 1)
         grid = np.linspace(-2.0, 2.0, 401)
         best, best_val = None, np.inf
         for u0 in grid:
             for u1 in grid:
                 u = np.array([u0, u1])
-                val = 0.5 * np.sum((u - z.data) ** 2) + alpha * l21_norm(
-                    BlockVector(u, 2, 1)
-                )
+                val = 0.5 * np.sum((u - z) ** 2) + alpha * l21(u, 2, 1)
                 if val < best_val:
                     best, best_val = u, val
         np.testing.assert_allclose(out, best, atol=2e-2)
-        prox_val = 0.5 * np.sum((out - z.data) ** 2) + alpha * l21_norm(
-            BlockVector(out, 2, 1)
-        )
+        prox_val = 0.5 * np.sum((out - z) ** 2) + alpha * l21(out, 2, 1)
         assert prox_val <= best_val + 1e-12
 
 
 class TestThresholdJacobian:
     def test_zero_threshold_identity_jacobian(self, rng):
-        z = BlockVector(rng.standard_normal(8), 4, 2)
-        v = BlockVector(rng.standard_normal(8), 4, 2)
-        np.testing.assert_array_equal(threshold_jvp(z, 0.0, v).data, v.data)
+        z = rng.standard_normal(8)
+        v = rng.standard_normal(8)
+        np.testing.assert_array_equal(eta_jvp(z, 0.0, v, 4, 2), v)
 
     def test_inactive_block_zero(self, rng):
-        z = BlockVector(np.array([0.1, 0.1, 2.0, 0.0]), 2, 2)
-        v = BlockVector(rng.standard_normal(4), 2, 2)
-        out = threshold_jvp(z, 0.5, v)
-        np.testing.assert_array_equal(out.block(0), 0.0)
+        z = np.array([0.1, 0.1, 2.0, 0.0])
+        out = eta_jvp(z, 0.5, rng.standard_normal(4), 2, 2)
+        np.testing.assert_array_equal(out[:2], 0.0)
 
     def test_matches_finite_differences(self, rng):
         n, d = 5, 3
@@ -117,44 +115,48 @@ class TestThresholdJacobian:
             # keep away from kinks so the finite difference is clean
             if np.min(np.abs(np.linalg.norm(z.reshape(n, d), axis=1) - alpha)) < 1e-3:
                 continue
-            got = threshold_jvp(BlockVector(z, n, d), alpha, BlockVector(v, n, d)).data
+            got = eta_jvp(z, alpha, v, n, d)
             want = fd_jvp(z, alpha, v, n, d)
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) < 1e-5
 
-    def test_vjp_is_jvp(self, rng):
-        z = BlockVector(rng.standard_normal(6), 2, 3)
-        v = BlockVector(rng.standard_normal(6), 2, 3)
-        np.testing.assert_array_equal(
-            threshold_jvp(z, 0.4, v).data, threshold_vjp(z, 0.4, v).data
-        )
+    @given(case=off_kink_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_vjp_is_jvp(self, case):
+        # the Jacobian is symmetric, so eta_jvp also serves as the
+        # vector-Jacobian product: <J u, v> == <u, J v>
+        z, alpha, u, v, n, d = case
+        left = float(eta_jvp(z, alpha, u, n, d) @ v)
+        right = float(u @ eta_jvp(z, alpha, v, n, d))
+        scale = np.linalg.norm(u) * np.linalg.norm(v)
+        assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), scale)
 
     def test_dalpha_direction(self, rng):
-        z = BlockVector(np.array([3.0, 4.0, 0.1, 0.0]), 2, 2)
-        out = threshold_dalpha(z, 1.0)
-        np.testing.assert_allclose(out.block(0), [-0.6, -0.8], atol=1e-15)
-        np.testing.assert_array_equal(out.block(1), 0.0)
+        out = eta_dalpha(np.array([3.0, 4.0, 0.1, 0.0]), 1.0, 2, 2)
+        np.testing.assert_allclose(out[:2], [-0.6, -0.8], atol=1e-15)
+        np.testing.assert_array_equal(out[2:], 0.0)
 
     def test_dalpha_matches_finite_differences(self, rng):
         n, d = 4, 2
         z = rng.standard_normal(n * d)
         alpha, h = 0.5, 1e-6
         want = (eta(z, alpha + h, n, d) - eta(z, alpha - h, n, d)) / (2 * h)
-        got = threshold_dalpha(BlockVector(z, n, d), alpha).data
+        got = eta_dalpha(z, alpha, n, d)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
 class TestOnsagerTrace:
+    # the AMP correction is the Jacobian trace per measurement, eta_trace / n_y
+
     def test_zero_input(self):
-        assert onsager_trace(BlockVector.zeros(4, 3), 0.5, 6) == 0.0
+        assert eta_trace(np.zeros(12), 0.5, 4, 3) / 6 == 0.0
 
     def test_full_identity_trace(self, rng):
-        z = BlockVector(rng.standard_normal(12) + 3.0, 4, 3)
-        assert onsager_trace(z, 0.0, 8) == pytest.approx(12 / 8, rel=1e-14)
+        z = rng.standard_normal(12) + 3.0
+        assert eta_trace(z, 0.0, 4, 3) / 8 == pytest.approx(12 / 8, rel=1e-14)
 
     def test_d1_trace_contribution_is_one(self):
-        z = BlockVector(np.array([2.0, 0.1]), 2, 1)
         # one active block at d=1 contributes exactly 1 to the raw trace
-        assert onsager_trace(z, 0.5, 1) == pytest.approx(1.0, rel=1e-14)
+        assert eta_trace(np.array([2.0, 0.1]), 0.5, 2, 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_numerical_divergence(self, rng):
         n, d, n_y = 5, 3, 9
@@ -163,7 +165,7 @@ class TestOnsagerTrace:
             alpha = 0.4
             if np.min(np.abs(np.linalg.norm(z.reshape(n, d), axis=1) - alpha)) < 1e-3:
                 continue
-            got = onsager_trace(BlockVector(z, n, d), alpha, n_y)
+            got = eta_trace(z, alpha, n, d) / n_y
             want = fd_divergence(z, alpha, n, d) / n_y
             assert abs(got - want) / max(abs(want), 1e-12) < 1e-5
 
@@ -173,7 +175,7 @@ class TestOnsagerTrace:
         z = rng.standard_normal(d)
         r = np.linalg.norm(z)
         alpha = 0.5 * r
-        got = onsager_trace(BlockVector(z, 1, d), alpha, 1)
+        got = eta_trace(z, alpha, 1, d)
         assert got == pytest.approx(d - alpha * (d - 1) / r, rel=1e-12)
 
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import BlockDictionary, BlockVector, MMVProblem, kron_lift
+from blockunfold.blockcore import BlockDictionary, kron_lift
 from blockunfold.solvers import (
     DivergenceError,
     alamp_run,
@@ -25,11 +25,11 @@ def kkt_residuals(D, y, x, alpha):
     Active blocks must satisfy D[i]^T(Dx - y) = -alpha x[i]/||x[i]||;
     inactive blocks need ||D[i]^T(Dx - y)|| <= alpha.
     """
-    grad = D.data.T @ (D.data @ x.data - y)
+    grad = D.data.T @ (D.data @ x - y)
     active_resid, inactive_resid = 0.0, 0.0
     for i in range(D.n):
         g = grad[i * D.d : (i + 1) * D.d]
-        xi = x.block(i)
+        xi = x[i * D.d : (i + 1) * D.d]
         norm = np.linalg.norm(xi)
         if norm > 1e-10:
             active_resid = max(active_resid, np.linalg.norm(g + alpha * xi / norm))
@@ -49,28 +49,28 @@ class TestLassoObjective:
     def test_zero_point(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         y = rng.standard_normal(6)
-        val = lasso_objective(D, y, BlockVector.zeros(3, 2), 1.0)
+        val = lasso_objective(D, y, np.zeros(6), 1.0)
         assert val == pytest.approx(0.5 * y @ y, rel=1e-14)
 
     def test_exact_fit_no_penalty(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
-        x = BlockVector(rng.standard_normal(6), 3, 2)
-        assert lasso_objective(D, D.data @ x.data, x, 0.0) == pytest.approx(0.0, abs=1e-20)
+        x = rng.standard_normal(6)
+        assert lasso_objective(D, D.data @ x, x, 0.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_naive_recomputation(self, rng):
         D = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        x = BlockVector(rng.standard_normal(8), 4, 2)
+        x = rng.standard_normal(8)
         y = rng.standard_normal(8)
         alpha = 0.37
-        naive = 0.5 * np.sum((D.data @ x.data - y) ** 2) + alpha * sum(
-            np.linalg.norm(x.block(i)) for i in range(4)
+        naive = 0.5 * np.sum((D.data @ x - y) ** 2) + alpha * sum(
+            np.linalg.norm(x[2 * i : 2 * i + 2]) for i in range(4)
         )
         assert lasso_objective(D, y, x, alpha) == pytest.approx(naive, rel=1e-12)
 
     def test_shape_mismatch(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         with pytest.raises(ValueError):
-            lasso_objective(D, np.zeros(5), BlockVector.zeros(3, 2), 1.0)
+            lasso_objective(D, np.zeros(5), np.zeros(6), 1.0)
 
 
 class TestBista:
@@ -100,6 +100,14 @@ class TestBista:
         trace = bista_run(D, D.data @ x_star, 1.0, default_step_size(D), 500)
         assert np.all(np.diff(trace.objectives) <= 1e-12)
 
+    def test_x0_starts_every_row(self, rng):
+        D = random_orthonormal_block_dictionary(6, 3, 2, rng)
+        x0 = rng.standard_normal(6)
+        trace = bista_run(D, rng.standard_normal((2, 6)), 1.0, default_step_size(D), 0, x0=x0)
+        np.testing.assert_array_equal(trace.iterates[0], [x0, x0])
+        with pytest.raises(ValueError, match=r"x0 has shape \(4,\), expected \(6,\)"):
+            bista_run(D, np.zeros(6), 1.0, default_step_size(D), 1, x0=np.zeros(4))
+
     def test_converged_kkt_residuals(self, rng):
         D = random_orthonormal_block_dictionary(12, 8, 2, rng)
         x_star = np.zeros(16)
@@ -108,8 +116,8 @@ class TestBista:
         alpha = 0.1
         gamma = default_step_size(D)
         warm = fast_bista_run(D, y, alpha, gamma, 3000)
-        trace = bista_run(D, y, alpha, gamma, 2000, x0=warm.final)
-        active, inactive = kkt_residuals(D, y, trace.final, alpha)
+        trace = bista_run(D, y, alpha, gamma, 2000, x0=warm.iterates[-1])
+        active, inactive = kkt_residuals(D, y, trace.iterates[-1], alpha)
         assert active <= 1e-6
         assert inactive <= 1e-6
 
@@ -212,7 +220,7 @@ class TestDecorrelation:
         K = unit_column_matrix(6, 10, rng)
         w = closed_form_weights(BlockDictionary(K, n=10, d=1))
         d = 3
-        D = kron_lift(MMVProblem(K, d))
+        D = kron_lift(K, d)
         B = BlockDictionary(np.kron(w.B.data, np.eye(d)), n=10, d=d)
         assert abs(decorrelation_trace(B, D)) < 1e-8
 
@@ -228,7 +236,7 @@ class TestBatched:
     @staticmethod
     def _problem(rng, batch=7):
         K = unit_column_matrix(8, 12, rng)
-        D = kron_lift(MMVProblem(K, 3))
+        D = kron_lift(K, 3)
         w = closed_form_weights(BlockDictionary(K, n=12, d=1))
         B = BlockDictionary(np.kron(w.B.data, np.eye(3)), n=12, d=3)
         X = np.zeros((batch, D.n_x))
@@ -272,7 +280,6 @@ class TestBatched:
         trace = bista_run(D, Y[0], 0.3, default_step_size(D), 3, x_star=X[0])
         assert trace.iterates[-1].shape == (D.n_x,)
         assert all(isinstance(v, float) for v in trace.objectives + trace.nmse)
-        assert trace.final.n_x == D.n_x
 
     def test_zero_reference_row_has_nan_nmse(self, rng):
         D, _, X, Y = self._problem(rng, batch=3)
@@ -287,7 +294,7 @@ class TestBatched:
         assert values.shape == (4,)
         for value, y, x in zip(values, Y, X):
             assert value == pytest.approx(
-                lasso_objective(D, y, BlockVector(x, D.n, D.d), 0.3), rel=1e-12
+                lasso_objective(D, y, x, 0.3), rel=1e-12
             )
 
     def test_shape_mismatch(self, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockunfold import training
-from blockunfold.blockcore import MMVProblem, kron_lift
+from blockunfold.blockcore import kron_lift
 from blockunfold.training import (
     AdamState,
     TrainConfig,
@@ -29,7 +29,7 @@ from conftest import unit_column_matrix
 
 def toy_data(rng, m=4, n=6, d=2, n_train=40, n_val=16):
     K = unit_column_matrix(m, n, rng)
-    D = kron_lift(MMVProblem(K, d))
+    D = kron_lift(K, d)
     def draw(count):
         X = np.zeros((count, n * d))
         for i in range(count):

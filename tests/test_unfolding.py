@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import MMVProblem, kron_lift
+from blockunfold.blockcore import kron_lift
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
 from blockunfold.unfolding import (
@@ -30,7 +30,7 @@ _UNTIED_VARIANTS = (NetworkVariant.UNTIED_LBISTA, NetworkVariant.UNTIED_LBISTA_C
 
 def make_problem(rng, m=4, n=6, d=2):
     K = unit_column_matrix(m, n, rng)
-    D = kron_lift(MMVProblem(K, d))
+    D = kron_lift(K, d)
     x_star = np.zeros(n * d)
     x_star[: 2 * d] = rng.standard_normal(2 * d)
     y = D.data @ x_star

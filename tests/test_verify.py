@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import BlockDictionary, MMVProblem
+from blockunfold.blockcore import BlockDictionary
 from blockunfold.datagen import (
     Scenario,
     ScenarioConfig,
@@ -35,7 +35,7 @@ def compliant_instance(m=28, n=32, d=2, s=2, seed=0, count=200):
     )
     problem = build_problem(cfg)
     base = closed_form_weights(BlockDictionary(problem.K, n=n, d=1))
-    w = kron_weights(MMVProblem(problem.K, d), base)
+    w = kron_weights(problem.K, d, base)
     X, Y = sample_signal_class(cfg, problem.D, s=s, count=count)
     keep = np.linalg.norm(X, axis=1) > 0
     return problem.D, w.B, X[keep], Y[keep]

@@ -3,7 +3,6 @@ import pytest
 
 from blockunfold.blockcore import (
     BlockDictionary,
-    MMVProblem,
     block_coherence,
     cross_block_coherence,
     kron_lift,
@@ -173,21 +172,21 @@ class TestKroneckerReduction:
     def test_d1_returns_base(self, rng):
         K = unit_column_matrix(6, 10, rng)
         base = closed_form_weights(BlockDictionary(K, n=10, d=1))
-        assert kron_weights(MMVProblem(K, 1), base) is base
+        assert kron_weights(K, 1, base) is base
 
     def test_matches_dense_lifted_solve(self, rng):
         # direct lifted-solve oracle at (m, n, d) = (6, 10, 3)
         K = unit_column_matrix(6, 10, rng)
         base = closed_form_weights(BlockDictionary(K, n=10, d=1))
-        lifted = kron_weights(MMVProblem(K, 3), base)
-        dense = closed_form_weights(kron_lift(MMVProblem(K, 3)))
+        lifted = kron_weights(K, 3, base)
+        dense = closed_form_weights(kron_lift(K, 3))
         rel = np.linalg.norm(lifted.B.data - dense.B.data) / np.linalg.norm(dense.B.data)
         assert rel < 1e-6
 
     def test_cross_coherence_scaling(self, rng):
         K = unit_column_matrix(6, 10, rng)
         base = closed_form_weights(BlockDictionary(K, n=10, d=1))
-        lifted = kron_weights(MMVProblem(K, 3), base)
+        lifted = kron_weights(K, 3, base)
         assert lifted.cross_coherence == pytest.approx(base.cross_coherence / 3, abs=1e-12)
 
     def test_infeasible_base_rejected(self, rng):
@@ -195,7 +194,7 @@ class TestKroneckerReduction:
         base = closed_form_weights(BlockDictionary(K, n=10, d=1))
         K2 = unit_column_matrix(6, 10, np.random.default_rng(99))
         with pytest.raises(ValueError, match="infeasible"):
-            kron_weights(MMVProblem(K2, 3), base)
+            kron_weights(K2, 3, base)
 
 
 class TestCirculant:
