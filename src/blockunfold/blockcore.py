@@ -7,10 +7,11 @@ equivalent, after row-major vectorization of ``X``, to a single block-sparse
 system whose dictionary is the Kronecker lift ``K (x) I_d``:
 ``kron_lift(K, d).data @ X.reshape(-1) == (K @ X).reshape(-1)``.
 
-Signals are plain flat arrays (batched along leading axes) with the block
-structure ``(n, d)`` passed alongside, so the same arrays flow through every
-solver without nested storage.  Dictionaries are immutable after
-construction and safe to share across threads.
+Signals are plain flat arrays with the block structure ``(n, d)`` passed
+alongside, so the same arrays flow through every solver without nested
+storage.  The solvers, metrics and networks take them in batches, one
+signal per row of a ``(batch, n*d)`` array.  Dictionaries are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -37,11 +38,23 @@ MAX_LIFT_ENTRIES = 10**8
 
 ORTHONORMAL_TOL = 1e-10
 
+# Feasibility demanded of weight matrices: ||B[i]^T D[i] - I_d||_F per block.
+FEASIBILITY_TOL = 1e-8
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _as_batch(A: np.ndarray, width: int, name: str) -> np.ndarray:
+    """``A`` as a ``(batch, width)`` float array, one signal per row; any
+    other shape, a single 1-d signal included, raises ValueError."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[1] != width:
+        raise ValueError(f"{name} has shape {A.shape}, expected (batch, {width})")
+    return A
 
 
 @dataclass(frozen=True)
@@ -129,13 +142,11 @@ def block_coherence(D: BlockDictionary) -> float:
     return _pairwise_block_spectral_max(G, D.n, D.d) / D.d
 
 
-def cross_block_coherence(
-    B: BlockDictionary, D: BlockDictionary, feas_tol: float = 1e-8
-) -> float:
+def cross_block_coherence(B: BlockDictionary, D: BlockDictionary) -> float:
     """max over i != j of (1/d) ||B[i]^T D[j]||_2, for feasible B.
 
-    Feasibility means ``B[i]^T D[i] = I_d`` within ``feas_tol`` (Frobenius);
-    a violating block raises with its index.
+    Feasibility means ``B[i]^T D[i] = I_d`` within ``FEASIBILITY_TOL``
+    (Frobenius); a violating block raises with its index.
     """
     if B.n != D.n or B.d != D.d or B.n_y != D.n_y:
         raise ValueError("B and D must share shape and block structure")
@@ -145,7 +156,7 @@ def cross_block_coherence(
     eye = np.eye(D.d)
     for i in range(D.n):
         resid = float(np.linalg.norm(G[i * D.d : (i + 1) * D.d, i * D.d : (i + 1) * D.d] - eye))
-        if resid > feas_tol:
+        if resid > FEASIBILITY_TOL:
             raise ValueError(
                 f"B is infeasible at block {i}: ||B[i]^T D[i] - I||_F = {resid:.3e}"
             )

@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .datagen import (
     build_problem,
     gen_signal_batch,
     load_dataset,
+    load_split,
     save_dataset,
 )
 from .solvers import alamp_run, bista_run, default_step_size, fast_bista_run
@@ -64,7 +66,6 @@ from .verify import (
     write_verify_csv,
 )
 from .weights import (
-    WeightMethod,
     circulant_weights_fft,
     closed_form_weights,
     kkt_weights,
@@ -107,21 +108,14 @@ class ExperimentConfig:
             raise ValueError("split sizes must be >= 1")
 
 
-def _default_config() -> ExperimentConfig:
-    scenario = ScenarioConfig(
-        scenario=Scenario.GAUSSIAN, m=16, n=64, d=5, pnz=0.1, snr_db=np.inf, seed=1
-    )
-    return ExperimentConfig(scenario=scenario)
-
-
 def read_config(path: str | Path | None) -> ExperimentConfig:
-    cfg = _default_config()
-    if path is None:
-        return cfg
-    if not Path(path).exists():
-        raise FileNotFoundError(f"config file not found: {path}")
+    """The experiment of a config file; a missing key, or no file at all,
+    takes its default."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path, encoding="utf-8")
+    if path is not None:
+        if not Path(path).exists():
+            raise FileNotFoundError(f"config file not found: {path}")
+        parser.read(path, encoding="utf-8")
 
     sc = parser["scenario"] if parser.has_section("scenario") else {}
     scenario = ScenarioConfig(
@@ -223,7 +217,7 @@ def _compute_base_weights(cfg: ExperimentConfig, problem: ProblemData):
 
 def cmd_weights(cfg: ExperimentConfig) -> int:
     data_dir = _require(cfg.out_dir / "data" / "manifest.txt", "gen").parent
-    _, problem, _ = load_dataset(data_dir)
+    _, problem = load_dataset(data_dir)
     t0 = time.perf_counter()
     w = _compute_base_weights(cfg, problem)
     runtime = time.perf_counter() - t0
@@ -247,25 +241,20 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 
 
 def _load_artifacts(cfg: ExperimentConfig):
+    """The dataset directory, its problem and the lifted analytic weights;
+    each stage reads the splits it uses with :func:`load_split`."""
     data_dir = _require(cfg.out_dir / "data" / "manifest.txt", "gen").parent
-    scenario, problem, splits = load_dataset(data_dir)
+    scenario, problem = load_dataset(data_dir)
     base_B = load_matrix(_require(cfg.out_dir / "weights" / "B_base.txt", "weights"))
     lifted_B = np.kron(base_B, np.eye(scenario.d)) if scenario.d > 1 else base_B
-    return scenario, problem, splits, lifted_B
+    return data_dir, problem, lifted_B
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    scenario, problem, splits, lifted_B = _load_artifacts(cfg)
-    if "train" not in splits or "val" not in splits:
-        raise FileNotFoundError("dataset is missing train/val splits (re-run gen)")
+    data_dir, problem, lifted_B = _load_artifacts(cfg)
+    data = TrainData(*load_split(data_dir, "train"), *load_split(data_dir, "val"))
     params = init_from_bista(
         cfg.variant, problem.D, cfg.depth, B_analytic=lifted_B, alpha=cfg.bista_alpha
-    )
-    data = TrainData(
-        X_train=splits["train"][0],
-        Y_train=splits["train"][1],
-        X_val=splits["val"][0],
-        Y_val=splits["val"][1],
     )
     t0 = time.perf_counter()
     trained, history = layerwise_train(params, data, cfg.train)
@@ -292,12 +281,8 @@ def _curve(iterates, X_star: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(cfg: ExperimentConfig) -> int:
-    scenario, problem, splits, lifted_B = _load_artifacts(cfg)
-    if "test" not in splits:
-        raise FileNotFoundError("dataset is missing the test split (re-run gen)")
-    X_test, Y_test = splits["test"]
-    if X_test.shape[0] == 0:
-        raise ValueError("evaluation needs a nonempty test set")
+    data_dir, problem, lifted_B = _load_artifacts(cfg)
+    X_test, Y_test = load_split(data_dir, "test")
     D = problem.D
     gamma = default_step_size(D)
     alpha = cfg.bista_alpha
@@ -345,10 +330,8 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    scenario, problem, splits, lifted_B = _load_artifacts(cfg)
-    if "test" not in splits:
-        raise FileNotFoundError("dataset is missing the test split (re-run gen)")
-    X_test, Y_test = splits["test"]
+    data_dir, problem, lifted_B = _load_artifacts(cfg)
+    X_test, Y_test = load_split(data_dir, "test")
     D = problem.D
     n, d = D.n, D.d
     B_dict = BlockDictionary(lifted_B, n=n, d=d)
@@ -379,6 +362,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         mu_obs = d * cross_block_coherence(B_dict, D)
         gamma = min(1.0, 0.9 * step_size_limit(mu_obs, s_obs))
         params, constants = calibrated_network(D, B_dict, gamma, cfg.depth, X_test, Y_test)
+        fp = forward(params, Y_test)
         kappa, min_ratio = 1.0, 1.0
         ratios = np.ones(cfg.depth)
         notes.append("source = edge-calibrated network (no checkpoint found)")
@@ -395,16 +379,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         f"hypotheses: sparsity_ok={sparsity_ok} step_sizes_ok={gammas_ok} kappa_ok={kappa_ok}"
     )
 
-    fp = forward(params, Y_test)
-    diffs = [Xk - X_test for Xk in fp.iterates]
-    emp = np.array([float(np.linalg.norm(Dk, axis=1).max()) for Dk in diffs])
+    emp = np.array([float(np.linalg.norm(Xk - X_test, axis=1).max()) for Xk in fp.iterates])
     violations = support_violation_layers(fp, X_test, n, d)
     contained = bool(np.all(violations < 0))
     if compliant:
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             bound = error_bound_curve(params.gammas, constants, kappa)
         bound_ok = bool(np.all(emp <= bound + 1e-9 * np.maximum(1.0, bound)))
         if not bound_ok:

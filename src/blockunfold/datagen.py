@@ -40,6 +40,7 @@ __all__ = [
     "sample_signal_class",
     "save_dataset",
     "load_dataset",
+    "load_split",
 ]
 
 # rng stream tags so matrix and signal draws never collide
@@ -210,30 +211,26 @@ def sample_signal_class(
     D: BlockDictionary,
     s: int,
     count: int,
-    start_index: int = 0,
-    max_attempts: int = _REJECTION_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sampled batch with at most ``s`` active blocks per signal.
 
     Used by the recovery-guarantee diagnostics, which need signals inside
-    a bounded sparsity class; resampling caps at ``max_attempts`` per
-    sample.
+    a bounded sparsity class; resampling caps at ``_REJECTION_CAP``
+    attempts per sample.
     """
     sigma = noise_sigma(cfg)
     X = np.empty((count, cfg.n_x))
     Y = np.empty((count, cfg.n_y))
     for row in range(count):
-        for attempt in range(max_attempts):
-            rng = np.random.default_rng(
-                [cfg.seed, _STREAM_SIGNAL, start_index + row, attempt]
-            )
+        for attempt in range(_REJECTION_CAP):
+            rng = np.random.default_rng([cfg.seed, _STREAM_SIGNAL, row, attempt])
             x = _draw_signal(rng, cfg)
             if np.count_nonzero(np.linalg.norm(x.reshape(cfg.n, cfg.d), axis=1)) <= s:
                 break
         else:
             raise RuntimeError(
-                f"rejection sampling failed after {max_attempts} attempts "
-                f"(sample {start_index + row}, s={s})"
+                f"rejection sampling failed after {_REJECTION_CAP} attempts "
+                f"(sample {row}, s={s})"
             )
         y = D.data @ x
         if sigma > 0.0:
@@ -279,15 +276,9 @@ def save_dataset(
             f.write(f"n_{split} = {count}\n")
 
 
-def load_dataset(
-    data_dir: str | Path,
-) -> tuple[ScenarioConfig, ProblemData, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Read a dataset written by :func:`save_dataset`.
-
-    A missing or malformed manifest key, or a split whose files do not hold
-    the manifest's row count, raises ValueError naming the file.
-    """
-    data = Path(data_dir)
+def _read_manifest(data: Path):
+    """``field(key, parse)`` of ``data/manifest.txt``; a missing or malformed
+    key raises ValueError naming the file and line."""
     manifest_path = data / "manifest.txt"
     manifest: dict[str, tuple[int, str]] = {}
     with open(manifest_path, "r", encoding="utf-8") as f:
@@ -307,6 +298,20 @@ def load_dataset(
         except ValueError as exc:
             raise ValueError(f"{manifest_path}:{lineno}: bad {key} value {text!r}: {exc}") from exc
 
+    return field
+
+
+def load_dataset(data_dir: str | Path) -> tuple[ScenarioConfig, ProblemData]:
+    """The scenario and problem of a dataset written by :func:`save_dataset`.
+
+    Reads the manifest, ``K.txt`` and ``kernel.txt``; the splits are read
+    one at a time by :func:`load_split`.  A missing or malformed manifest
+    key, split row counts included, raises ValueError naming the file.
+    """
+    data = Path(data_dir)
+    field = _read_manifest(data)
+    for split in _SPLITS:
+        field(f"n_{split}", int)
     rank = field("rank", lambda v: None if v == "none" else int(v))
     values = dict(
         scenario=field("scenario", Scenario),
@@ -321,24 +326,30 @@ def load_dataset(
     try:
         cfg = ScenarioConfig(**values)
     except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from exc
+        raise ValueError(f"{data / 'manifest.txt'}: {exc}") from exc
     K = load_matrix(data / "K.txt")
     D = kron_lift(K, cfg.d)
     kernel = (
         load_matrix(data / "kernel.txt").ravel() if (data / "kernel.txt").exists() else None
     )
-    problem = ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
-    splits = {}
-    for split in _SPLITS:
-        count = field(f"n_{split}", int)
-        if count == 0:
-            continue
-        pair = (load_matrix(data / f"X_{split}.txt"), load_matrix(data / f"Y_{split}.txt"))
-        for name, M in zip((f"X_{split}.txt", f"Y_{split}.txt"), pair):
-            if M.shape[0] != count:
-                raise ValueError(
-                    f"{data / name}: {M.shape[0]} rows, but {manifest_path} "
-                    f"gives n_{split} = {count}"
-                )
-        splits[split] = pair
-    return cfg, problem, splits
+    return cfg, ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
+
+
+def load_split(data_dir: str | Path, split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (X, Y) of one split of a dataset written by :func:`save_dataset`.
+
+    Files that do not hold the manifest's row count raise ValueError naming
+    the file; a split of 0 rows has no files and raises FileNotFoundError.
+    """
+    data = Path(data_dir)
+    count = _read_manifest(data)(f"n_{split}", int)
+    if count == 0:
+        raise FileNotFoundError(f"{data}: the dataset has no {split} split (n_{split} = 0)")
+    pair = (load_matrix(data / f"X_{split}.txt"), load_matrix(data / f"Y_{split}.txt"))
+    for name, M in zip((f"X_{split}.txt", f"Y_{split}.txt"), pair):
+        if M.shape[0] != count:
+            raise ValueError(
+                f"{data / name}: {M.shape[0]} rows, but {data / 'manifest.txt'} "
+                f"gives n_{split} = {count}"
+            )
+    return pair

@@ -15,8 +15,10 @@ where ``b{k}`` is the normalized divergence of the threshold at the previous
 pre-threshold point and B may be any feasible weight matrix (B = D recovers
 plain AMP form).
 
-Solvers are pure given their inputs.  Each takes one measurement vector
-or a batch of them; a batch runs every row at once, one GEMM per step.
+Solvers are pure given their inputs.  Each takes a batch of measurement
+vectors, one per row of a ``(batch, n_y)`` array, and runs every row at
+once, one GEMM per step.  A 1-d measurement vector is rejected; pass
+``y[None]`` for one signal.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import BlockDictionary
+from .blockcore import BlockDictionary, _as_batch
 from .operators import eta, eta_trace
 
 __all__ = [
@@ -44,11 +46,16 @@ __all__ = [
 # Abort when iterates outgrow the data by this factor.
 DIVERGENCE_FACTOR = 1e6
 
+# Power iteration stops at this relative change, or after this many steps.
+SPECTRAL_TOL = 1e-10
+SPECTRAL_MAX_ITER = 10_000
+
 
 class DivergenceError(RuntimeError):
     """Raised when an iteration produces non-finite or exploding state.
 
-    ``row`` is the offending row of a batched run, None for one signal.
+    ``row`` is the offending row of a solver's batch; None for an error
+    that no single row caused.
     """
 
     def __init__(self, message: str, iteration: int, row: int | None = None):
@@ -58,7 +65,7 @@ class DivergenceError(RuntimeError):
         self.row = row
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value of A by power iteration on A^T A.
 
     Deterministic: the start vector comes from a fixed-seed generator.
@@ -67,14 +74,14 @@ def spectral_norm(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> 
     v = np.random.default_rng(0).standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(SPECTRAL_MAX_ITER):
         w = A.T @ (A @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
         v_new = w / norm_w
         sigma_new = np.sqrt(norm_w)
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
+        if abs(sigma_new - sigma) <= SPECTRAL_TOL * max(1.0, sigma_new):
             return float(sigma_new)
         v, sigma = v_new, sigma_new
     return float(sigma)
@@ -84,7 +91,8 @@ def _dictionary_norm(D: BlockDictionary) -> float:
     """||D||_2, computed once per dictionary and kept on it.
 
     A dictionary's data is read-only, so the norm cannot go stale; this
-    keeps per-sample solver runs from repeating the power iteration.
+    keeps repeated solver runs on one dictionary from repeating the power
+    iteration.
     """
     norm = D.__dict__.get("_spectral_norm")
     if norm is None:
@@ -100,103 +108,62 @@ def default_step_size(D: BlockDictionary) -> float:
 
 def lasso_objective(
     D: BlockDictionary, y: np.ndarray, x: np.ndarray, alpha: float
-) -> float | np.ndarray:
-    """1/2 ||Dx - y||^2 + alpha ||x||_{2,1}.
+) -> np.ndarray:
+    """1/2 ||Dx - y||^2 + alpha ||x||_{2,1} for every row of a batch.
 
-    One signal (``y`` of shape ``(n_y,)``, ``x`` of shape ``(n_x,)``)
-    gives a float; a batch (``y`` of shape ``(batch, n_y)``, ``x`` of
-    shape ``(batch, n_x)``) gives one value per row.
+    ``y`` has shape ``(batch, n_y)`` and ``x`` shape ``(batch, n_x)``; the
+    result has one value per row.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.shape[-1] != D.n_y:
-        raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},) or (batch, {D.n_y})")
+    y = _as_batch(y, D.n_y, "y")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != y.shape[:-1] + (D.n_x,):
-        raise ValueError(f"x has shape {x.shape}, expected {y.shape[:-1] + (D.n_x,)}")
+    if x.shape != (y.shape[0], D.n_x):
+        raise ValueError(f"x has shape {x.shape}, expected {(y.shape[0], D.n_x)}")
     resid = x @ D.data.T - y
-    block_norms = np.linalg.norm(x.reshape(x.shape[:-1] + (D.n, D.d)), axis=-1)
-    value = 0.5 * np.einsum("...i,...i->...", resid, resid) + alpha * block_norms.sum(axis=-1)
-    return float(value) if y.ndim == 1 else value
+    block_norms = np.linalg.norm(x.reshape(-1, D.n, D.d), axis=-1)
+    return 0.5 * np.einsum("ij,ij->i", resid, resid) + alpha * block_norms.sum(axis=-1)
 
 
 @dataclass
 class SolverTrace:
-    """Iterates x{0..K} with per-iteration diagnostics.
+    """Iterates x{0..K} of a batch run, with the objective of each.
 
     The trace always includes the starting point, so its length is the
-    iteration count plus one.  For one signal ``iterates[k]`` has shape
-    ``(n_x,)`` and ``objectives[k]`` and ``nmse[k]`` are floats; for a
-    batch they have shapes ``(batch, n_x)`` and ``(batch,)``, one row per
-    signal.  ``nmse`` is None unless the run was given ``x_star``; a row
-    whose ``x_star`` is zero has NMSE nan.
+    iteration count plus one.  ``iterates[k]`` has shape ``(batch, n_x)``
+    and ``objectives[k]`` shape ``(batch,)``, one row per signal.  Error
+    metrics against a reference are the caller's: see
+    :func:`~blockunfold.training.batch_nmse_ratios`.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    nmse: list | None = None
+    objectives: list[np.ndarray] = field(default_factory=list)
 
-    def append(self, X: np.ndarray, objective: np.ndarray, X_star: np.ndarray | None) -> None:
+    def append(self, X: np.ndarray, objective: np.ndarray) -> None:
         self.iterates.append(X)
         self.objectives.append(objective)
-        if X_star is not None:
-            if self.nmse is None:
-                self.nmse = []
-            err = X - X_star
-            denom = np.einsum("ij,ij->i", X_star, X_star)
-            self.nmse.append(
-                np.einsum("ij,ij->i", err, err) / np.where(denom > 0, denom, np.nan)
-            )
-
-    def single(self) -> "SolverTrace":
-        """The one-signal trace of a batch with one row."""
-        return SolverTrace(
-            [X[0] for X in self.iterates],
-            [float(v[0]) for v in self.objectives],
-            None if self.nmse is None else [float(v[0]) for v in self.nmse],
-        )
 
     def __len__(self) -> int:
         return len(self.iterates)
 
 
 def _check_inputs(
-    D: BlockDictionary,
-    y: np.ndarray,
-    x0: np.ndarray | None,
-    x_star: np.ndarray | None,
-    iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
-    """Batch views of the inputs: ``(Y, X0, X_star, single)``.
+    D: BlockDictionary, y: np.ndarray, x0: np.ndarray | None, iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The measurements ``(batch, n_y)`` and start ``(batch, n_x)`` of a run.
 
-    A 1-d ``y`` is run as a batch of one row, and ``single`` tells the
-    caller to return the one-signal trace.  ``x0``, of shape ``(n_x,)``,
-    starts every row; None starts from zero.
+    ``x0`` holds one starting point per row; None starts from zero.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.shape[-1] != D.n_y:
-        raise ValueError(f"y has shape {y.shape}, expected ({D.n_y},) or (batch, {D.n_y})")
+    Y = _as_batch(y, D.n_y, "y")
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    single = y.ndim == 1
-    Y = np.atleast_2d(y)
     if x0 is None:
-        X0 = np.zeros((Y.shape[0], D.n_x))
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (D.n_x,):
-            raise ValueError(f"x0 has shape {x0.shape}, expected ({D.n_x},)")
-        X0 = np.tile(x0, (Y.shape[0], 1))
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=np.float64)
-        if x_star.shape != y.shape[:-1] + (D.n_x,):
-            raise ValueError(
-                f"x_star has shape {x_star.shape}, expected {y.shape[:-1] + (D.n_x,)}"
-            )
-        x_star = np.atleast_2d(x_star)
-    return Y, X0, x_star, single
+        return Y, np.zeros((Y.shape[0], D.n_x))
+    X0 = np.asarray(x0, dtype=np.float64)
+    if X0.shape != (Y.shape[0], D.n_x):
+        raise ValueError(f"x0 has shape {X0.shape}, expected {(Y.shape[0], D.n_x)}")
+    return Y, X0
 
 
-def _guard(X: np.ndarray, limits: np.ndarray, k: int, single: bool) -> None:
+def _guard(X: np.ndarray, limits: np.ndarray, k: int) -> None:
     """Raise for the first row of X that is non-finite or past its limit."""
     norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     bad = ~(norms <= limits)
@@ -207,7 +174,7 @@ def _guard(X: np.ndarray, limits: np.ndarray, k: int, single: bool) -> None:
         message = "iterate norm exceeded divergence guard"
     else:
         message = "non-finite iterate"
-    raise DivergenceError(message, k, None if single else row)
+    raise DivergenceError(message, k, row)
 
 
 def _divergence_limits(Y: np.ndarray) -> np.ndarray:
@@ -221,15 +188,13 @@ def bista_run(
     gamma: float,
     iters: int,
     x0: np.ndarray | None = None,
-    x_star: np.ndarray | None = None,
 ) -> SolverTrace:
     """Block ISTA with threshold alpha*gamma per step.
 
-    ``y`` is one signal ``(n_y,)`` or a batch ``(batch, n_y)``; a batch
-    runs every row at once, one GEMM per step, with ``x_star`` of shape
-    ``(batch, n_x)``.
+    ``y`` is a batch ``(batch, n_y)``, run all at once, one GEMM per step;
+    ``x0``, if given, is one starting point per row, ``(batch, n_x)``.
     """
-    Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
+    Y, X = _check_inputs(D, y, x0, iters)
     L = _dictionary_norm(D) ** 2
     if not 0.0 < gamma <= 1.0 / L:
         warnings.warn(
@@ -239,12 +204,12 @@ def bista_run(
     A = D.data
     limits = _divergence_limits(Y)
     trace = SolverTrace()
-    trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    trace.append(X, lasso_objective(D, Y, X, alpha))
     for k in range(1, iters + 1):
         X = eta(X - gamma * ((X @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
-        _guard(X, limits, k, single)
-        trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
-    return trace.single() if single else trace
+        _guard(X, limits, k)
+        trace.append(X, lasso_objective(D, Y, X, alpha))
+    return trace
 
 
 def fast_bista_run(
@@ -254,29 +219,28 @@ def fast_bista_run(
     gamma: float,
     iters: int,
     x0: np.ndarray | None = None,
-    x_star: np.ndarray | None = None,
 ) -> SolverTrace:
     """Momentum block ISTA: Nesterov extrapolation before each threshold step.
 
     With t0 = 1 the first iteration has zero momentum and coincides with
     the plain method.  Batches as :func:`bista_run` does.
     """
-    Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
+    Y, X = _check_inputs(D, y, x0, iters)
     A = D.data
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     X_prev = X
     t = 1.0
-    trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    trace.append(X, lasso_objective(D, Y, X, alpha))
     for k in range(1, iters + 1):
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         W = X + ((t - 1.0) / t_next) * (X - X_prev)
         X_prev = X
         X = eta(W - gamma * ((W @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
         t = t_next
-        _guard(X, limits, k, single)
-        trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
-    return trace.single() if single else trace
+        _guard(X, limits, k)
+        trace.append(X, lasso_objective(D, Y, X, alpha))
+    return trace
 
 
 def alamp_run(
@@ -288,7 +252,6 @@ def alamp_run(
     y: np.ndarray,
     onsager: bool = True,
     x0: np.ndarray | None = None,
-    x_star: np.ndarray | None = None,
 ) -> SolverTrace:
     """AMP-style iteration with weight matrix B and Onsager memory term.
 
@@ -300,24 +263,24 @@ def alamp_run(
     """
     if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
         raise ValueError("B and D must share shape and block structure")
-    Y, X, X_star, single = _check_inputs(D, y, x0, x_star, iters)
+    Y, X = _check_inputs(D, y, x0, iters)
     A = D.data
     W = B.data
     limits = _divergence_limits(Y)
     trace = SolverTrace()
-    trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
+    trace.append(X, lasso_objective(D, Y, X, alpha))
     V_prev = np.zeros_like(Y)
     b = np.zeros((Y.shape[0], 1))
     for k in range(1, iters + 1):
         V = Y - X @ A.T + b * V_prev
         Z = X + gamma * (V @ W)
         X = eta(Z, alpha, D.n, D.d)
-        _guard(X, limits, k, single)
+        _guard(X, limits, k)
         if onsager:
             b = eta_trace(Z, alpha, D.n, D.d)[:, None] / D.n_y
         V_prev = V
-        trace.append(X, lasso_objective(D, Y, X, alpha), X_star)
-    return trace.single() if single else trace
+        trace.append(X, lasso_objective(D, Y, X, alpha))
+    return trace
 
 
 def decorrelation_trace(B: BlockDictionary, D: BlockDictionary) -> float:

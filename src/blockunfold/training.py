@@ -10,6 +10,11 @@ next layer starts.
 
 Training is deterministic: one seeded generator drives the minibatch draws,
 and identical seed and config reproduce the history bit for bit.
+
+The metrics take batches, estimates and references as ``(batch, n_x)``
+arrays with one signal per row; :func:`batch_nmse_ratios` and
+:func:`mean_nmse_db` are the one NMSE implementation the CLI, the
+trainer and the tests share.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blockcore import _as_batch
 from .unfolding import NetworkParams, NetworkVariant, backward, forward, stage_arrays
 
 __all__ = [
@@ -28,8 +34,6 @@ __all__ = [
     "TrainHistory",
     "AdamState",
     "adam_step",
-    "nmse_ratio",
-    "nmse_db",
     "batch_nmse_ratios",
     "mean_nmse_db",
     "empirical_risk",
@@ -99,29 +103,26 @@ class TrainHistory:
 # metrics
 
 
-def nmse_ratio(x_hat: np.ndarray, x_star: np.ndarray) -> float:
-    """||x_hat - x*||^2 / ||x*||^2 (linear ratio)."""
-    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
-    x_star = np.asarray(x_star, dtype=np.float64).ravel()
-    denom = float(x_star @ x_star)
-    if denom == 0.0:
-        raise ValueError("NMSE is undefined for x* = 0")
-    diff = x_hat - x_star
-    return float(diff @ diff) / denom
+def _check_pair(X_hat: np.ndarray, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and references as two ``(batch, n_x)`` arrays of one shape."""
+    X_star = np.asarray(X_star, dtype=np.float64)
+    width = X_star.shape[-1] if X_star.ndim else 0
+    X_hat = _as_batch(X_hat, width, "X_hat")
+    X_star = _as_batch(X_star, width, "X_star")
+    if X_hat.shape != X_star.shape:
+        raise ValueError(f"shape mismatch {X_hat.shape} vs {X_star.shape}")
+    return X_hat, X_star
 
 
-def nmse_db(x_hat: np.ndarray, x_star: np.ndarray) -> float:
-    """NMSE in dB; an exact match reports the -300 dB floor sentinel."""
-    ratio = nmse_ratio(x_hat, x_star)
-    if ratio == 0.0:
-        return NMSE_FLOOR_DB
-    return float(10.0 * np.log10(ratio))
+def _ratio_db(ratio: float) -> float:
+    """An error ratio in dB; an exact match reports the -300 dB floor."""
+    return NMSE_FLOOR_DB if ratio <= 0.0 else float(10.0 * np.log10(ratio))
 
 
 def batch_nmse_ratios(X_hat: np.ndarray, X_star: np.ndarray) -> np.ndarray:
-    """Per-row error ratios, restricted to rows with x* != 0."""
-    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=np.float64))
-    X_star = np.atleast_2d(np.asarray(X_star, dtype=np.float64))
+    """Per-row error ratios ||x_hat - x*||^2 / ||x*||^2, restricted to rows
+    with x* != 0."""
+    X_hat, X_star = _check_pair(X_hat, X_star)
     denom = np.einsum("ij,ij->i", X_star, X_star)
     keep = denom > 0
     if not np.any(keep):
@@ -132,18 +133,12 @@ def batch_nmse_ratios(X_hat: np.ndarray, X_star: np.ndarray) -> np.ndarray:
 
 def mean_nmse_db(X_hat: np.ndarray, X_star: np.ndarray) -> float:
     """10 log10 of the mean error ratio over nonzero reference rows."""
-    mean_ratio = float(batch_nmse_ratios(X_hat, X_star).mean())
-    if mean_ratio == 0.0:
-        return NMSE_FLOOR_DB
-    return float(10.0 * np.log10(mean_ratio))
+    return _ratio_db(float(batch_nmse_ratios(X_hat, X_star).mean()))
 
 
 def empirical_risk(X_hat: np.ndarray, X_star: np.ndarray) -> float:
     """Batch mean of 1/2 ||x_hat_j - x*_j||^2."""
-    X_hat = np.atleast_2d(np.asarray(X_hat, dtype=np.float64))
-    X_star = np.atleast_2d(np.asarray(X_star, dtype=np.float64))
-    if X_hat.shape != X_star.shape:
-        raise ValueError(f"shape mismatch {X_hat.shape} vs {X_star.shape}")
+    X_hat, X_star = _check_pair(X_hat, X_star)
     if X_hat.shape[0] == 0:
         raise ValueError("empty batch")
     diff = X_hat - X_star
@@ -203,10 +198,6 @@ def _clamp_alphas(params: NetworkParams) -> None:
 
 # ---------------------------------------------------------------------------
 # layer-wise training loop
-
-
-def _ratio_db(ratio: float) -> float:
-    return NMSE_FLOOR_DB if ratio <= 0.0 else float(10.0 * np.log10(ratio))
 
 
 # Variants whose stage parameters act only inside their own layer, so the

@@ -16,8 +16,10 @@ and alpha/gamma the per-layer threshold and step size:
 Gradients are hand-derived reverse-mode passes through the layer recursion,
 using the threshold Jacobian-vector products from :mod:`.operators`; at
 block-norm kinks the zero-side subgradient is used.  Forward and backward
-operate on row batches (samples in rows) and are embarrassingly parallel
-over samples; parameters are read-only during a pass.
+take row batches only, measurements ``(batch, n_y)`` and signals
+``(batch, n_x)`` with one sample per row (``y[None]`` for one sample); a
+1-d array is rejected.  They are embarrassingly parallel over samples, and
+parameters are read-only during a pass.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import BlockDictionary, _read_matrix, write_matrix
+from .blockcore import BlockDictionary, _as_batch, _read_matrix, write_matrix
 from .operators import eta, eta_dalpha, eta_jvp
 from .solvers import DivergenceError, default_step_size
 
@@ -209,15 +211,6 @@ class ForwardPass:
         return len(self.prethresh)
 
 
-def _as_batch(Y: np.ndarray, n_y: int) -> np.ndarray:
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[None, :]
-    if Y.ndim != 2 or Y.shape[1] != n_y:
-        raise ValueError(f"measurements must have shape (batch, {n_y}), got {Y.shape}")
-    return Y
-
-
 def forward(
     params: NetworkParams,
     Y: np.ndarray,
@@ -240,7 +233,7 @@ def forward(
         raise ValueError(f"depth must be in [0, {params.depth}], got {K}")
     if not 0 <= start <= K:
         raise ValueError(f"start must be in [0, {K}], got {start}")
-    Y = _as_batch(Y, params.n_y)
+    Y = _as_batch(Y, params.n_y, "Y")
     D = params.dictionary
     n, d = params.n, params.d
     if x_init is None:
@@ -248,7 +241,7 @@ def forward(
             raise ValueError("resuming at start > 0 needs the cached state x_init")
         X = np.zeros((Y.shape[0], params.n_x))
     else:
-        X = _as_batch(x_init, params.n_x)
+        X = _as_batch(x_init, params.n_x, "x_init")
         if X.shape[0] != Y.shape[0]:
             raise ValueError("x_init batch size does not match Y")
     if step_init is not None:
@@ -321,7 +314,7 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     v = params.variant
     n, d = params.n, params.d
     D = params.dictionary
-    X_star = _as_batch(X_star, params.n_x)
+    X_star = _as_batch(X_star, params.n_x, "X_star")
     batch = fp.Y.shape[0]
     if X_star.shape[0] != batch:
         raise ValueError("X_star batch size does not match the forward pass")

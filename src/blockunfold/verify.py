@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockcore import BlockDictionary, cross_block_coherence
+from .blockcore import BlockDictionary, _as_batch, cross_block_coherence
 from .operators import eta
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant
 
@@ -96,6 +96,12 @@ def _l21_rows(X: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.linalg.norm(X.reshape(X.shape[0], n, d), axis=2).sum(axis=1)
 
 
+def _sparsity_and_peak(X_star: np.ndarray, n: int, d: int) -> tuple[int, float]:
+    """Largest block support and largest block norm over the rows of X_star."""
+    norms = np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2)
+    return int(np.count_nonzero(norms > 0, axis=1).max()), float(norms.max())
+
+
 def measure_constants(
     params: NetworkParams,
     fp: ForwardPass,
@@ -122,21 +128,18 @@ def measure_constants(
     B = BlockDictionary(params.B[0], n=n, d=d)
     mu_tilde = cross_block_coherence(B, D)
     C = float(np.max(np.abs(params.gammas[: fp.depth]))) * max_weight_block_norm(B)
-    X_star = np.atleast_2d(X_star)
+    X_star = _as_batch(X_star, params.n_x, "X_star")
     C_X = np.array(
         [float(_l21_rows(Xk - X_star, n, d).max()) for Xk in fp.iterates]
     )
-    block_counts = np.count_nonzero(
-        np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2) > 0, axis=1
-    )
-    M = float(np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2).max())
+    s_obs, M = _sparsity_and_peak(X_star, n, d)
     return BoundConstants(
         mu_tilde_b=mu_tilde,
         mu=d * mu_tilde,
         C=C,
         C_X=C_X,
         sigma=sigma,
-        s=int(block_counts.max()) if s is None else s,
+        s=s_obs if s is None else s,
         M=M,
     )
 
@@ -150,19 +153,18 @@ def check_support_containment(
     x_star: np.ndarray,
     n: int,
     d: int,
-    tol: float | None = None,
 ) -> ContainmentResult:
     """True iff every iterate's block support is inside supp(x*).
 
-    A block is active when its norm exceeds ``tol``, by default
-    ``1e-12 * max(1, ||x||_2)`` of the signal it belongs to: exact zeros
-    are unrealizable in floating point.  On violation, reports the first
+    A block is active when its norm exceeds ``1e-12 * max(1, ||x||_2)`` of
+    the signal it belongs to: exact zeros are unrealizable in floating
+    point.  On violation, reports the first
     offending layer index (0 = start).
     """
 
     def support(x: np.ndarray) -> set[int]:
         x = np.asarray(x, dtype=np.float64).ravel()
-        limit = 1e-12 * max(1.0, float(np.linalg.norm(x))) if tol is None else tol
+        limit = 1e-12 * max(1.0, float(np.linalg.norm(x)))
         norms = np.linalg.norm(x.reshape(n, d), axis=1)
         return {int(i) for i in np.flatnonzero(norms > limit)}
 
@@ -182,7 +184,7 @@ def support_violation_layers(
     Uses the relative activity tolerance of
     :func:`check_support_containment`, vectorized over the batch.
     """
-    X_star = np.atleast_2d(X_star)
+    X_star = _as_batch(X_star, n * d, "X_star")
     batch = X_star.shape[0]
     star_norms = np.linalg.norm(X_star.reshape(batch, n, d), axis=2)
     star_tol = 1e-12 * np.maximum(1.0, np.linalg.norm(X_star, axis=1))
@@ -233,7 +235,6 @@ def error_bound_curve(
     gammas: np.ndarray,
     constants: BoundConstants,
     kappa: float,
-    depth: int | None = None,
 ) -> np.ndarray:
     """Per-layer right-hand side of the l2 error bound, k = 0..K.
 
@@ -244,8 +245,8 @@ def error_bound_curve(
     the curve loses its guarantee.
     """
     mu, s, M, sigma, C = constants.mu, constants.s, constants.M, constants.sigma, constants.C
-    K = len(gammas) if depth is None else depth
-    gammas = np.asarray(gammas, dtype=np.float64)[:K]
+    gammas = np.asarray(gammas, dtype=np.float64)
+    K = len(gammas)
     if s >= (1.0 / mu + 1.0) / 2.0:
         warnings.warn(
             f"sparsity s={s} violates s < (1/mu + 1)/2 = {(1.0 / mu + 1.0) / 2.0:.3g}",
@@ -270,7 +271,7 @@ def error_bound_curve(
 
 
 def lower_rate_constant(
-    B_layers: Sequence[BlockDictionary] | BlockDictionary,
+    B_layers: Sequence[BlockDictionary],
     D: BlockDictionary,
     support: Sequence[int],
 ) -> float:
@@ -283,8 +284,6 @@ def lower_rate_constant(
     support = sorted(set(int(i) for i in support))
     if len(support) < 2:
         raise ValueError("support must contain at least 2 blocks")
-    if isinstance(B_layers, BlockDictionary):
-        B_layers = [B_layers]
     d = D.d
     cols = np.concatenate([np.arange(i * d, (i + 1) * d) for i in support])
     DS = D.data[:, cols]
@@ -323,8 +322,8 @@ def calibrated_network(
     mu_tilde = cross_block_coherence(B, D)
     mu = d * mu_tilde
     C = abs(gamma) * max_weight_block_norm(B)
-    X_star = np.atleast_2d(X_star)
-    Y = np.atleast_2d(Y)
+    X_star = _as_batch(X_star, D.n_x, "X_star")
+    Y = _as_batch(Y, D.n_y, "Y")
     X = np.zeros_like(X_star)
     alphas = np.empty(depth)
     C_X = np.empty(depth + 1)
@@ -344,17 +343,14 @@ def calibrated_network(
         gammas=np.full(depth, gamma),
         B=[B.data.copy()] * depth,
     )
-    block_counts = np.count_nonzero(
-        np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2) > 0, axis=1
-    )
-    M = float(np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2).max())
+    s_obs, M = _sparsity_and_peak(X_star, n, d)
     constants = BoundConstants(
         mu_tilde_b=mu_tilde,
         mu=mu,
         C=C,
         C_X=C_X,
         sigma=sigma,
-        s=int(block_counts.max()) if s is None else s,
+        s=s_obs if s is None else s,
         M=M,
         kappa=1.0,
     )

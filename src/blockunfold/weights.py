@@ -30,14 +30,12 @@ solves are independent and may run data-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .blockcore import BlockDictionary, cross_block_coherence, kron_lift
+from .blockcore import FEASIBILITY_TOL, BlockDictionary, cross_block_coherence, kron_lift
 
 __all__ = [
-    "WeightMethod",
     "AnalyticWeights",
     "UpperBoundReport",
     "solve_kkt_oracle",
@@ -55,20 +53,8 @@ __all__ = [
 # Singular values below PINV_RTOL * sigma_max are truncated everywhere.
 PINV_RTOL = 1e-10
 
-# Feasibility demanded of every returned weight matrix (Frobenius, per block).
-FEASIBILITY_TOL = 1e-8
-
 # FFT bins below ZERO_BIN_TOL * max|k_hat| count as zero.
 ZERO_BIN_TOL = 1e-10
-
-
-class WeightMethod(Enum):
-    KKT = "kkt"
-    CLOSED_FORM = "closed_form"
-    SVD_D1 = "svd_d1"
-    KRONECKER = "kronecker"
-    CIRCULANT_FFT = "circulant_fft"
-    TOEPLITZ_EXT = "toeplitz_ext"
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,6 @@ class AnalyticWeights:
     """
 
     B: BlockDictionary
-    method: WeightMethod
     feasibility_residual: float
     cross_coherence: float
     kernel: np.ndarray | None = None
@@ -107,7 +92,6 @@ def _feasibility_residual(B: np.ndarray, D: np.ndarray, n: int, d: int) -> float
 def _assemble(
     Bmat: np.ndarray,
     D: BlockDictionary,
-    method: WeightMethod,
     kernel: np.ndarray | None = None,
     rank: int | None = None,
     paired_dictionary: np.ndarray | None = None,
@@ -121,7 +105,6 @@ def _assemble(
     coherence = cross_block_coherence(B, D) if D.n >= 2 else 0.0
     return AnalyticWeights(
         B=B,
-        method=method,
         feasibility_residual=resid,
         cross_coherence=coherence,
         kernel=kernel,
@@ -167,7 +150,7 @@ def solve_kkt_oracle(D: BlockDictionary, i: int) -> np.ndarray:
 def kkt_weights(D: BlockDictionary) -> AnalyticWeights:
     """Concatenate the KKT oracle solutions of all blocks."""
     Bmat = np.hstack([solve_kkt_oracle(D, i) for i in range(D.n)])
-    return _assemble(Bmat, D, WeightMethod.KKT)
+    return _assemble(Bmat, D)
 
 
 def closed_form_weights(D: BlockDictionary) -> AnalyticWeights:
@@ -207,7 +190,7 @@ def closed_form_weights(D: BlockDictionary) -> AnalyticWeights:
             Di - Ei @ Lp @ Si.T
         )
         cols.append(Kp @ (Di - Ei @ Hi))
-    return _assemble(np.hstack(cols), D, WeightMethod.CLOSED_FORM)
+    return _assemble(np.hstack(cols), D)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +213,7 @@ def svd_weights_d1(D: np.ndarray) -> AnalyticWeights:
         )
     Bmat = B0 / diag
     Dd = BlockDictionary(D, n=D.shape[1], d=1)
-    return _assemble(Bmat, Dd, WeightMethod.SVD_D1)
+    return _assemble(Bmat, Dd)
 
 
 def kron_weights(K: np.ndarray, d: int, base: AnalyticWeights) -> AnalyticWeights:
@@ -255,8 +238,7 @@ def kron_weights(K: np.ndarray, d: int, base: AnalyticWeights) -> AnalyticWeight
     if d == 1:
         return base
     Bmat = np.kron(base.B.data, np.eye(d))
-    out = _assemble(Bmat, D, WeightMethod.KRONECKER)
-    return out
+    return _assemble(Bmat, D)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +252,7 @@ def circulant(v: np.ndarray) -> np.ndarray:
     return np.stack([np.roll(v, i) for i in range(n)], axis=1)
 
 
-def circulant_dual_kernel(k: np.ndarray, zero_tol: float = ZERO_BIN_TOL) -> tuple[np.ndarray, int]:
+def circulant_dual_kernel(k: np.ndarray) -> tuple[np.ndarray, int]:
     """Unscaled dual kernel: spectrum conj(1/k_hat) with near-zero bins dropped.
 
     Returns ``(b, rank)`` where rank is the number of retained bins; the
@@ -284,29 +266,27 @@ def circulant_dual_kernel(k: np.ndarray, zero_tol: float = ZERO_BIN_TOL) -> tupl
     top = float(mags.max())
     if top == 0.0:
         raise ValueError("kernel spectrum is identically zero")
-    keep = mags > zero_tol * top
+    keep = mags > ZERO_BIN_TOL * top
     bh = np.zeros_like(kh)
     bh[keep] = 1.0 / np.conj(kh[keep])
     b = np.fft.ifft(bh).real
     return b, int(np.count_nonzero(keep))
 
 
-def circulant_weights_fft(k: np.ndarray, zero_tol: float = ZERO_BIN_TOL) -> AnalyticWeights:
+def circulant_weights_fft(k: np.ndarray) -> AnalyticWeights:
     """Circulant dual of circ(k), solved in the Fourier domain.
 
     For a rank-deficient kernel the retained-bin construction only reaches
     ``b^T k = rank/n``, so the kernel is rescaled by ``n/rank`` to restore
     the unit diagonal constraint.
     """
-    b, rank = circulant_dual_kernel(k, zero_tol=zero_tol)
+    b, rank = circulant_dual_kernel(k)
     n = b.size
     if rank < n:
         b = b * (n / rank)
     K = circulant(k)
     D = BlockDictionary(K, n=n, d=1)
-    return _assemble(
-        circulant(b), D, WeightMethod.CIRCULANT_FFT, kernel=b, rank=rank
-    )
+    return _assemble(circulant(b), D, kernel=b, rank=rank)
 
 
 def toeplitz_weights_extend(
@@ -348,9 +328,7 @@ def toeplitz_weights_extend(
     K = circulant(padded)[:, :n]
     B = circulant(b)[:, :n]
     D = BlockDictionary(K, n=n, d=1)
-    return _assemble(
-        B, D, WeightMethod.TOEPLITZ_EXT, kernel=b, rank=rank, paired_dictionary=K
-    )
+    return _assemble(B, D, kernel=b, rank=rank, paired_dictionary=K)
 
 
 # ---------------------------------------------------------------------------

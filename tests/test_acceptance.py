@@ -195,12 +195,12 @@ def test_criterion_05_solver_equivalences():
     x_star[:4] = rng.standard_normal(4)
     y = D.data @ x_star
     gamma = default_step_size(D)
-    trace = bista_run(D, y, 1.0, gamma, 50)
-    fp = forward(init_from_bista(NetworkVariant.TIED_LBISTA, D, 50), y)
+    trace = bista_run(D, y[None], 1.0, gamma, 50)
+    fp = forward(init_from_bista(NetworkVariant.TIED_LBISTA, D, 50), y[None])
     tied_err = max(
-        np.abs(fp.iterates[k][0] - trace.iterates[k]).max() for k in range(51)
+        np.abs(fp.iterates[k][0] - trace.iterates[k][0]).max() for k in range(51)
     )
-    amp = alamp_run(D, D, gamma, gamma, 50, y, onsager=False)
+    amp = alamp_run(D, D, gamma, gamma, 50, y[None], onsager=False)
     amp_err = max(
         np.abs(amp.iterates[k] - trace.iterates[k]).max() for k in range(51)
     )
@@ -211,8 +211,8 @@ def test_criterion_05_solver_equivalences():
         Dm = random_orthonormal_block_dictionary(6, 4, 2, r)
         xs = np.zeros(8)
         xs[:2] = r.standard_normal(2)
-        tr = bista_run(Dm, Dm.data @ xs, 1.0, default_step_size(Dm), 40)
-        monotone &= bool(np.all(np.diff(tr.objectives) <= 1e-12))
+        tr = bista_run(Dm, (Dm.data @ xs)[None], 1.0, default_step_size(Dm), 40)
+        monotone &= bool(np.all(np.diff(np.array(tr.objectives)[:, 0]) <= 1e-12))
 
     Dk = random_orthonormal_block_dictionary(12, 8, 2, np.random.default_rng(77))
     xs = np.zeros(16)
@@ -220,9 +220,9 @@ def test_criterion_05_solver_equivalences():
     yk = Dk.data @ xs
     from blockunfold.solvers import fast_bista_run
 
-    warm = fast_bista_run(Dk, yk, 0.1, default_step_size(Dk), 3000)
-    polished = bista_run(Dk, yk, 0.1, default_step_size(Dk), 2000, x0=warm.iterates[-1])
-    active, inactive = kkt_residuals(Dk, yk, polished.iterates[-1], 0.1)
+    warm = fast_bista_run(Dk, yk[None], 0.1, default_step_size(Dk), 3000)
+    polished = bista_run(Dk, yk[None], 0.1, default_step_size(Dk), 2000, x0=warm.iterates[-1])
+    active, inactive = kkt_residuals(Dk, yk, polished.iterates[-1][0], 0.1)
     ok = (
         tied_err < 1e-12
         and amp_err < 1e-12

@@ -28,7 +28,7 @@ def l21(x, n, d):
     """The l2,1 norm of a flat block signal, as the objective's penalty term:
     the objective at zero residual with unit weight."""
     D = BlockDictionary(np.eye(n * d), n=n, d=d)
-    return lasso_objective(D, x, x, 1.0)
+    return lasso_objective(D, x[None], x[None], 1.0)[0]
 
 
 class TestNormsAndSupport:

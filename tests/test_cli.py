@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -276,6 +278,54 @@ class TestErrors:
             cfg = write_cfg(tmp_path, bad)
             with pytest.raises(ValueError, match=f"unknown weights method '{method}'"):
                 read_config(cfg)
+
+
+class TestSplitLoading:
+    """Each stage parses only the dataset files it reads."""
+
+    def test_stages_run_without_the_splits_they_do_not_read(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+        data = out / "data"
+        for name in ("X_train", "Y_train", "X_val", "Y_val"):
+            (data / f"{name}.txt").unlink()
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert "X_train.txt" in capsys.readouterr().err
+        for name in ("X_test", "Y_test"):
+            (data / f"{name}.txt").unlink()
+        assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracer", REPO / "benchmark" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedPipeline:
+    def test_every_function_with_a_per_layer_metric_runs(self, tmp_path):
+        # benchmark/run.py fails a traced run in which a function with a
+        # per-layer metric in BENCHMARK.json is never called; the same
+        # contract on a pipeline small enough for every test run
+        tracer = _load_tracer()
+        spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+        wanted = {
+            m["name"].rsplit(".", 1)[0] for m in spec["per_layer"] if m["name"].count(".") == 2
+        }
+        wanted.add("weights.closed_form_weights")
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        with tracer.patched(tracer.Tracer()) as traced:
+            assert main(["all", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        summary = traced.summary()
+        silent = sorted(name for name in wanted if not summary.get(f"{name}.calls"))
+        assert silent == []
 
 
 class TestShippedConfigs:

@@ -12,6 +12,7 @@ from blockunfold.datagen import (
     gen_gaussian_K,
     gen_signal_batch,
     load_dataset,
+    load_split,
     noise_sigma,
     sample_signal_class,
     save_dataset,
@@ -141,7 +142,8 @@ class TestDatasetFiles:
             "test": gen_signal_batch(cfg, problem.D, 5, 10),
         }
         save_dataset(tmp_path, cfg, problem, splits)
-        cfg2, problem2, splits2 = load_dataset(tmp_path)
+        cfg2, problem2 = load_dataset(tmp_path)
+        splits2 = {split: load_split(tmp_path, split) for split in splits}
         assert cfg2 == cfg
         np.testing.assert_array_equal(problem2.K, problem.K)
         for split in splits:
@@ -155,7 +157,7 @@ class TestDatasetFiles:
         problem = build_problem(cfg)
         splits = {"train": gen_signal_batch(cfg, problem.D, 3, 0)}
         save_dataset(tmp_path, cfg, problem, splits)
-        cfg2, problem2, _ = load_dataset(tmp_path)
+        cfg2, problem2 = load_dataset(tmp_path)
         assert problem2.rank == problem.rank
         np.testing.assert_array_equal(problem2.kernel, problem.kernel)
 
@@ -202,6 +204,12 @@ class TestDatasetLoader:
         save_dataset(tmp_path, cfg, problem, splits)
         return splits
 
+    @staticmethod
+    def _load(data, counts):
+        """load_dataset, then every split the dataset holds."""
+        cfg, problem = load_dataset(data)
+        return cfg, problem, {s: load_split(data, s) for s, c in counts.items() if c}
+
     @given(case=small_datasets())
     @settings(max_examples=8, deadline=None)
     def test_every_truncation_names_the_file(self, tmp_path_factory, case):
@@ -214,12 +222,12 @@ class TestDatasetLoader:
                 path.write_bytes(full[:size])
                 if path.name == "manifest.txt" and size == len(full) - 1:
                     # only the final newline gone: the manifest is still whole
-                    assert load_dataset(data)[0] == cfg
+                    assert self._load(data, counts)[0] == cfg
                     continue
                 with pytest.raises(ValueError, match=path.name):
-                    load_dataset(data)
+                    self._load(data, counts)
             path.write_bytes(full)
-        cfg2, _, splits2 = load_dataset(data)
+        cfg2, _, splits2 = self._load(data, counts)
         assert cfg2 == cfg
         assert splits2.keys() == splits.keys()
 
@@ -246,7 +254,7 @@ class TestDatasetLoader:
         path = tmp_path / "manifest.txt"
         path.write_text(path.read_text().replace("n_train = 2", f"n_train = {claimed}"))
         with pytest.raises(ValueError, match=f"X_train.txt: 2 rows, but .*n_train = {claimed}"):
-            load_dataset(tmp_path)
+            load_split(tmp_path, "train")
 
 
 class TestValidation:

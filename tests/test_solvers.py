@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from blockunfold.solvers import (
     lasso_objective,
     spectral_norm,
 )
+from blockunfold.training import batch_nmse_ratios
 from blockunfold.weights import closed_form_weights
 
 from conftest import random_orthonormal_block_dictionary, unit_column_matrix
@@ -49,13 +51,15 @@ class TestLassoObjective:
     def test_zero_point(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         y = rng.standard_normal(6)
-        val = lasso_objective(D, y, np.zeros(6), 1.0)
+        val = lasso_objective(D, y[None], np.zeros((1, 6)), 1.0)[0]
         assert val == pytest.approx(0.5 * y @ y, rel=1e-14)
 
     def test_exact_fit_no_penalty(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         x = rng.standard_normal(6)
-        assert lasso_objective(D, D.data @ x, x, 0.0) == pytest.approx(0.0, abs=1e-20)
+        assert lasso_objective(D, (D.data @ x)[None], x[None], 0.0)[0] == pytest.approx(
+            0.0, abs=1e-20
+        )
 
     def test_matches_naive_recomputation(self, rng):
         D = random_orthonormal_block_dictionary(8, 4, 2, rng)
@@ -65,18 +69,18 @@ class TestLassoObjective:
         naive = 0.5 * np.sum((D.data @ x - y) ** 2) + alpha * sum(
             np.linalg.norm(x[2 * i : 2 * i + 2]) for i in range(4)
         )
-        assert lasso_objective(D, y, x, alpha) == pytest.approx(naive, rel=1e-12)
+        assert lasso_objective(D, y[None], x[None], alpha)[0] == pytest.approx(naive, rel=1e-12)
 
     def test_shape_mismatch(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         with pytest.raises(ValueError):
-            lasso_objective(D, np.zeros(5), np.zeros(6), 1.0)
+            lasso_objective(D, np.zeros((1, 5)), np.zeros((1, 6)), 1.0)
 
 
 class TestBista:
     def test_fixed_point_at_origin(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
-        trace = bista_run(D, np.zeros(6), 1.0, default_step_size(D), 10)
+        trace = bista_run(D, np.zeros((1, 6)), 1.0, default_step_size(D), 10)
         for x in trace.iterates:
             np.testing.assert_array_equal(x, 0.0)
         assert len(trace) == 11
@@ -88,8 +92,8 @@ class TestBista:
             x_star = np.zeros(8)
             x_star[:2] = r.standard_normal(2)
             y = D.data @ x_star
-            trace = bista_run(D, y, 1.0, default_step_size(D), 40)
-            obj = np.array(trace.objectives)
+            trace = bista_run(D, y[None], 1.0, default_step_size(D), 40)
+            obj = np.array(trace.objectives)[:, 0]
             assert np.all(np.diff(obj) <= 1e-12), f"ascent at seed {seed}"
 
     def test_objective_monotone_long_run(self, rng):
@@ -97,16 +101,17 @@ class TestBista:
         D = random_orthonormal_block_dictionary(8, 6, 2, rng)
         x_star = np.zeros(12)
         x_star[:4] = rng.standard_normal(4)
-        trace = bista_run(D, D.data @ x_star, 1.0, default_step_size(D), 500)
-        assert np.all(np.diff(trace.objectives) <= 1e-12)
+        trace = bista_run(D, (D.data @ x_star)[None], 1.0, default_step_size(D), 500)
+        assert np.all(np.diff(np.array(trace.objectives)[:, 0]) <= 1e-12)
 
     def test_x0_starts_every_row(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
-        x0 = rng.standard_normal(6)
+        x0 = rng.standard_normal((2, 6))
         trace = bista_run(D, rng.standard_normal((2, 6)), 1.0, default_step_size(D), 0, x0=x0)
-        np.testing.assert_array_equal(trace.iterates[0], [x0, x0])
-        with pytest.raises(ValueError, match=r"x0 has shape \(4,\), expected \(6,\)"):
-            bista_run(D, np.zeros(6), 1.0, default_step_size(D), 1, x0=np.zeros(4))
+        np.testing.assert_array_equal(trace.iterates[0], x0)
+        # one start per row: a single (n_x,) start is not broadcast
+        with pytest.raises(ValueError, match=r"x0 has shape \(6,\), expected \(2, 6\)"):
+            bista_run(D, np.zeros((2, 6)), 1.0, default_step_size(D), 1, x0=np.zeros(6))
 
     def test_converged_kkt_residuals(self, rng):
         D = random_orthonormal_block_dictionary(12, 8, 2, rng)
@@ -115,22 +120,22 @@ class TestBista:
         y = D.data @ x_star
         alpha = 0.1
         gamma = default_step_size(D)
-        warm = fast_bista_run(D, y, alpha, gamma, 3000)
-        trace = bista_run(D, y, alpha, gamma, 2000, x0=warm.iterates[-1])
-        active, inactive = kkt_residuals(D, y, trace.iterates[-1], alpha)
+        warm = fast_bista_run(D, y[None], alpha, gamma, 3000)
+        trace = bista_run(D, y[None], alpha, gamma, 2000, x0=warm.iterates[-1])
+        active, inactive = kkt_residuals(D, y, trace.iterates[-1][0], alpha)
         assert active <= 1e-6
         assert inactive <= 1e-6
 
     def test_gamma_warning(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         with pytest.warns(UserWarning, match="gamma"):
-            bista_run(D, rng.standard_normal(6), 1.0, 10.0, 1)
+            bista_run(D, rng.standard_normal(6)[None], 1.0, 10.0, 1)
 
     def test_gamma_warning_with_cached_norm(self, rng):
         # the first call computes ||D||_2 and keeps it on D; the second
         # call must still compare gamma against 1/||D||_2^2
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
-        y = rng.standard_normal(6)
+        y = rng.standard_normal(6)[None]
         L = np.linalg.norm(D.data, 2) ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -142,18 +147,19 @@ class TestBista:
         D = BlockDictionary(5.0 * np.eye(4), n=4, d=1)
         with pytest.warns(UserWarning):
             with pytest.raises(DivergenceError) as err:
-                bista_run(D, np.ones(4), 0.0, 50.0, 200)
-        # one signal: the message names the iteration and no row
-        assert err.value.row is None
-        assert "row" not in str(err.value)
+                bista_run(D, np.ones((1, 4)), 0.0, 50.0, 200)
+        # a batch of one signal: the message names the iteration and row 0
+        assert err.value.row == 0
+        assert re.search(r"in row 0 \(iteration \d+\)", str(err.value))
 
     def test_nmse_tracking(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         x_star = rng.standard_normal(6)
         y = D.data @ x_star
-        trace = bista_run(D, y, 0.1, default_step_size(D), 5, x_star=x_star)
-        assert len(trace.nmse) == 6
-        assert trace.nmse[0] == pytest.approx(1.0)
+        trace = bista_run(D, y[None], 0.1, default_step_size(D), 5)
+        nmse = [batch_nmse_ratios(X, x_star[None])[0] for X in trace.iterates]
+        assert len(nmse) == 6
+        assert nmse[0] == pytest.approx(1.0)
 
 
 class TestFastBista:
@@ -161,13 +167,13 @@ class TestFastBista:
         D = random_orthonormal_block_dictionary(8, 4, 2, rng)
         y = rng.standard_normal(8)
         gamma = default_step_size(D)
-        a = bista_run(D, y, 1.0, gamma, 1)
-        b = fast_bista_run(D, y, 1.0, gamma, 1)
+        a = bista_run(D, y[None], 1.0, gamma, 1)
+        b = fast_bista_run(D, y[None], 1.0, gamma, 1)
         np.testing.assert_array_equal(a.iterates[1], b.iterates[1])
 
     def test_zero_data(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
-        trace = fast_bista_run(D, np.zeros(6), 1.0, default_step_size(D), 10)
+        trace = fast_bista_run(D, np.zeros((1, 6)), 1.0, default_step_size(D), 10)
         np.testing.assert_array_equal(trace.iterates[-1], 0.0)
 
     def test_beats_plain_at_equal_iterations(self, rng):
@@ -177,9 +183,9 @@ class TestFastBista:
             x_star[:4] = rng.standard_normal(4)
             y = D.data @ x_star + 0.01 * rng.standard_normal(10)
             gamma = default_step_size(D)
-            plain = bista_run(D, y, 0.5, gamma, 80)
-            fast = fast_bista_run(D, y, 0.5, gamma, 80)
-            assert fast.objectives[-1] <= plain.objectives[-1] + 1e-10
+            plain = bista_run(D, y[None], 0.5, gamma, 80)
+            fast = fast_bista_run(D, y[None], 0.5, gamma, 80)
+            assert fast.objectives[-1][0] <= plain.objectives[-1][0] + 1e-10
 
 
 class TestAlamp:
@@ -189,22 +195,22 @@ class TestAlamp:
         x_star[:2] = rng.standard_normal(2)
         y = D.data @ x_star
         gamma = default_step_size(D)
-        plain = bista_run(D, y, 1.0, gamma, 30)
-        amp = alamp_run(D, D, 1.0 * gamma, gamma, 30, y, onsager=False)
+        plain = bista_run(D, y[None], 1.0, gamma, 30)
+        amp = alamp_run(D, D, 1.0 * gamma, gamma, 30, y[None], onsager=False)
         for xa, xb in zip(amp.iterates, plain.iterates):
             assert np.abs(xa - xb).max() < 1e-12
 
     def test_zero_measurements_stay_zero(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
-        trace = alamp_run(D, D, 0.5, 0.5, 10, np.zeros(6))
+        trace = alamp_run(D, D, 0.5, 0.5, 10, np.zeros((1, 6)))
         np.testing.assert_array_equal(trace.iterates[-1], 0.0)
 
     def test_onsager_changes_trajectory(self, rng):
         D = random_orthonormal_block_dictionary(8, 4, 2, rng)
         y = D.data @ np.concatenate([rng.standard_normal(2), np.zeros(6)])
         gamma = default_step_size(D)
-        with_ons = alamp_run(D, D, 0.05, gamma, 10, y, onsager=True)
-        without = alamp_run(D, D, 0.05, gamma, 10, y, onsager=False)
+        with_ons = alamp_run(D, D, 0.05, gamma, 10, y[None], onsager=True)
+        without = alamp_run(D, D, 0.05, gamma, 10, y[None], onsager=False)
         assert np.abs(with_ons.iterates[-1] - without.iterates[-1]).max() > 1e-8
 
 
@@ -230,8 +236,8 @@ def _mean_db(nmse_rows):
 
 
 class TestBatched:
-    """A batch of measurements runs as one solve; the per-sample call is the
-    reference."""
+    """A batch of measurements runs as one solve; per-sample batch-of-one
+    calls are the reference."""
 
     @staticmethod
     def _problem(rng, batch=7):
@@ -252,41 +258,34 @@ class TestBatched:
         D, B, X, Y = self._problem(rng)
         gamma = default_step_size(D)
         runs = {
-            "bista": lambda y, xs: bista_run(D, y, 0.3, gamma, 12, x_star=xs),
-            "fast_bista": lambda y, xs: fast_bista_run(D, y, 0.3, gamma, 12, x_star=xs),
-            "alamp": lambda y, xs: alamp_run(D, B, 0.3 * gamma, gamma, 12, y, x_star=xs),
+            "bista": lambda Y: bista_run(D, Y, 0.3, gamma, 12),
+            "fast_bista": lambda Y: fast_bista_run(D, Y, 0.3, gamma, 12),
+            "alamp": lambda Y: alamp_run(D, B, 0.3 * gamma, gamma, 12, Y),
         }
         run = runs[solver]
-        batched = run(Y, X)
-        singles = [run(y, xs) for y, xs in zip(Y, X)]
+        batched = run(Y)
+        singles = [run(Y[i : i + 1]) for i in range(Y.shape[0])]
         assert len(batched) == 13
         assert batched.iterates[-1].shape == X.shape
         assert batched.objectives[-1].shape == (X.shape[0],)
-        per_sample = np.array([s.nmse for s in singles])
+        per_sample = np.array(
+            [
+                [batch_nmse_ratios(Xk, X[i : i + 1])[0] for Xk in s.iterates]
+                for i, s in enumerate(singles)
+            ]
+        )
+        batched_nmse = np.array([batch_nmse_ratios(Xk, X) for Xk in batched.iterates])
         np.testing.assert_allclose(
-            _mean_db(np.array(batched.nmse).T), _mean_db(per_sample), rtol=0, atol=1e-9
+            _mean_db(batched_nmse.T), _mean_db(per_sample), rtol=0, atol=1e-9
         )
         for k in range(13):
             np.testing.assert_allclose(
-                batched.iterates[k], np.array([s.iterates[k] for s in singles]),
+                batched.iterates[k], np.array([s.iterates[k][0] for s in singles]),
                 rtol=1e-12, atol=1e-12,
             )
             np.testing.assert_allclose(
-                batched.objectives[k], [s.objectives[k] for s in singles], rtol=1e-12
+                batched.objectives[k], [s.objectives[k][0] for s in singles], rtol=1e-12
             )
-
-    def test_one_signal_keeps_scalar_trace(self, rng):
-        D, _, X, Y = self._problem(rng, batch=1)
-        trace = bista_run(D, Y[0], 0.3, default_step_size(D), 3, x_star=X[0])
-        assert trace.iterates[-1].shape == (D.n_x,)
-        assert all(isinstance(v, float) for v in trace.objectives + trace.nmse)
-
-    def test_zero_reference_row_has_nan_nmse(self, rng):
-        D, _, X, Y = self._problem(rng, batch=3)
-        X[1] = 0.0
-        trace = bista_run(D, Y, 0.3, default_step_size(D), 2, x_star=X)
-        assert np.isnan(trace.nmse[-1][1])
-        assert np.all(np.isfinite(trace.nmse[-1][[0, 2]]))
 
     def test_objective_per_row(self, rng):
         D, _, X, Y = self._problem(rng, batch=4)
@@ -294,15 +293,15 @@ class TestBatched:
         assert values.shape == (4,)
         for value, y, x in zip(values, Y, X):
             assert value == pytest.approx(
-                lasso_objective(D, y, x, 0.3), rel=1e-12
+                lasso_objective(D, y[None], x[None], 0.3)[0], rel=1e-12
             )
 
     def test_shape_mismatch(self, rng):
         D, _, X, Y = self._problem(rng, batch=4)
         with pytest.raises(ValueError, match="x has shape"):
             lasso_objective(D, Y, X[:3], 0.3)
-        with pytest.raises(ValueError, match="x_star has shape"):
-            bista_run(D, Y, 0.3, default_step_size(D), 1, x_star=X[:3])
+        with pytest.raises(ValueError, match="x0 has shape"):
+            bista_run(D, Y, 0.3, default_step_size(D), 1, x0=X[:3])
         with pytest.raises(ValueError, match="y has shape"):
             bista_run(D, Y[:, :-1], 0.3, default_step_size(D), 1)
 

@@ -12,8 +12,6 @@ from blockunfold.training import (
     empirical_risk,
     layerwise_train,
     mean_nmse_db,
-    nmse_db,
-    nmse_ratio,
     write_history_csv,
 )
 from blockunfold.unfolding import (
@@ -48,23 +46,23 @@ def toy_data(rng, m=4, n=6, d=2, n_train=40, n_val=16):
 class TestMetrics:
     def test_exact_match_sentinel(self):
         x = np.array([1.0, 2.0])
-        assert nmse_ratio(x, x) == 0.0
-        assert nmse_db(x, x) == -300.0
+        assert batch_nmse_ratios(x[None], x[None])[0] == 0.0
+        assert mean_nmse_db(x[None], x[None]) == -300.0
 
     def test_zero_estimate(self):
         x = np.array([1.0, 2.0])
-        assert nmse_db(np.zeros(2), x) == pytest.approx(0.0, abs=1e-12)
+        assert mean_nmse_db(np.zeros((1, 2)), x[None]) == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self, rng):
         x_hat = rng.standard_normal(6)
         x = rng.standard_normal(6)
-        a = nmse_db(x_hat, x)
-        b = nmse_db(3.7 * x_hat, 3.7 * x)
+        a = mean_nmse_db(x_hat[None], x[None])
+        b = mean_nmse_db(3.7 * x_hat[None], 3.7 * x[None])
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
-            nmse_ratio(np.ones(3), np.zeros(3))
+            batch_nmse_ratios(np.ones((1, 3)), np.zeros((1, 3)))
 
     def test_batch_skips_zero_rows(self, rng):
         X_star = np.vstack([np.zeros(4), rng.standard_normal(4)])
@@ -77,7 +75,7 @@ class TestMetrics:
         X_hat = X_star + 0.1 * rng.standard_normal((5, 6))
         manual = 10 * np.log10(
             np.mean(
-                [nmse_ratio(X_hat[i], X_star[i]) for i in range(5)]
+                [batch_nmse_ratios(X_hat[i : i + 1], X_star[i : i + 1])[0] for i in range(5)]
             )
         )
         assert mean_nmse_db(X_hat, X_star) == pytest.approx(manual, rel=1e-12)
@@ -90,7 +88,7 @@ class TestEmpiricalRisk:
 
     def test_single_sample(self, rng):
         x = rng.standard_normal(6)
-        assert empirical_risk(x, np.zeros(6)) == pytest.approx(
+        assert empirical_risk(x[None], np.zeros((1, 6))) == pytest.approx(
             0.5 * x @ x, rel=1e-14
         )
 

@@ -102,27 +102,27 @@ class TestForward:
     def test_zero_depth(self, rng):
         D, _, y = make_problem(rng)
         params = init_from_bista(NetworkVariant.TIED_LBISTA, D, 4)
-        fp = forward(params, y, depth=0)
+        fp = forward(params, y[None], depth=0)
         np.testing.assert_array_equal(fp.iterates[0], 0.0)
         assert fp.depth == 0
 
     def test_tied_matches_classical_iteration(self, rng):
         D, x_star, y = make_problem(rng, m=6, n=8, d=2)
         gamma = default_step_size(D)
-        trace = bista_run(D, y, 1.0, gamma, 50)
+        trace = bista_run(D, y[None], 1.0, gamma, 50)
         params = init_from_bista(NetworkVariant.TIED_LBISTA, D, 50)
-        fp = forward(params, y)
+        fp = forward(params, y[None])
         for k in range(51):
-            assert np.abs(fp.iterates[k][0] - trace.iterates[k]).max() < 1e-12
+            assert np.abs(fp.iterates[k][0] - trace.iterates[k][0]).max() < 1e-12
 
     def test_cp_matches_classical_iteration(self, rng):
         D, x_star, y = make_problem(rng, m=6, n=8, d=2)
         gamma = default_step_size(D)
-        trace = bista_run(D, y, 1.0, gamma, 30)
+        trace = bista_run(D, y[None], 1.0, gamma, 30)
         params = init_from_bista(NetworkVariant.TIED_LBISTA_CP, D, 30)
-        fp = forward(params, y)
+        fp = forward(params, y[None])
         for k in range(31):
-            assert np.abs(fp.iterates[k][0] - trace.iterates[k]).max() < 1e-12
+            assert np.abs(fp.iterates[k][0] - trace.iterates[k][0]).max() < 1e-12
 
     def test_albista_zero_step_stays_zero(self, rng):
         D, _, y = make_problem(rng)
@@ -130,23 +130,23 @@ class TestForward:
             NetworkVariant.ALBISTA, D, 5, B_analytic=D.data.copy()
         )
         params.gammas[:] = 0.0
-        fp = forward(params, y)
+        fp = forward(params, y[None])
         np.testing.assert_array_equal(fp.iterates[-1], 0.0)
 
     def test_untied_sharing_reproduces_tied(self, rng):
         D, _, y = make_problem(rng)
         tied = init_from_bista(NetworkVariant.TIED_LBISTA, D, 6)
         untied = init_from_bista(NetworkVariant.UNTIED_LBISTA, D, 6)
-        a = forward(tied, y)
-        b = forward(untied, y)
+        a = forward(tied, y[None])
+        b = forward(untied, y[None])
         np.testing.assert_array_equal(a.iterates[-1], b.iterates[-1])
 
     def test_resumed_pass_matches_full(self, rng):
         D, _, y = make_problem(rng)
         params = init_from_bista(NetworkVariant.TIED_LBISTA_CP, D, 6)
-        full = forward(params, y)
-        head = forward(params, y, depth=3)
-        tail = forward(params, y, depth=6, start=3, x_init=head.iterates[-1])
+        full = forward(params, y[None])
+        head = forward(params, y[None], depth=3)
+        tail = forward(params, y[None], depth=6, start=3, x_init=head.iterates[-1])
         np.testing.assert_array_equal(tail.iterates[-1], full.iterates[-1])
 
 
@@ -202,7 +202,7 @@ class TestBackward:
     def test_zero_loss_zero_gradients(self, rng):
         D, x_star, y = make_problem(rng)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=D.data.copy())
-        fp = forward(params, y)
+        fp = forward(params, y[None])
         grads = backward(params, fp, fp.iterates[-1])
         np.testing.assert_array_equal(grads.alphas, 0.0)
         np.testing.assert_array_equal(grads.gammas, 0.0)
@@ -211,8 +211,8 @@ class TestBackward:
         D, x_star, y = make_problem(rng)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=D.data.copy())
         params.alphas[2] = 1e6
-        fp = forward(params, y)
-        grads = backward(params, fp, np.atleast_2d(x_star))
+        fp = forward(params, y[None])
+        grads = backward(params, fp, x_star[None])
         assert grads.gammas[2] == 0.0
 
     @pytest.mark.parametrize("variant", list(NetworkVariant))
@@ -286,7 +286,7 @@ class TestCachedStep:
         D, _, y = make_problem(rng)
         params = init_from_bista(variant, D, 3)
         with pytest.raises(ValueError, match="albista"):
-            forward(params, y, step_init=np.zeros((1, params.n_x)))
+            forward(params, y[None], step_init=np.zeros((1, params.n_x)))
 
     def test_rejects_misshaped_step(self, rng):
         params, Y, _, X0, step = self._case(rng)
@@ -412,8 +412,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.variant is variant
         np.testing.assert_array_equal(loaded.alphas, params.alphas)
-        fp_a = forward(params, y)
-        fp_b = forward(loaded, y)
+        fp_a = forward(params, y[None])
+        fp_b = forward(loaded, y[None])
         np.testing.assert_array_equal(fp_a.iterates[-1], fp_b.iterates[-1])
 
     @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)

@@ -199,7 +199,7 @@ class TestLowerRateConstant:
     def test_zero_coupling_gives_log3(self, rng):
         D = random_orthonormal_block_dictionary(8, 4, 2, rng)
         B = BlockDictionary(np.zeros((8, 8)), n=4, d=2)
-        assert lower_rate_constant(B, D, [0, 1]) == pytest.approx(np.log(3.0))
+        assert lower_rate_constant([B], D, [0, 1]) == pytest.approx(np.log(3.0))
 
     def test_formula_zero_point(self, rng):
         # sigma_min_bar = 3 makes the rate constant vanish
@@ -211,7 +211,7 @@ class TestLowerRateConstant:
         # instead solve directly: B[S]^T D[S] = -2 I  =>  sigma_min = 3
         DS = D.data[:, cols]
         B[:, cols] = -2.0 * DS @ np.linalg.inv(DS.T @ DS)
-        c = lower_rate_constant(BlockDictionary(B, n=4, d=2), D, [0, 1])
+        c = lower_rate_constant([BlockDictionary(B, n=4, d=2)], D, [0, 1])
         assert c == pytest.approx(np.log(3.0) - np.log(3.0), abs=1e-10)
 
     def test_singular_restriction_sentinel(self, rng):
@@ -221,18 +221,18 @@ class TestLowerRateConstant:
         DS = D.data[:, cols]
         B = np.zeros((8, 8))
         B[:, cols] = DS @ np.linalg.inv(DS.T @ DS)
-        c = lower_rate_constant(BlockDictionary(B, n=4, d=2), D, [0, 1])
+        c = lower_rate_constant([BlockDictionary(B, n=4, d=2)], D, [0, 1])
         assert c == np.inf
 
     def test_analytic_weights_give_positive_constant(self):
         D, B, X, Y = compliant_instance()
-        c = lower_rate_constant(B, D, [0, 1])
+        c = lower_rate_constant([B], D, [0, 1])
         assert np.isfinite(c) and c > 0
 
     def test_needs_two_blocks(self, rng):
         D = random_orthonormal_block_dictionary(8, 4, 2, rng)
         with pytest.raises(ValueError):
-            lower_rate_constant(D, D, [0])
+            lower_rate_constant([D], D, [0])
 
 
 class TestConstantsAndReport:

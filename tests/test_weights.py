@@ -9,7 +9,6 @@ from blockunfold.blockcore import (
     mutual_coherence,
 )
 from blockunfold.weights import (
-    WeightMethod,
     circulant,
     circulant_dual_kernel,
     circulant_weights_fft,
