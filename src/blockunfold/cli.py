@@ -39,6 +39,7 @@ from .datagen import (
     gen_signal_batch,
     load_dataset,
     load_split,
+    noise_sigma,
     save_dataset,
 )
 from .solvers import alamp_run, bista_run, default_step_size, fast_bista_run
@@ -65,16 +66,13 @@ from .verify import (
     support_violation_layers,
     write_verify_csv,
 )
-from .weights import (
-    circulant_weights_fft,
-    closed_form_weights,
-    kkt_weights,
-    svd_weights_d1,
-)
+from .weights import circulant_weights_fft, closed_form_weights
 
 log = logging.getLogger("blockunfold")
 
-_CLI_METHODS = ("kkt", "closed_form", "svd_d1", "circulant_fft")
+# The CLI solves for the weights at d = 1, where kkt_weights and
+# svd_weights_d1 give closed_form's matrix; they stay library functions.
+_CLI_METHODS = ("closed_form", "circulant_fft")
 
 
 @dataclass
@@ -110,50 +108,58 @@ class ExperimentConfig:
 
 def read_config(path: str | Path | None) -> ExperimentConfig:
     """The experiment of a config file; a missing key, or no file at all,
-    takes its default."""
+    takes its default; a key it does not read raises ValueError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if path is not None:
         if not Path(path).exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        parser.read(path, encoding="utf-8")
+        try:
+            parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
+    # each key is taken out as it is read; whatever is left is unknown
+    unread = {section: dict(parser[section]) for section in parser.sections()}
 
-    sc = parser["scenario"] if parser.has_section("scenario") else {}
+    def get(section: str, key: str, parse, default):
+        text = unread.get(section, {}).pop(key, None)
+        return default if text is None else parse(text)
+
     scenario = ScenarioConfig(
-        scenario=Scenario(sc.get("kind", "gaussian")),
-        m=int(sc.get("m", 16)),
-        n=int(sc.get("n", 64)),
-        d=int(sc.get("d", 5)),
-        pnz=float(sc.get("pnz", 0.1)),
-        snr_db=float(sc.get("snr_db", "inf")),
-        rank=int(sc["rank"]) if "rank" in sc else None,
-        seed=int(sc.get("seed", 1)),
+        scenario=get("scenario", "kind", Scenario, Scenario.GAUSSIAN),
+        m=get("scenario", "m", int, 16),
+        n=get("scenario", "n", int, 64),
+        d=get("scenario", "d", int, 5),
+        pnz=get("scenario", "pnz", float, 0.1),
+        snr_db=get("scenario", "snr_db", float, float("inf")),
+        rank=get("scenario", "rank", int, None),
+        seed=get("scenario", "seed", int, 1),
     )
-    nw = parser["network"] if parser.has_section("network") else {}
-    wt = parser["weights"] if parser.has_section("weights") else {}
-    tr = parser["training"] if parser.has_section("training") else {}
-    ev = parser["eval"] if parser.has_section("eval") else {}
+    splits = dict(
+        n_train=get("scenario", "n_train", int, 1000),
+        n_validation=get("scenario", "n_validation", int, 250),
+        n_test=get("scenario", "n_test", int, 500),
+    )
     train = TrainConfig(
-        learning_rate=float(tr.get("learning_rate", 1e-3)),
-        patience_iters=int(tr.get("patience", 5000)),
-        tol=float(tr.get("tol", 1e-5)),
-        n_train=int(sc.get("n_train", 1000)),
-        n_validation=int(sc.get("n_validation", 250)),
-        batch_size=int(tr.get("batch_size", 250)),
-        max_iters_per_layer=int(tr.get("max_iters_per_layer", 50_000)),
+        learning_rate=get("training", "learning_rate", float, 1e-3),
+        patience_iters=get("training", "patience", int, 5000),
+        tol=get("training", "tol", float, 1e-5),
+        n_train=splits["n_train"],
+        n_validation=splits["n_validation"],
+        batch_size=get("training", "batch_size", int, 250),
+        max_iters_per_layer=get("training", "max_iters_per_layer", int, 50_000),
         seed=scenario.seed,
-        eval_every=int(tr.get("eval_every", 10)),
+        eval_every=get("training", "eval_every", int, 10),
     )
-    return ExperimentConfig(
-        scenario=scenario,
-        n_train=int(sc.get("n_train", 1000)),
-        n_validation=int(sc.get("n_validation", 250)),
-        n_test=int(sc.get("n_test", 500)),
-        variant=NetworkVariant(nw.get("variant", "albista")),
-        depth=int(nw.get("depth", 16)),
-        weights_method=wt.get("method", "closed_form"),
-        train=train,
-        bista_alpha=float(ev.get("bista_alpha", 1.0)),
+    network = dict(
+        variant=get("network", "variant", NetworkVariant, NetworkVariant.ALBISTA),
+        depth=get("network", "depth", int, 16),
+        weights_method=get("weights", "method", str, "closed_form"),
+        bista_alpha=get("eval", "bista_alpha", float, 1.0),
     )
+    for section, keys in unread.items():
+        if keys:
+            raise ValueError(f"{path}: unknown key {min(keys)!r} in [{section}]")
+    return ExperimentConfig(scenario=scenario, train=train, **splits, **network)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -207,12 +213,7 @@ def _compute_base_weights(cfg: ExperimentConfig, problem: ProblemData):
     method = cfg.weights_method
     if method == "circulant_fft":
         return circulant_weights_fft(problem.kernel)
-    K_dict = BlockDictionary(problem.K, n=problem.K.shape[1], d=1)
-    if method == "kkt":
-        return kkt_weights(K_dict)
-    if method == "svd_d1":
-        return svd_weights_d1(problem.K)
-    return closed_form_weights(K_dict)
+    return closed_form_weights(BlockDictionary(problem.K, n=problem.K.shape[1], d=1))
 
 
 def cmd_weights(cfg: ExperimentConfig) -> int:
@@ -335,6 +336,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     D = problem.D
     n, d = D.n, D.d
     B_dict = BlockDictionary(lifted_B, n=n, d=d)
+    sigma = noise_sigma(problem.cfg)
     notes = []
     failures = []
 
@@ -343,7 +345,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         params = load_checkpoint(ckpt)
         fp = forward(params, Y_test)
         try:
-            constants = measure_constants(params, fp, X_test)
+            constants = measure_constants(params, fp, X_test, sigma)
         except ValueError as exc:
             print(f"error: cannot verify {ckpt}: {exc}", file=sys.stderr)
             return 2
@@ -361,7 +363,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         s_obs = max(int(block_counts.max()), 1)
         mu_obs = d * cross_block_coherence(B_dict, D)
         gamma = min(1.0, 0.9 * step_size_limit(mu_obs, s_obs))
-        params, constants = calibrated_network(D, B_dict, gamma, cfg.depth, X_test, Y_test)
+        params, constants = calibrated_network(D, B_dict, gamma, cfg.depth, X_test, Y_test, sigma)
         fp = forward(params, Y_test)
         kappa, min_ratio = 1.0, 1.0
         ratios = np.ones(cfg.depth)
@@ -452,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("BLOCKUNFOLD_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    cfg = read_config(args.config)
-    cfg = _apply_overrides(cfg, args)
     commands = {
         "gen": cmd_gen,
         "weights": cmd_weights,
@@ -462,9 +462,11 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "all": cmd_all,
     }
+    # missing files and malformed configs or data files are input errors
     try:
+        cfg = _apply_overrides(read_config(args.config), args)
         return commands[args.command](cfg)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,8 @@ __all__ = [
     "eta_trace",
 ]
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def _block_view(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
@@ -35,8 +37,16 @@ def _block_view(Z: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 def _block_norms(Zb: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every block of a ``(..., n, d)`` view, as ``(..., n, 1)``."""
-    return np.sqrt(np.einsum("...i,...i->...", Zb, Zb))[..., None]
+    """Euclidean norm of every block of a ``(..., n, d)`` view, as ``(..., n, 1)``:
+    ``sqrt`` of the summed squares, or the max-scaled norm where that sum is
+    subnormal and has lost bits (``sqrt`` of 2.2e-162 squared exceeds 2.2e-162)."""
+    squares = np.einsum("...i,...i->...", Zb, Zb)[..., None]
+    norms = np.sqrt(squares)
+    if squares.min(initial=np.inf) < _TINY:
+        subnormal = (squares > 0) & (squares < _TINY)
+        if subnormal.any():
+            norms[subnormal] = _scaled_block_norms(Zb)[subnormal]
+    return norms
 
 
 def _scaled_block_norms(Zb: np.ndarray) -> np.ndarray:

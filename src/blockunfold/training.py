@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .blockcore import _as_batch
-from .unfolding import NetworkParams, NetworkVariant, backward, forward, stage_arrays
+from .unfolding import ForwardPass, NetworkParams, NetworkVariant, backward, forward, stage_arrays
 
 __all__ = [
     "TrainConfig",
@@ -210,12 +210,6 @@ _LOCAL_STAGE = {
 }
 
 
-def _step_term(params: NetworkParams, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Albista's gradient term ``B^T (D x - y)`` for every row of X and Y."""
-    # albista's fixed B is one matrix shared by every layer
-    return (X @ params.dictionary.T - Y) @ params.B[0]
-
-
 def layerwise_train(
     params0: NetworkParams, data: TrainData, cfg: TrainConfig
 ) -> tuple[NetworkParams, TrainHistory]:
@@ -225,10 +219,11 @@ def layerwise_train(
     A layer that never improves within its step budget is frozen at its
     best observed state and training advances with a warning.
 
-    Layer k only sees the frozen prefix through its output x{k-1}.  For
-    albista, whose B is fixed, the layer's gradient term
-    ``B^T (D x{k-1} - y)`` is therefore computed once per layer for the
-    train and validation sets, and every step of the stage is elementwise.
+    Every step, validation check and prefix update of stage k runs one
+    forward pass from a cached state per sample: the frozen prefix's output
+    x{k-1} where the stage acts only inside layer k, else x{0} = 0 and the
+    whole unroll.  For albista, whose B is fixed, the gradient term
+    ``B^T (D x{k-1} - y)`` is also cached, so every step is elementwise.
     """
     if data.X_train.shape[0] < 1 or data.X_val.shape[0] < 1:
         raise ValueError("training and validation sets must be nonempty")
@@ -238,32 +233,34 @@ def layerwise_train(
     n_train = data.X_train.shape[0]
     global_step = 0
     local = params.variant in _LOCAL_STAGE
-    prefix_train = np.zeros((n_train, params.n_x)) if local else None
-    prefix_val = np.zeros((data.X_val.shape[0], params.n_x)) if local else None
-    cached_step = params.variant is NetworkVariant.ALBISTA
-    step_train = step_val = None
+    # train and validation measurements, each row's cached state and, for
+    # albista, its gradient term
+    Ys = (data.Y_train, data.Y_val)
+    prefixes = [np.zeros((Y.shape[0], params.n_x)) for Y in Ys]
+    steps = [None, None]
 
     for layer in range(1, params.depth + 1):
         kidx = layer - 1
+        start = kidx if local else 0
         trained = stage_arrays(params, kidx)
         state = AdamState()
-        if cached_step:
-            step_train = _step_term(params, prefix_train, data.Y_train)
-            step_val = _step_term(params, prefix_val, data.Y_val)
+        if params.variant is NetworkVariant.ALBISTA:
+            # B^T (D x - y) per row; albista's one fixed B serves every layer
+            steps = [(X @ params.dictionary.T - Y) @ params.B[0] for X, Y in zip(prefixes, Ys)]
+
+        def run(split: int, rows=slice(None)) -> ForwardPass:
+            step = steps[split]
+            return forward(
+                params,
+                Ys[split][rows],
+                depth=layer,
+                start=start,
+                x_init=prefixes[split][rows],
+                step_init=None if step is None else step[rows],
+            )
 
         def val_metric() -> float:
-            if local:
-                fp = forward(
-                    params,
-                    data.Y_val,
-                    depth=layer,
-                    start=kidx,
-                    x_init=prefix_val,
-                    step_init=step_val,
-                )
-            else:
-                fp = forward(params, data.Y_val, depth=layer)
-            return float(batch_nmse_ratios(fp.iterates[-1], data.X_val).max())
+            return float(batch_nmse_ratios(run(1).iterates[-1], data.X_val).max())
 
         best_metric = val_metric()
         best_snapshot = {name: value.copy() for name, value in trained.items()}
@@ -275,17 +272,7 @@ def layerwise_train(
         while steps_in_layer < cfg.max_iters_per_layer and patience < cfg.patience_iters:
             idx = rng.integers(0, n_train, size=cfg.batch_size)
             X_batch = data.X_train[idx]
-            if local:
-                fp = forward(
-                    params,
-                    data.Y_train[idx],
-                    depth=layer,
-                    start=kidx,
-                    x_init=prefix_train[idx],
-                    step_init=None if step_train is None else step_train[idx],
-                )
-            else:
-                fp = forward(params, data.Y_train[idx], depth=layer)
+            fp = run(0, idx)
             grads = backward(params, fp, X_batch)
             loss = empirical_risk(fp.iterates[-1], X_batch)
             adam_step(trained, stage_arrays(grads, kidx), state, cfg.learning_rate, kidx)
@@ -314,22 +301,7 @@ def layerwise_train(
                 stacklevel=2,
             )
         if local:
-            prefix_train = forward(
-                params,
-                data.Y_train,
-                depth=layer,
-                start=kidx,
-                x_init=prefix_train,
-                step_init=step_train,
-            ).iterates[-1]
-            prefix_val = forward(
-                params,
-                data.Y_val,
-                depth=layer,
-                start=kidx,
-                x_init=prefix_val,
-                step_init=step_val,
-            ).iterates[-1]
+            prefixes = [run(split).iterates[-1] for split in (0, 1)]
         history.layer_boundaries.append(global_step)
         history.frozen_val_db.append(_ratio_db(best_metric))
     return params, history

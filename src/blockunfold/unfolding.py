@@ -290,10 +290,11 @@ def forward(
 class Gradients:
     """Gradients in the layout of :class:`NetworkParams`.
 
-    A field the variant does not train is None.  The tied variants hold
-    one shared matrix accumulator K times, which sums every layer's
-    contribution; :func:`stage_arrays` selects a stage's gradients as it
-    selects its parameters.
+    A field the variant does not train is None, and so is the matrix of a
+    layer the pass did not execute.  The tied variants hold one shared
+    matrix accumulator K times, which sums every layer's contribution;
+    :func:`stage_arrays` selects a stage's gradients as it selects its
+    parameters.
     """
 
     variant: NetworkVariant
@@ -307,9 +308,10 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     """Gradients of the batch-mean squared loss 1/S sum_j 1/2 ||x{K}_j - x*_j||^2
     with respect to the variant's parameters.
 
-    For a resumed pass (``fp.start > 0``) gradients cover the executed
-    layers only, which is exact for variants whose stage parameters do not
-    reach into the frozen prefix.
+    Gradients cover the layers the pass executed; the others get zero
+    scalars and, untied, no matrices.  For a resumed pass (``fp.start > 0``)
+    this is exact for variants whose stage parameters do not reach into the
+    frozen prefix.
     """
     v = params.variant
     n, d = params.n, params.d
@@ -319,13 +321,20 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     if X_star.shape[0] != batch:
         raise ValueError("X_star batch size does not match the forward pass")
 
+    executed = range(fp.start, fp.start + fp.depth)
+
+    def accumulators(layers: list[np.ndarray]) -> list[np.ndarray | None]:
+        # one zero matrix per distinct matrix of the executed layers
+        zeros = {id(layers[k]): np.zeros_like(layers[k]) for k in executed}
+        return [zeros.get(id(M)) for M in layers]
+
     grads = Gradients(variant=v, alphas=np.zeros(params.depth))
     if v in _TRAINED_GAMMAS:
         grads.gammas = np.zeros(params.depth)
     if v not in _CP_FORM:
-        grads.S = _map_layers(np.zeros_like, params.S)
+        grads.S = accumulators(params.S)
     if v is not NetworkVariant.ALBISTA:
-        grads.B = _map_layers(np.zeros_like, params.B)
+        grads.B = accumulators(params.B)
 
     G = (fp.iterates[-1] - X_star) / batch
     for j in reversed(range(fp.depth)):
@@ -366,47 +375,37 @@ def init_from_bista(
     The step size is 1/(1.01 ||D||_2^2) and every layer's threshold is
     alpha times that step (the threshold the classical iteration actually
     applies).  The gain matrices start from ``B_analytic`` when given and
-    from D itself otherwise; at this initialization the tied variants
-    reproduce the classical trajectory exactly when ``B_analytic`` is None.
+    from D itself otherwise: the gradient-step variants take that base as
+    B, the others B = step * base and S = I - B^T D.  The untied variants
+    get ``depth`` copies of each matrix, the tied ones one shared copy.  At
+    this initialization the tied variants reproduce the classical
+    trajectory exactly when ``B_analytic`` is None.
     """
+    if not isinstance(variant, NetworkVariant):
+        raise ValueError(f"unknown variant {variant}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     gamma0 = default_step_size(D)
     base = D.data if B_analytic is None else np.asarray(B_analytic, dtype=np.float64)
     if base.shape != D.data.shape:
         raise ValueError(f"B_analytic has shape {base.shape}, expected {D.data.shape}")
-    alphas = np.full(depth, alpha * gamma0)
-    common = dict(
-        n=D.n, d=D.d, depth=depth, dictionary=D.data.copy(), alphas=alphas
+    if variant is NetworkVariant.ALBISTA and B_analytic is None:
+        raise ValueError("albista needs a precomputed analytical weight matrix")
+    gammas, S, B = np.full(depth, gamma0), None, base
+    if variant not in _CP_FORM:
+        gammas, B = None, gamma0 * base
+        S = np.eye(D.n_x) - B.T @ D.data
+
+    def layers(M: np.ndarray) -> list[np.ndarray]:
+        if variant in _UNTIED:
+            return [M.copy() for _ in range(depth)]
+        return [M.copy()] * depth
+
+    return NetworkParams(
+        variant=variant, n=D.n, d=D.d, depth=depth, dictionary=D.data.copy(),
+        alphas=np.full(depth, alpha * gamma0), gammas=gammas,
+        S=None if S is None else layers(S), B=layers(B),
     )
-    if variant is NetworkVariant.TIED_LBISTA:
-        B = gamma0 * base
-        S = np.eye(D.n_x) - B.T @ D.data
-        return NetworkParams(variant=variant, S=[S] * depth, B=[B] * depth, **common)
-    if variant is NetworkVariant.UNTIED_LBISTA:
-        B = gamma0 * base
-        S = np.eye(D.n_x) - B.T @ D.data
-        return NetworkParams(
-            variant=variant,
-            S=[S.copy() for _ in range(depth)],
-            B=[B.copy() for _ in range(depth)],
-            **common,
-        )
-    gammas = np.full(depth, gamma0)
-    if variant is NetworkVariant.TIED_LBISTA_CP:
-        return NetworkParams(variant=variant, B=[base.copy()] * depth, gammas=gammas, **common)
-    if variant is NetworkVariant.UNTIED_LBISTA_CP:
-        return NetworkParams(
-            variant=variant,
-            B=[base.copy() for _ in range(depth)],
-            gammas=gammas,
-            **common,
-        )
-    if variant is NetworkVariant.ALBISTA:
-        if B_analytic is None:
-            raise ValueError("albista needs a precomputed analytical weight matrix")
-        return NetworkParams(variant=variant, B=[base.copy()] * depth, gammas=gammas, **common)
-    raise ValueError(f"unknown variant {variant}")
 
 
 # ---------------------------------------------------------------------------

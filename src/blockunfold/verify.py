@@ -36,8 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .blockcore import BlockDictionary, _as_batch, cross_block_coherence
-from .operators import eta
-from .unfolding import ForwardPass, NetworkParams, NetworkVariant
+# unused here; kept for benchmark/tests/test_harness.py's rebinding check
+from .operators import eta  # noqa: F401
+from .unfolding import ForwardPass, NetworkParams, NetworkVariant, forward
 
 __all__ = [
     "BoundConstants",
@@ -71,7 +72,6 @@ class BoundConstants:
     sigma: float
     s: int
     M: float
-    kappa: float | None = None
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,6 @@ def max_weight_block_norm(B: BlockDictionary) -> float:
 
 def _l21_rows(X: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.linalg.norm(X.reshape(X.shape[0], n, d), axis=2).sum(axis=1)
-
-
-def _sparsity_and_peak(X_star: np.ndarray, n: int, d: int) -> tuple[int, float]:
-    """Largest block support and largest block norm over the rows of X_star."""
-    norms = np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2)
-    return int(np.count_nonzero(norms > 0, axis=1).max()), float(norms.max())
 
 
 def measure_constants(
@@ -132,7 +126,8 @@ def measure_constants(
     C_X = np.array(
         [float(_l21_rows(Xk - X_star, n, d).max()) for Xk in fp.iterates]
     )
-    s_obs, M = _sparsity_and_peak(X_star, n, d)
+    norms = np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2)
+    s_obs, M = int(np.count_nonzero(norms > 0, axis=1).max()), float(norms.max())
     return BoundConstants(
         mu_tilde_b=mu_tilde,
         mu=d * mu_tilde,
@@ -313,48 +308,30 @@ def calibrated_network(
 ) -> tuple[NetworkParams, BoundConstants]:
     """Fixed-weight network with thresholds at the compliant lower edge.
 
-    Builds layer by layer: a{k} = gamma * mu * C_X{k} + C * sigma with
-    C_X{k} measured on the supplied signals, which realizes the threshold
-    condition with kappa = 1 on that set.  Returns the network and the
-    measured constants.
+    Builds layer by layer: a{k} = gamma * mu * C_X{k} + C * sigma, with
+    C_X{k} measured on the supplied signals after the layers before k, which
+    realizes the threshold condition with kappa = 1 on that set.  Returns
+    the network and its :func:`measure_constants` on those signals.
     """
     n, d = D.n, D.d
-    mu_tilde = cross_block_coherence(B, D)
-    mu = d * mu_tilde
+    mu = d * cross_block_coherence(B, D)
     C = abs(gamma) * max_weight_block_norm(B)
     X_star = _as_batch(X_star, D.n_x, "X_star")
-    Y = _as_batch(Y, D.n_y, "Y")
-    X = np.zeros_like(X_star)
-    alphas = np.empty(depth)
-    C_X = np.empty(depth + 1)
-    for k in range(depth):
-        C_X[k] = float(_l21_rows(X - X_star, n, d).max())
-        alphas[k] = gamma * mu * C_X[k] + C * sigma
-        Z = X - gamma * ((X @ D.data.T - Y) @ B.data)
-        X = eta(Z, alphas[k], n, d)
-    C_X[depth] = float(_l21_rows(X - X_star, n, d).max())
     params = NetworkParams(
         variant=NetworkVariant.ALBISTA,
         n=n,
         d=d,
         depth=depth,
         dictionary=D.data.copy(),
-        alphas=alphas,
+        alphas=np.zeros(depth),
         gammas=np.full(depth, gamma),
         B=[B.data.copy()] * depth,
     )
-    s_obs, M = _sparsity_and_peak(X_star, n, d)
-    constants = BoundConstants(
-        mu_tilde_b=mu_tilde,
-        mu=mu,
-        C=C,
-        C_X=C_X,
-        sigma=sigma,
-        s=s_obs if s is None else s,
-        M=M,
-        kappa=1.0,
-    )
-    return params, constants
+    X = np.zeros_like(X_star)
+    for k in range(depth):
+        params.alphas[k] = gamma * mu * float(_l21_rows(X - X_star, n, d).max()) + C * sigma
+        X = forward(params, Y, depth=k + 1, start=k, x_init=X).iterates[-1]
+    return params, measure_constants(params, forward(params, Y), X_star, sigma, s)
 
 
 def write_verify_csv(

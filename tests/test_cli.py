@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from blockunfold import solvers
+from blockunfold import cli, solvers, verify
 from blockunfold.cli import main, read_config
-from blockunfold.datagen import Scenario
+from blockunfold.datagen import Scenario, noise_sigma
 from blockunfold.unfolding import NetworkVariant
 
 REPO = Path(__file__).resolve().parents[1]
@@ -221,6 +221,26 @@ class TestVerifyCommand:
         report = (out / "verify.csv").read_text()
         assert "containment=True bound=True" in report
 
+    def test_both_routes_use_the_measurement_noise(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, CIRCULANT_CFG)
+        out = tmp_path / "run"
+        sigmas = []
+
+        def recording(measure):
+            def wrapper(params, fp, X_star, sigma=0.0, s=None):
+                sigmas.append(sigma)
+                return measure(params, fp, X_star, sigma, s)
+            return wrapper
+
+        # the calibrated route measures through verify, the checkpoint route
+        # through the CLI's own binding
+        monkeypatch.setattr(verify, "measure_constants", recording(verify.measure_constants))
+        monkeypatch.setattr(cli, "measure_constants", recording(cli.measure_constants))
+        for command in ("gen", "weights", "verify", "train", "verify"):
+            main([command, "--config", cfg, "--out", str(out)])
+        expected = noise_sigma(read_config(cfg).scenario)
+        assert expected > 0
+        assert sigmas == [expected, expected]
 
     @pytest.mark.parametrize(
         "variant, message",
@@ -272,12 +292,53 @@ class TestErrors:
             read_config(cfg)
 
     def test_unknown_method_rejected(self, tmp_path):
-        # kronecker was closed_form under another name and is gone
-        for method in ("magic", "kronecker"):
+        # kronecker was closed_form under another name and is gone; at the
+        # CLI's d = 1, kkt and svd_d1 give closed_form's matrix too
+        for method in ("magic", "kronecker", "kkt", "svd_d1"):
             bad = TINY_CFG.replace("method = closed_form", f"method = {method}")
             cfg = write_cfg(tmp_path, bad)
             with pytest.raises(ValueError, match=f"unknown weights method '{method}'"):
                 read_config(cfg)
+
+    def _single_error(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_missing_config_is_an_error_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        err = self._single_error(capsys, ["gen", "--config", missing, "--out", str(tmp_path)])
+        assert "missing.cfg" in err
+
+    def test_malformed_data_file_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / "K.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "abc" + lines[2][lines[2].index(" "):]
+        path.write_text("".join(lines))
+        err = self._single_error(capsys, ["weights", "--config", cfg, "--out", str(out)])
+        assert "K.txt:3: could not convert string to float" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("learning_rate", "learning_rat", "unknown key 'learning_rat' in [training]"),
+            ("[eval]", "[evaluation]", "unknown key 'bista_alpha' in [evaluation]"),
+            ("[scenario]", "scenario", "File contains no section headers."),
+        ],
+        ids=["misspelled_key", "misspelled_section", "no_section_header"],
+    )
+    def test_bad_config_is_an_error_line(self, tmp_path, capsys, old, new, message):
+        cfg = write_cfg(tmp_path, (TINY_CFG + "\n[eval]\nbista_alpha = 1.0\n").replace(old, new))
+        with pytest.raises(ValueError) as info:
+            read_config(cfg)
+        assert message in str(info.value)
+        err = self._single_error(capsys, ["gen", "--config", cfg, "--out", str(tmp_path)])
+        assert message in err
 
 
 class TestSplitLoading:
@@ -331,6 +392,16 @@ class TestTracedPipeline:
 class TestShippedConfigs:
     # scripts/gaussian.cfg is checked against criterion 08's instance in
     # tests/test_acceptance.py
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(REPO.glob("scripts/*.cfg")) + sorted(REPO.glob("benchmark/configs/*.cfg")),
+        ids=lambda p: p.name,
+    )
+    def test_every_shipped_config_reads(self, path):
+        # read_config rejects keys it does not read; no shipped experiment
+        # or benchmark workload may hold one
+        read_config(path)
 
     def test_circulant_cfg(self):
         cfg = read_config(REPO / "scripts" / "circulant.cfg")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -120,6 +120,7 @@ class TestThresholdJacobian:
             assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) < 1e-5
 
     @given(case=off_kink_cases())
+    @example(case=(np.full(2, 2.0), 1.0, np.full(2, 2.22507386e-308), np.array([1e-8, 0.0]), 1, 2))
     @settings(max_examples=200, deadline=None)
     def test_vjp_is_jvp(self, case):
         # the Jacobian is symmetric, so eta_jvp also serves as the
@@ -127,8 +128,10 @@ class TestThresholdJacobian:
         z, alpha, u, v, n, d = case
         left = float(eta_jvp(z, alpha, u, n, d) @ v)
         right = float(u @ eta_jvp(z, alpha, v, n, d))
-        scale = np.linalg.norm(u) * np.linalg.norm(v)
-        assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), scale)
+        scale = max(abs(left), abs(right), np.linalg.norm(u) * np.linalg.norm(v))
+        # relative 1e-12, but at least one unit in the last place: in the
+        # example the products are subnormal (2.2e-316), spaced 4.9e-324 apart
+        assert abs(left - right) <= max(1e-12 * scale, np.spacing(scale))
 
     def test_dalpha_direction(self, rng):
         out = eta_dalpha(np.array([3.0, 4.0, 0.1, 0.0]), 1.0, 2, 2)
@@ -197,7 +200,13 @@ def oracle_norms(Zb, alpha):
     # norm underflows, so the derivatives need its true norm there
     if alpha == 0:
         return true_block_norms(Zb)[..., None]
-    return np.linalg.norm(Zb, axis=-1, keepdims=True)
+    # otherwise the kernels' block norm: the true norm where the squared
+    # norm is subnormal and has lost bits, np.linalg.norm everywhere else
+    squares = (Zb * Zb).sum(axis=-1, keepdims=True)
+    subnormal = (squares > 0) & (squares < np.finfo(np.float64).tiny)
+    return np.where(
+        subnormal, true_block_norms(Zb)[..., None], np.linalg.norm(Zb, axis=-1, keepdims=True)
+    )
 
 
 def eta_jvp_oracle(Z, alpha, V, n, d):
@@ -250,8 +259,16 @@ def threshold_cases(draw):
     return Zb.reshape(batch, n * d), V, alpha, n, d
 
 
+def kink_case(alpha):
+    """One d = 1 block on the kink, z = alpha; its squared norm is subnormal
+    for the alphas below, and sqrt of it lands just above alpha."""
+    return np.array([[alpha]]), np.array([[1.0]]), alpha, 1, 1
+
+
 class TestKernelsAgainstOracle:
     @given(case=threshold_cases())
+    @example(case=kink_case(2.2084486924263783e-162))
+    @example(case=kink_case(2.8794e-161))
     @settings(max_examples=300, deadline=None)
     def test_match_oracle_and_zero_side_at_kink(self, case):
         Z, V, alpha, n, d = case

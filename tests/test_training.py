@@ -363,6 +363,40 @@ class TestLayerwiseTraining:
             for a, b in zip(history.layer_boundaries, history.layer_boundaries[1:])
         )
 
+    @pytest.mark.parametrize(
+        "variant",
+        [NetworkVariant.UNTIED_LBISTA, NetworkVariant.UNTIED_LBISTA_CP, NetworkVariant.ALBISTA],
+        ids=lambda v: v.value,
+    )
+    def test_cached_prefix_matches_full_unroll(self, rng, monkeypatch, variant):
+        # with no variant in _LOCAL_STAGE every stage re-runs the whole
+        # unroll from x{0} = 0, as the tied variants do
+        D, data = toy_data(rng, n_train=60)
+        B_an = D.data + 0.1 * rng.standard_normal(D.data.shape)
+        params = init_from_bista(variant, D, 3, B_analytic=B_an)
+        cfg = TrainConfig(
+            learning_rate=0.02,
+            patience_iters=4,
+            n_train=60,
+            n_validation=16,
+            batch_size=12,
+            max_iters_per_layer=60,
+            seed=9,
+            eval_every=5,
+        )
+        cached, h_cached = layerwise_train(params, data, cfg)
+        monkeypatch.setattr(training, "_LOCAL_STAGE", set())
+        ref, h_ref = layerwise_train(params, data, cfg)
+        assert h_cached.steps == h_ref.steps
+        assert h_cached.layer_boundaries == h_ref.layer_boundaries
+        np.testing.assert_allclose(h_cached.train_losses, h_ref.train_losses, rtol=1e-10)
+        for k in range(3):
+            want = stage_arrays(ref, k)
+            for name, value in stage_arrays(cached, k).items():
+                np.testing.assert_allclose(
+                    value, want[name], rtol=1e-10, atol=1e-12, err_msg=f"{name} of layer {k}"
+                )
+
     def test_cached_step_matches_uncached_reference(self, rng, monkeypatch):
         D, data = toy_data(rng, n_train=60)
         B_an = D.data + 0.1 * rng.standard_normal(D.data.shape)

@@ -245,6 +245,25 @@ class TestBackward:
         assert g_tail.gammas[2] == pytest.approx(g_full.gammas[2], rel=1e-12)
 
 
+    @pytest.mark.parametrize("variant", _UNTIED_VARIANTS, ids=lambda v: v.value)
+    def test_matrices_only_for_executed_layers(self, rng, variant):
+        D, x_star, y = make_problem(rng)
+        params = perturbed_init(variant, D, 5, rng)
+        Y = np.stack([y, 0.7 * y])
+        Xs = np.stack([x_star, 0.7 * x_star])
+        full = backward(params, forward(params, Y, depth=3), Xs)
+        head = forward(params, Y, depth=2)
+        stage = backward(params, forward(params, Y, depth=3, start=2, x_init=head.iterates[-1]), Xs)
+        for grads, executed in ((full, [0, 1, 2]), (stage, [2])):
+            for layers in (grads.S, grads.B):
+                if layers is not None:
+                    assert [k for k, M in enumerate(layers) if M is not None] == executed
+        for name, value in stage_arrays(stage, 2).items():
+            np.testing.assert_allclose(
+                value, stage_arrays(full, 2)[name], rtol=1e-12, atol=1e-12, err_msg=name
+            )
+
+
 class TestCachedStep:
     """``step_init`` carries albista's B^T (D x - y) for the first executed layer."""
 

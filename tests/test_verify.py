@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import BlockDictionary
+from blockunfold.blockcore import BlockDictionary, cross_block_coherence
 from blockunfold.datagen import (
     Scenario,
     ScenarioConfig,
     build_problem,
     sample_signal_class,
 )
+from blockunfold.operators import eta
 from blockunfold.unfolding import NetworkVariant, NetworkParams, forward
 from blockunfold.verify import (
     BoundConstants,
@@ -39,6 +40,27 @@ def compliant_instance(m=28, n=32, d=2, s=2, seed=0, count=200):
     X, Y = sample_signal_class(cfg, problem.D, s=s, count=count)
     keep = np.linalg.norm(X, axis=1) > 0
     return problem.D, w.B, X[keep], Y[keep]
+
+
+def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
+    """Edge calibration as its own recursion: each threshold from the
+    measured l2,1 error, then one fixed-weight gradient step and threshold.
+    Returns the thresholds and the errors C_X{0..depth}."""
+    n, d = D.n, D.d
+    mu = d * cross_block_coherence(B, D)
+    C = abs(gamma) * max_weight_block_norm(B)
+
+    def worst_l21_error(X):
+        return np.linalg.norm((X - X_star).reshape(X.shape[0], n, d), axis=2).sum(axis=1).max()
+
+    X = np.zeros_like(X_star)
+    alphas, C_X = np.empty(depth), np.empty(depth + 1)
+    for k in range(depth):
+        C_X[k] = worst_l21_error(X)
+        alphas[k] = gamma * mu * C_X[k] + C * sigma
+        X = eta(X - gamma * ((X @ D.data.T - Y) @ B.data), alphas[k], n, d)
+    C_X[depth] = worst_l21_error(X)
+    return alphas, C_X
 
 
 class TestSupportContainment:
@@ -236,6 +258,15 @@ class TestLowerRateConstant:
 
 
 class TestConstantsAndReport:
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_calibration_matches_reference_recursion(self, sigma):
+        D, B, X, Y = compliant_instance(count=50)
+        params, constants = calibrated_network(D, B, 0.9, 5, X, Y, sigma=sigma, s=2)
+        alphas, C_X = calibrated_reference(D, B, 0.9, 5, X, Y, sigma)
+        np.testing.assert_array_equal(params.alphas, alphas)
+        np.testing.assert_array_equal(constants.C_X, C_X)
+        assert (constants.sigma, constants.s) == (sigma, 2)
+
     def test_measured_constants(self):
         D, B, X, Y = compliant_instance(count=50)
         params, _ = calibrated_network(D, B, 1.0, 4, X, Y, s=2)
