@@ -103,11 +103,15 @@ class BlockDictionary:
         return self.data[:, i * self.d : (i + 1) * self.d]
 
     def max_block_gram_residual(self) -> float:
-        eye = np.eye(self.d)
-        return max(
-            float(np.linalg.norm(self.block(i).T @ self.block(i) - eye))
-            for i in range(self.n)
-        )
+        return float(_block_gram_residuals(self.data, self.data, self.n, self.d).max())
+
+
+def _block_gram_residuals(X: np.ndarray, Y: np.ndarray, n: int, d: int) -> np.ndarray:
+    """``||X[i]^T Y[i] - I_d||_F`` for each of the ``n`` column blocks of two
+    ``n_y x (n*d)`` matrices, as one batched product of the block stacks."""
+    Xb = X.reshape(-1, n, d).transpose(1, 2, 0)
+    Yb = Y.reshape(-1, n, d).transpose(1, 0, 2)
+    return np.linalg.norm(np.matmul(Xb, Yb) - np.eye(d), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +156,13 @@ def cross_block_coherence(B: BlockDictionary, D: BlockDictionary) -> float:
         raise ValueError("B and D must share shape and block structure")
     if D.n < 2:
         raise ValueError("cross block coherence needs at least 2 blocks")
-    G = B.data.T @ D.data
-    eye = np.eye(D.d)
-    for i in range(D.n):
-        resid = float(np.linalg.norm(G[i * D.d : (i + 1) * D.d, i * D.d : (i + 1) * D.d] - eye))
-        if resid > FEASIBILITY_TOL:
-            raise ValueError(
-                f"B is infeasible at block {i}: ||B[i]^T D[i] - I||_F = {resid:.3e}"
-            )
-    return _pairwise_block_spectral_max(G, D.n, D.d) / D.d
+    resid = _block_gram_residuals(B.data, D.data, D.n, D.d)
+    bad = np.flatnonzero(resid > FEASIBILITY_TOL)
+    if bad.size:
+        raise ValueError(
+            f"B is infeasible at block {bad[0]}: ||B[i]^T D[i] - I||_F = {resid[bad[0]]:.3e}"
+        )
+    return _pairwise_block_spectral_max(B.data.T @ D.data, D.n, D.d) / D.d
 
 
 def mutual_coherence(A: np.ndarray) -> float:

@@ -335,28 +335,17 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     X_test, Y_test = load_split(data_dir, "test")
     D = problem.D
     n, d = D.n, D.d
-    B_dict = BlockDictionary(lifted_B, n=n, d=d)
     sigma = noise_sigma(problem.cfg)
     notes = []
     failures = []
 
     ckpt = cfg.out_dir / "checkpoint.txt"
+    constants = None
     if ckpt.exists():
         params = load_checkpoint(ckpt)
-        fp = forward(params, Y_test)
-        try:
-            constants = measure_constants(params, fp, X_test, sigma)
-        except ValueError as exc:
-            print(f"error: cannot verify {ckpt}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            est = estimate_kappa(params, constants)
-            kappa, min_ratio, ratios = est.kappa, est.min_ratio, est.ratios
-        except ValueError as exc:
-            notes.append(f"kappa estimation failed: {exc}")
-            kappa, min_ratio, ratios = np.nan, np.nan, np.full(params.depth, np.nan)
         notes.append("source = trained checkpoint")
     else:
+        B_dict = BlockDictionary(lifted_B, n=n, d=d)
         block_counts = np.count_nonzero(
             np.linalg.norm(X_test.reshape(X_test.shape[0], n, d), axis=2) > 0, axis=1
         )
@@ -364,30 +353,40 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         mu_obs = d * cross_block_coherence(B_dict, D)
         gamma = min(1.0, 0.9 * step_size_limit(mu_obs, s_obs))
         params, constants = calibrated_network(D, B_dict, gamma, cfg.depth, X_test, Y_test, sigma)
-        fp = forward(params, Y_test)
-        kappa, min_ratio = 1.0, 1.0
-        ratios = np.ones(cfg.depth)
         notes.append("source = edge-calibrated network (no checkpoint found)")
 
-    s, mu = constants.s, constants.mu
-    limit = step_size_limit(mu, s)
-    sparsity_ok = s < (1.0 / mu + 1.0) / 2.0
-    gammas_ok = bool(np.all((params.gammas > 0) & (params.gammas < limit)))
-    kappa_ok = np.isfinite(min_ratio) and min_ratio >= 1.0 - 1e-12
-    compliant = sparsity_ok and gammas_ok and kappa_ok
-    notes.append(f"mu_tilde = {constants.mu_tilde_b:.6g}, mu = {mu:.6g}, s = {s}")
-    notes.append(f"step_size_interval = (0, {limit:.6g}) with mu = d * achieved coherence")
-    notes.append(
-        f"hypotheses: sparsity_ok={sparsity_ok} step_sizes_ok={gammas_ok} kappa_ok={kappa_ok}"
-    )
-
+    fp = forward(params, Y_test)
     emp = np.array([float(np.linalg.norm(Xk - X_test, axis=1).max()) for Xk in fp.iterates])
     violations = support_violation_layers(fp, X_test, n, d)
     contained = bool(np.all(violations < 0))
+    if constants is None:
+        try:
+            constants = measure_constants(params, fp, X_test, sigma)
+        except ValueError as exc:
+            notes.append(f"hypotheses not met: {exc}")
+    ratios = np.full(params.depth, np.nan)
+    compliant = False
+    if constants is not None:
+        try:
+            ratios = estimate_kappa(params, constants).ratios
+        except ValueError as exc:
+            notes.append(f"kappa estimation failed: {exc}")
+        s, mu = constants.s, constants.mu
+        limit = step_size_limit(mu, s)
+        sparsity_ok = mu * (2 * s - 1) < 1.0  # s < (1/mu + 1)/2, also at mu = 0
+        gammas_ok = bool(np.all((params.gammas > 0) & (params.gammas < limit)))
+        kappa_ok = bool(ratios.min() >= 1.0 - 1e-12)  # False when nan
+        compliant = sparsity_ok and gammas_ok and kappa_ok
+        notes.append(f"mu_tilde = {constants.mu_tilde_b:.6g}, mu = {mu:.6g}, s = {s}")
+        notes.append(f"step_size_interval = (0, {limit:.6g}) with mu = d * achieved coherence")
+        notes.append(
+            f"hypotheses: sparsity_ok={sparsity_ok} step_sizes_ok={gammas_ok} kappa_ok={kappa_ok}"
+        )
+
     if compliant:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bound = error_bound_curve(params.gammas, constants, kappa)
+            bound = error_bound_curve(params.gammas, constants, float(ratios.max()))
         bound_ok = bool(np.all(emp <= bound + 1e-9 * np.maximum(1.0, bound)))
         if not bound_ok:
             failures.append("empirical error exceeded the bound")

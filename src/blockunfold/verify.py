@@ -43,10 +43,8 @@ from .unfolding import ForwardPass, NetworkParams, NetworkVariant, forward
 __all__ = [
     "BoundConstants",
     "KappaEstimate",
-    "ContainmentResult",
     "max_weight_block_norm",
     "measure_constants",
-    "check_support_containment",
     "support_violation_layers",
     "estimate_kappa",
     "step_size_limit",
@@ -81,12 +79,6 @@ class KappaEstimate:
     ratios: np.ndarray
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
-    contained: bool
-    first_violation: int | None
-
-
 def max_weight_block_norm(B: BlockDictionary) -> float:
     """max_j ||B[j]||_2 over the weight blocks."""
     return max(float(np.linalg.norm(B.block(j), 2)) for j in range(B.n))
@@ -106,8 +98,10 @@ def measure_constants(
     """Measure mu, C and the per-layer error suprema on a finite test set.
 
     ``fp`` must be a forward pass of ``params`` on the measurements of
-    ``X_star``.  The sparsity level defaults to the largest block support
-    observed in the set.
+    ``X_star``.  mu and C are maxima over the distinct weight matrices of
+    the executed layers; an infeasible one raises naming its layer.  The
+    sparsity level defaults to the largest block support observed in the
+    set.
     """
     if params.variant not in (
         NetworkVariant.ALBISTA,
@@ -119,9 +113,17 @@ def measure_constants(
         )
     n, d = params.n, params.d
     D = BlockDictionary(params.dictionary, n=n, d=d)
-    B = BlockDictionary(params.B[0], n=n, d=d)
-    mu_tilde = cross_block_coherence(B, D)
-    C = float(np.max(np.abs(params.gammas[: fp.depth]))) * max_weight_block_norm(B)
+    # the tied variants share one matrix across layers
+    distinct = fp.depth if params.variant is NetworkVariant.UNTIED_LBISTA_CP else 1
+    mu_tilde = B_norm = 0.0
+    for k, Bk in enumerate(params.B[:distinct], start=1):
+        B = BlockDictionary(Bk, n=n, d=d)
+        try:
+            mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
+        except ValueError as exc:
+            raise ValueError(f"layer {k}: {exc}") from exc
+        B_norm = max(B_norm, max_weight_block_norm(B))
+    C = float(np.max(np.abs(params.gammas[: fp.depth]))) * B_norm
     X_star = _as_batch(X_star, params.n_x, "X_star")
     C_X = np.array(
         [float(_l21_rows(Xk - X_star, n, d).max()) for Xk in fp.iterates]
@@ -143,55 +145,28 @@ def measure_constants(
 # support containment
 
 
-def check_support_containment(
-    iterates: Sequence[np.ndarray],
-    x_star: np.ndarray,
-    n: int,
-    d: int,
-) -> ContainmentResult:
-    """True iff every iterate's block support is inside supp(x*).
-
-    A block is active when its norm exceeds ``1e-12 * max(1, ||x||_2)`` of
-    the signal it belongs to: exact zeros are unrealizable in floating
-    point.  On violation, reports the first
-    offending layer index (0 = start).
-    """
-
-    def support(x: np.ndarray) -> set[int]:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        limit = 1e-12 * max(1.0, float(np.linalg.norm(x)))
-        norms = np.linalg.norm(x.reshape(n, d), axis=1)
-        return {int(i) for i in np.flatnonzero(norms > limit)}
-
-    star_support = support(x_star)
-    for k, x in enumerate(iterates):
-        supp = support(x)
-        if not supp <= star_support:
-            return ContainmentResult(contained=False, first_violation=k)
-    return ContainmentResult(contained=True, first_violation=None)
-
-
 def support_violation_layers(
     fp: ForwardPass, X_star: np.ndarray, n: int, d: int
 ) -> np.ndarray:
-    """Per-sample first layer whose support escapes supp(x*); -1 if none.
+    """Per-sample first layer (0 = start) whose block support escapes
+    supp(x*); -1 if none.
 
-    Uses the relative activity tolerance of
-    :func:`check_support_containment`, vectorized over the batch.
+    A block is active when its norm exceeds ``1e-12 * max(1, ||x||_2)`` of
+    the signal it belongs to: exact zeros are unrealizable in floating
+    point.
     """
     X_star = _as_batch(X_star, n * d, "X_star")
     batch = X_star.shape[0]
-    star_norms = np.linalg.norm(X_star.reshape(batch, n, d), axis=2)
-    star_tol = 1e-12 * np.maximum(1.0, np.linalg.norm(X_star, axis=1))
-    star_active = star_norms > star_tol[:, None]
+
+    def active(X: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(X.reshape(batch, n, d), axis=2)
+        return norms > 1e-12 * np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
+
+    outside = ~active(X_star)
     first = np.full(batch, -1, dtype=int)
     for k, Xk in enumerate(fp.iterates):
-        norms = np.linalg.norm(Xk.reshape(batch, n, d), axis=2)
-        tol = 1e-12 * np.maximum(1.0, np.linalg.norm(Xk, axis=1))
-        active = norms > tol[:, None]
-        escaped = np.any(active & ~star_active, axis=1)
-        newly = escaped & (first < 0)
-        first[newly] = k
+        escaped = np.any(active(Xk) & outside, axis=1)
+        first[escaped & (first < 0)] = k
     return first
 
 
@@ -342,13 +317,15 @@ def write_verify_csv(
     kappa_ratios: np.ndarray,
     notes: Sequence[str] = (),
 ) -> None:
-    """Per-layer diagnostic report.
+    """Per-layer diagnostic report; ``gamma`` is nan for the S-form variants,
+    which have no step sizes.
 
     The step-size interval quoted in notes is computed with mu = d * the
     achieved cross coherence, the constant the contraction argument
     actually uses.
     """
     K = len(params.alphas)
+    gammas = params.gammas if params.gammas is not None else np.full(K, np.nan)
     with open(path, "w", encoding="utf-8") as f:
         f.write("# blockunfold-csv v1 verify\n")
         for note in notes:
@@ -357,6 +334,6 @@ def write_verify_csv(
         for k in range(1, K + 1):
             f.write(
                 f"{k},{empirical_max_err[k]:.17g},{bound_rhs[k]:.17g},"
-                f"{params.alphas[k - 1]:.17g},{params.gammas[k - 1]:.17g},"
+                f"{params.alphas[k - 1]:.17g},{gammas[k - 1]:.17g},"
                 f"{kappa_ratios[k - 1]:.17g}\n"
             )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcore import FEASIBILITY_TOL, BlockDictionary, cross_block_coherence, kron_lift
+from .blockcore import _block_gram_residuals, _pairwise_block_spectral_max
 
 __all__ = [
     "AnalyticWeights",
@@ -80,15 +81,6 @@ def _pinv(A: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(A, rcond=PINV_RTOL)
 
 
-def _feasibility_residual(B: np.ndarray, D: np.ndarray, n: int, d: int) -> float:
-    eye = np.eye(d)
-    G = B.T @ D
-    return max(
-        float(np.linalg.norm(G[i * d : (i + 1) * d, i * d : (i + 1) * d] - eye))
-        for i in range(n)
-    )
-
-
 def _assemble(
     Bmat: np.ndarray,
     D: BlockDictionary,
@@ -96,7 +88,7 @@ def _assemble(
     rank: int | None = None,
     paired_dictionary: np.ndarray | None = None,
 ) -> AnalyticWeights:
-    resid = _feasibility_residual(Bmat, D.data, D.n, D.d)
+    resid = float(_block_gram_residuals(Bmat, D.data, D.n, D.d).max())
     if resid > FEASIBILITY_TOL:
         raise ValueError(
             f"computed weights are infeasible: max ||B[i]^T D[i] - I||_F = {resid:.3e}"
@@ -353,16 +345,11 @@ def upper_bound_objective(B: BlockDictionary, D: BlockDictionary) -> UpperBoundR
     """(1/d) ||B^T D||_F^2 and the off-diagonal block norms it dominates."""
     if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
         raise ValueError("B and D must share shape and block structure")
-    d = D.d
+    n, d = D.n, D.d
     G = B.data.T @ D.data
     value = float(np.linalg.norm(G) ** 2) / d
-    max_spec = 0.0
-    max_frob = 0.0
-    for i in range(D.n):
-        for j in range(D.n):
-            if i == j:
-                continue
-            sub = G[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            max_spec = max(max_spec, float(np.linalg.norm(sub, 2) ** 2) / d)
-            max_frob = max(max_frob, float(np.linalg.norm(sub) ** 2) / d)
+    frob_sq = (G.reshape(n, d, n, d) ** 2).sum(axis=(1, 3))
+    np.fill_diagonal(frob_sq, 0.0)
+    max_spec = _pairwise_block_spectral_max(G, n, d) ** 2 / d
+    max_frob = float(frob_sq.max()) / d
     return UpperBoundReport(value=value, max_spectral_sq=max_spec, max_frob_sq=max_frob)

@@ -16,12 +16,11 @@ from blockunfold.blockcore import (
     save_matrix,
     write_matrix,
 )
-from blockunfold.blockcore import _pairwise_block_spectral_max
+from blockunfold.blockcore import _block_gram_residuals, _pairwise_block_spectral_max
 from blockunfold.operators import eta
 from blockunfold.solvers import lasso_objective
-from blockunfold.verify import check_support_containment
 
-from conftest import random_orthonormal_block_dictionary, unit_column_matrix
+from conftest import first_escape, random_orthonormal_block_dictionary, unit_column_matrix
 
 
 def l21(x, n, d):
@@ -36,16 +35,15 @@ class TestNormsAndSupport:
         # no block of a zero signal is active, so it lies inside any support
         x = np.zeros(12)
         assert l21(x, 4, 3) == 0.0
-        assert check_support_containment([x], np.eye(12)[0], 4, 3).contained
+        assert first_escape([x], np.eye(12)[0], 4, 3) == -1
 
     def test_pythagorean_block(self):
         assert l21(np.array([3.0, 4.0]), 1, 2) == pytest.approx(5.0, abs=1e-15)
 
     def test_one_active_block(self):
         x = np.array([3.0, 4.0, 0.0, 0.0])
-        assert check_support_containment([x], np.array([1.0, 0.0, 0.0, 0.0]), 2, 2).contained
-        outside = check_support_containment([x], np.array([0.0, 0.0, 1.0, 0.0]), 2, 2)
-        assert not outside.contained and outside.first_violation == 0
+        assert first_escape([x], np.array([1.0, 0.0, 0.0, 0.0]), 2, 2) == -1
+        assert first_escape([x], np.array([0.0, 0.0, 1.0, 0.0]), 2, 2) == 0
 
     def test_l21_is_sum_of_block_norms(self, rng):
         x = rng.standard_normal(12)
@@ -62,7 +60,7 @@ class TestNormsAndSupport:
         r = np.random.default_rng(seed)
         x = r.standard_normal(12)
         out = eta(x, alpha, 4, 3)
-        assert check_support_containment([out], x, 4, 3).contained
+        assert first_escape([out], x, 4, 3) == -1
 
 
 class TestCoherence:
@@ -121,6 +119,19 @@ class TestCoherence:
         B = BlockDictionary(2.0 * D.data, n=4, d=2)
         with pytest.raises(ValueError, match="block 0"):
             cross_block_coherence(B, D)
+        only_third = D.data.copy()
+        only_third[:, 4:6] *= 2.0
+        with pytest.raises(ValueError, match="block 2: .* = 1.414e\\+00"):
+            cross_block_coherence(BlockDictionary(only_third, n=4, d=2), D)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_block_gram_residuals_match_per_block_loop(self, rng, d):
+        X, Y = rng.standard_normal((2, 7, 4 * d))
+        loop = [
+            np.linalg.norm(X[:, i * d : (i + 1) * d].T @ Y[:, i * d : (i + 1) * d] - np.eye(d))
+            for i in range(4)
+        ]
+        np.testing.assert_allclose(_block_gram_residuals(X, Y, 4, d), loop, rtol=1e-13)
 
 
 class TestKroneckerBridge:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -242,6 +243,19 @@ class TestVerifyCommand:
         assert expected > 0
         assert sigmas == [expected, expected]
 
+    def test_calibrated_route_notes_a_failed_kappa_estimate(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, COMPLIANT_CFG)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
+        # zero coherence zeroes every threshold-condition denominator
+        monkeypatch.setattr(cli, "cross_block_coherence", lambda B, D: 0.0)
+        monkeypatch.setattr(verify, "cross_block_coherence", lambda B, D: 0.0)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        report = (out / "verify.csv").read_text()
+        assert "# kappa estimation failed: nonpositive threshold-condition denominator" in report
+        assert "kappa_ok=False" in report and "assertions disabled" in report
+
     @pytest.mark.parametrize(
         "variant, message",
         [
@@ -255,16 +269,25 @@ class TestVerifyCommand:
     def test_every_variant_checkpoint(self, tmp_path, capsys, variant, message):
         cfg = write_cfg(tmp_path, TINY_CFG)
         out = tmp_path / "run"
-        code = main(["all", "--config", cfg, "--out", str(out), "--variant", variant])
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert main(["all", "--config", cfg, "--out", str(out), "--variant", variant]) == 0
+        assert "error:" not in capsys.readouterr().err
+        lines = (out / "verify.csv").read_text().splitlines()
+        unmet = [line for line in lines if line.startswith("# hypotheses not met: ")]
+        header = lines.index("layer,empirical_max_err,bound_rhs,alpha,gamma,kappa_ratio")
+        rows = [dict(zip(lines[header].split(","), map(float, line.split(","))))
+                for line in lines[header + 1 :]]
+        assert [row["layer"] for row in rows] == [1, 2, 3, 4]
+        assert all(math.isfinite(row["empirical_max_err"]) for row in rows)
+        assert all(math.isfinite(row["alpha"]) for row in rows)
         if message is None:
-            assert code == 0
-            assert errors == []
+            assert unmet == []
             return
-        assert code == 2
-        assert len(errors) == 1
-        assert re.search(message, errors[0]), errors[0]
+        assert len(unmet) == 1
+        assert re.search(message, unmet[0]), unmet[0]
+        assert all(math.isnan(row["bound_rhs"]) for row in rows)
+        assert all(math.isnan(row["kappa_ratio"]) for row in rows)
+        gradient_step = variant.endswith("_cp")
+        assert all(math.isfinite(row["gamma"]) == gradient_step for row in rows)
 
 
 class TestErrors:

@@ -9,11 +9,10 @@ from blockunfold.datagen import (
     sample_signal_class,
 )
 from blockunfold.operators import eta
-from blockunfold.unfolding import NetworkVariant, NetworkParams, forward
+from blockunfold.unfolding import NetworkVariant, NetworkParams, forward, init_from_bista
 from blockunfold.verify import (
     BoundConstants,
     calibrated_network,
-    check_support_containment,
     error_bound_curve,
     estimate_kappa,
     lower_rate_constant,
@@ -25,7 +24,7 @@ from blockunfold.verify import (
 )
 from blockunfold.weights import closed_form_weights, kron_weights
 
-from conftest import random_orthonormal_block_dictionary
+from conftest import first_escape, random_orthonormal_block_dictionary
 
 
 def compliant_instance(m=28, n=32, d=2, s=2, seed=0, count=200):
@@ -66,17 +65,14 @@ def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
 class TestSupportContainment:
     def test_trivial_zero_signal(self):
         iterates = [np.zeros(8), np.zeros(8)]
-        res = check_support_containment(iterates, np.zeros(8), 4, 2)
-        assert res.contained and res.first_violation is None
+        assert first_escape(iterates, np.zeros(8), 4, 2) == -1
 
     def test_violation_layer_reported(self, rng):
         x_star = np.zeros(8)
         x_star[:2] = 1.0
         bad = np.zeros(8)
         bad[2:4] = 0.5
-        res = check_support_containment([np.zeros(8), bad], x_star, 4, 2)
-        assert not res.contained
-        assert res.first_violation == 1
+        assert first_escape([np.zeros(8), bad], x_star, 4, 2) == 1
 
     def test_zero_threshold_violates_on_generic_instance(self, rng):
         # alpha = 0 gives a dense first iterate: violation at layer 1
@@ -104,7 +100,7 @@ class TestSupportContainment:
         assert np.all(violations < 0)
         for i in range(min(20, X.shape[0])):
             single = [Xk[i] for Xk in fp.iterates]
-            assert check_support_containment(single, X[i], D.n, D.d).contained
+            assert first_escape(single, X[i], D.n, D.d) == -1
 
 
 class TestKappa:
@@ -278,6 +274,26 @@ class TestConstantsAndReport:
         )
         l21_first = np.linalg.norm(X.reshape(X.shape[0], D.n, D.d), axis=2).sum(axis=1)
         assert constants.C_X[0] == pytest.approx(l21_first.max(), rel=1e-12)
+
+    def test_every_untied_layer_is_measured(self, rng):
+        D, B, X, Y = compliant_instance(count=30)
+        params = init_from_bista(NetworkVariant.UNTIED_LBISTA_CP, D, 3, B_analytic=B.data)
+        # layer 2 stays feasible: each block of P is orthogonal to its own D block
+        P = rng.standard_normal(B.data.shape)
+        for i in range(D.n):
+            Di, cols = D.block(i), slice(i * D.d, (i + 1) * D.d)
+            P[:, cols] -= Di @ (np.linalg.pinv(Di) @ P[:, cols])
+        params.B[1] = B.data + 0.1 * P
+        layers = [BlockDictionary(Bk, n=D.n, d=D.d) for Bk in params.B]
+        coherences = [cross_block_coherence(Bk, D) for Bk in layers]
+        constants = measure_constants(params, forward(params, Y), X)
+        assert constants.mu_tilde_b == max(coherences) > coherences[0]
+        assert constants.C == pytest.approx(
+            np.max(np.abs(params.gammas)) * max(map(max_weight_block_norm, layers)), rel=1e-12
+        )
+        params.B[1] = B.data + 0.1 * rng.standard_normal(B.data.shape)
+        with pytest.raises(ValueError, match=r"layer 2: B is infeasible at block \d+"):
+            measure_constants(params, forward(params, Y), X)
 
     def test_report_csv(self, tmp_path):
         D, B, X, Y = compliant_instance(count=30)

@@ -295,7 +295,33 @@ class TestToeplitz:
             toeplitz_weights_extend(np.ones(8), 8)
 
 
+def upper_bound_reference(B, D):
+    """The off-diagonal maxima of :func:`upper_bound_objective`, one block
+    pair at a time: (max squared spectral norm, max squared Frobenius
+    norm), each divided by d."""
+    d = D.d
+    G = B.data.T @ D.data
+    max_spec = max_frob = 0.0
+    for i in range(D.n):
+        for j in range(D.n):
+            if i != j:
+                sub = G[i * d : (i + 1) * d, j * d : (j + 1) * d]
+                max_spec = max(max_spec, float(np.linalg.norm(sub, 2) ** 2) / d)
+                max_frob = max(max_frob, float(np.linalg.norm(sub) ** 2) / d)
+    return max_spec, max_frob
+
+
 class TestUpperBoundObjective:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_pairwise_reference(self, rng, d):
+        for n_y, n in ((7, 5), (12, 9), (4, 2)):
+            B = BlockDictionary(rng.standard_normal((n_y, n * d)), n=n, d=d)
+            D = BlockDictionary(rng.standard_normal((n_y, n * d)), n=n, d=d)
+            rep = upper_bound_objective(B, D)
+            np.testing.assert_allclose(
+                (rep.max_spectral_sq, rep.max_frob_sq), upper_bound_reference(B, D), rtol=1e-12
+            )
+
     def test_orthogonal_square(self, rng):
         Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         D = BlockDictionary(Q, n=5, d=1, orthonormal_blocks=True)
