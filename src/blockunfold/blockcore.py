@@ -12,11 +12,17 @@ alongside, so the same arrays flow through every solver without nested
 storage.  The solvers, metrics and networks take them in batches, one
 signal per row of a ``(batch, n*d)`` array.  Dictionaries are immutable
 after construction and safe to share across threads.
+
+A lift ``M = W (x) I_d`` never needs its dense ``(m*d) x (n*d)`` product:
+:func:`kron_factor` recovers ``W`` from ``M``, and :func:`kron_apply` and
+:func:`kron_adjoint` multiply a batch by ``M`` or ``M^T`` through ``W``,
+``d`` times fewer flops than the lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TextIO
 
@@ -28,6 +34,9 @@ __all__ = [
     "cross_block_coherence",
     "mutual_coherence",
     "kron_lift",
+    "kron_factor",
+    "kron_apply",
+    "kron_adjoint",
     "write_matrix",
     "save_matrix",
     "load_matrix",
@@ -104,6 +113,12 @@ class BlockDictionary:
 
     def max_block_gram_residual(self) -> float:
         return float(_block_gram_residuals(self.data, self.data, self.n, self.d).max())
+
+    @cached_property
+    def kron_base(self) -> np.ndarray | None:
+        """:func:`kron_factor` of the data, found once: the data is read-only,
+        so the factor cannot go stale."""
+        return kron_factor(self.data, self.d)
 
 
 def _block_gram_residuals(X: np.ndarray, Y: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -199,6 +214,60 @@ def kron_lift(K: np.ndarray, d: int, max_entries: int = MAX_LIFT_ENTRIES) -> Blo
     col_norms = np.linalg.norm(K, axis=0)
     orth = bool(np.max(np.abs(col_norms**2 - 1.0)) * np.sqrt(d) <= ORTHONORMAL_TOL)
     return BlockDictionary(lifted, n=K.shape[1], d=d, orthonormal_blocks=orth)
+
+
+def kron_factor(M: np.ndarray, d: int) -> np.ndarray | None:
+    """The C-contiguous base ``W`` of a lift ``M = W (x) I_d``, or None when
+    ``M`` is not exactly such a lift (a shape that is not a multiple of d
+    included).
+
+    ``M`` is a lift iff its ``d`` diagonal channel slices ``M[c::d, c::d]``
+    are equal and every other entry is zero; the latter holds iff ``M`` has
+    exactly ``d`` times the nonzeros of ``W``.  No second full-size array is
+    built.  For d > 1 the base is a copy: a product through the strided
+    view ``M[::d, ::d]`` is slower than through the lift itself.  At d = 1
+    every matrix is its own base.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or d < 1:
+        raise ValueError(f"need a 2-d matrix and d >= 1, got shape {M.shape} and d = {d}")
+    if d == 1:
+        return np.ascontiguousarray(M)
+    if M.shape[0] % d or M.shape[1] % d:
+        return None
+    base = np.ascontiguousarray(M[::d, ::d])
+    for c in range(1, d):
+        if not np.array_equal(M[c::d, c::d], base):
+            return None
+    if np.count_nonzero(M) != d * np.count_nonzero(base):
+        return None
+    return base
+
+
+def _through_base(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rows of ``X``, each a ``(q, d)`` block signal, multiplied by the
+    ``p x q`` matrix ``W`` on the block axis: one batched matmul of
+    ``(batch, q, d)`` views, returned as ``(batch, p*d)``."""
+    batch = X.shape[0]
+    d = X.shape[1] // W.shape[1]
+    if d == 1:
+        return X @ W.T
+    return np.matmul(W, X.reshape(batch, W.shape[1], d)).reshape(batch, -1)
+
+
+def kron_apply(X: np.ndarray, M: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    """``X @ M.T``: ``M`` applied to every row of the batch ``X``.
+
+    ``base`` is :func:`kron_factor` of ``M`` as the caller found it; with
+    it the product runs through the base, without it through ``M``.
+    """
+    return X @ M.T if base is None else _through_base(base, X)
+
+
+def kron_adjoint(R: np.ndarray, M: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    """``R @ M``: ``M^T`` applied to every row of the batch ``R``; ``base``
+    as in :func:`kron_apply`."""
+    return R @ M if base is None else _through_base(base.T, R)
 
 
 # ---------------------------------------------------------------------------

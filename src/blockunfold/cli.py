@@ -12,14 +12,17 @@ Subcommands::
 Configuration is a flat UTF-8 key=value file with [section] headers (see
 README).  Command-line flags override the file.  Every command writes into
 --out and is reproducible: re-running with the same config and seed
-produces byte-identical CSV outputs.  ``--threads`` is accepted but not yet
-used.
+produces byte-identical CSV outputs.  ``--threads N`` sets the thread
+count of numpy's bundled OpenBLAS for the command and restores it after;
+without the flag BLAS keeps its default.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import ctypes
 import logging
 import os
 import sys
@@ -30,7 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import BlockDictionary, cross_block_coherence, load_matrix, save_matrix
+from .blockcore import (
+    BlockDictionary,
+    cross_block_coherence,
+    kron_lift,
+    load_matrix,
+    save_matrix,
+)
 from .datagen import (
     ProblemData,
     Scenario,
@@ -87,7 +96,8 @@ class ExperimentConfig:
     train: TrainConfig = None
     bista_alpha: float = 1.0
     out_dir: Path = Path("results")
-    threads: int = 1
+    # BLAS threads; None keeps the BLAS default
+    threads: int | None = None
 
     def __post_init__(self):
         if self.train is None:
@@ -100,7 +110,7 @@ class ExperimentConfig:
             raise ValueError("circulant_fft weights need the circulant scenario")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {self.threads}")
         if min(self.n_train, self.n_validation, self.n_test) < 1:
             raise ValueError("split sizes must be >= 1")
@@ -181,6 +191,52 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+def _openblas_threads():
+    """``(get, set)``: the thread-count functions of the OpenBLAS bundled with
+    numpy (``numpy.libs/libscipy_openblas64_*``), or None when numpy has no
+    such library.  Loading the file numpy already loaded returns numpy's own
+    instance, so the count set here is the one numpy's products use."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int | None):
+    """Run the body with ``count`` BLAS threads, then restore the old count.
+
+    ``None`` leaves BLAS as it is; without :func:`_openblas_threads` the
+    count is left at its default with a warning.
+    """
+    functions = None if count is None else _openblas_threads()
+    if count is not None and functions is None:
+        warnings.warn(
+            f"--threads {count} ignored: numpy's bundled OpenBLAS thread "
+            "functions were not found",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    previous = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _require(path: Path, hint: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"missing artifact {path} (run `blockunfold {hint}` first)")
@@ -242,20 +298,21 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 
 
 def _load_artifacts(cfg: ExperimentConfig):
-    """The dataset directory, its problem and the lifted analytic weights;
-    each stage reads the splits it uses with :func:`load_split`."""
+    """The dataset directory, its problem and the analytic weights' base
+    ``B_base``; each stage reads the splits it uses with :func:`load_split`
+    and lifts the weights to ``B_base (x) I_d`` only if it uses them."""
     data_dir = _require(cfg.out_dir / "data" / "manifest.txt", "gen").parent
-    scenario, problem = load_dataset(data_dir)
+    _, problem = load_dataset(data_dir)
     base_B = load_matrix(_require(cfg.out_dir / "weights" / "B_base.txt", "weights"))
-    lifted_B = np.kron(base_B, np.eye(scenario.d)) if scenario.d > 1 else base_B
-    return data_dir, problem, lifted_B
+    return data_dir, problem, base_B
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    data_dir, problem, lifted_B = _load_artifacts(cfg)
+    data_dir, problem, base_B = _load_artifacts(cfg)
     data = TrainData(*load_split(data_dir, "train"), *load_split(data_dir, "val"))
+    B = kron_lift(base_B, problem.D.d)
     params = init_from_bista(
-        cfg.variant, problem.D, cfg.depth, B_analytic=lifted_B, alpha=cfg.bista_alpha
+        cfg.variant, problem.D, cfg.depth, B_analytic=B.data, alpha=cfg.bista_alpha
     )
     t0 = time.perf_counter()
     trained, history = layerwise_train(params, data, cfg.train)
@@ -282,12 +339,12 @@ def _curve(iterates, X_star: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(cfg: ExperimentConfig) -> int:
-    data_dir, problem, lifted_B = _load_artifacts(cfg)
+    data_dir, problem, base_B = _load_artifacts(cfg)
     X_test, Y_test = load_split(data_dir, "test")
     D = problem.D
+    B = kron_lift(base_B, D.d)
     gamma = default_step_size(D)
     alpha = cfg.bista_alpha
-    B_dict = BlockDictionary(lifted_B, n=D.n, d=D.d)
     K_layers = cfg.depth
 
     # the baselines run once on the rows every curve averages over
@@ -301,11 +358,9 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         fast_bista_run(D, Y_nz, alpha, gamma, K_layers).iterates, X_nz
     )
     curves["alamp"] = _curve(
-        alamp_run(D, B_dict, alpha * gamma, gamma, K_layers, Y_nz).iterates, X_nz
+        alamp_run(D, B, alpha * gamma, gamma, K_layers, Y_nz).iterates, X_nz
     )
-    init_params = init_from_bista(
-        cfg.variant, D, K_layers, B_analytic=lifted_B, alpha=alpha
-    )
+    init_params = init_from_bista(cfg.variant, D, K_layers, B_analytic=B.data, alpha=alpha)
     curves[f"{cfg.variant.value}_init"] = _curve(
         forward(init_params, Y_test).iterates, X_test
     )
@@ -331,7 +386,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    data_dir, problem, lifted_B = _load_artifacts(cfg)
+    data_dir, problem, base_B = _load_artifacts(cfg)
     X_test, Y_test = load_split(data_dir, "test")
     D = problem.D
     n, d = D.n, D.d
@@ -345,14 +400,17 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         params = load_checkpoint(ckpt)
         notes.append("source = trained checkpoint")
     else:
-        B_dict = BlockDictionary(lifted_B, n=n, d=d)
         block_counts = np.count_nonzero(
             np.linalg.norm(X_test.reshape(X_test.shape[0], n, d), axis=2) > 0, axis=1
         )
         s_obs = max(int(block_counts.max()), 1)
-        mu_obs = d * cross_block_coherence(B_dict, D)
-        gamma = min(1.0, 0.9 * step_size_limit(mu_obs, s_obs))
-        params, constants = calibrated_network(D, B_dict, gamma, cfg.depth, X_test, Y_test, sigma)
+        B = kron_lift(base_B, d)
+        # measured once: the step size and the calibration both use it
+        mu_tilde = cross_block_coherence(B, D)
+        gamma = min(1.0, 0.9 * step_size_limit(d * mu_tilde, s_obs))
+        params, constants = calibrated_network(
+            D, B, gamma, cfg.depth, X_test, Y_test, sigma, mu_tilde=mu_tilde
+        )
         notes.append("source = edge-calibrated network (no checkpoint found)")
 
     fp = forward(params, Y_test)
@@ -440,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="accepted but has no effect yet; BLAS keeps its default thread "
-        "count (see ROADMAP item 5)",
+        help="BLAS thread count for this command (numpy's bundled OpenBLAS); "
+        "without it BLAS keeps its default",
     )
     parser.add_argument("--variant", type=str, default=None,
                         choices=[v.value for v in NetworkVariant])
@@ -464,7 +522,8 @@ def main(argv: list[str] | None = None) -> int:
     # missing files and malformed configs or data files are input errors
     try:
         cfg = _apply_overrides(read_config(args.config), args)
-        return commands[args.command](cfg)
+        with _blas_threads(cfg.threads):
+            return commands[args.command](cfg)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,7 +116,9 @@ def eta_trace(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     """Trace of the threshold Jacobian, batched: sum over active blocks of
     ``d - alpha (d-1)/||z[i]||``."""
     Zb = _block_view(Z, n, d)
-    r = np.linalg.norm(Zb, axis=-1)
+    # the block norm and activity gate of eta_dalpha, so the trace counts
+    # exactly the blocks eta keeps
+    r = (_scaled_block_norms(Zb) if alpha == 0.0 else _block_norms(Zb))[..., 0]
     active = r > alpha
     safe = np.where(active, r, 1.0)
     per_block = np.where(active, d - alpha * (d - 1) / safe, 0.0)

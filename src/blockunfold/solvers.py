@@ -18,7 +18,8 @@ plain AMP form).
 Solvers are pure given their inputs.  Each takes a batch of measurement
 vectors, one per row of a ``(batch, n_y)`` array, and runs every row at
 once, one GEMM per step.  A 1-d measurement vector is rejected; pass
-``y[None]`` for one signal.
+``y[None]`` for one signal.  A dictionary that is a lift ``K (x) I_d``
+multiplies through its base ``K`` (:attr:`~.blockcore.BlockDictionary.kron_base`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockcore import BlockDictionary, _as_batch
+from .blockcore import BlockDictionary, _as_batch, kron_adjoint, kron_apply
 from .operators import eta, eta_trace
 
 __all__ = [
@@ -118,7 +119,7 @@ def lasso_objective(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (y.shape[0], D.n_x):
         raise ValueError(f"x has shape {x.shape}, expected {(y.shape[0], D.n_x)}")
-    resid = x @ D.data.T - y
+    resid = kron_apply(x, D.data, D.kron_base) - y
     block_norms = np.linalg.norm(x.reshape(-1, D.n, D.d), axis=-1)
     return 0.5 * np.einsum("ij,ij->i", resid, resid) + alpha * block_norms.sum(axis=-1)
 
@@ -201,12 +202,13 @@ def bista_run(
             f"gamma={gamma:.3g} outside the recommended interval (0, {1.0 / L:.3g}]",
             stacklevel=2,
         )
-    A = D.data
+    A, base = D.data, D.kron_base
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     trace.append(X, lasso_objective(D, Y, X, alpha))
     for k in range(1, iters + 1):
-        X = eta(X - gamma * ((X @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
+        grad = kron_adjoint(kron_apply(X, A, base) - Y, A, base)
+        X = eta(X - gamma * grad, alpha * gamma, D.n, D.d)
         _guard(X, limits, k)
         trace.append(X, lasso_objective(D, Y, X, alpha))
     return trace
@@ -226,7 +228,7 @@ def fast_bista_run(
     the plain method.  Batches as :func:`bista_run` does.
     """
     Y, X = _check_inputs(D, y, x0, iters)
-    A = D.data
+    A, base = D.data, D.kron_base
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     X_prev = X
@@ -236,7 +238,8 @@ def fast_bista_run(
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         W = X + ((t - 1.0) / t_next) * (X - X_prev)
         X_prev = X
-        X = eta(W - gamma * ((W @ A.T - Y) @ A), alpha * gamma, D.n, D.d)
+        grad = kron_adjoint(kron_apply(W, A, base) - Y, A, base)
+        X = eta(W - gamma * grad, alpha * gamma, D.n, D.d)
         t = t_next
         _guard(X, limits, k)
         trace.append(X, lasso_objective(D, Y, X, alpha))
@@ -264,16 +267,14 @@ def alamp_run(
     if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
         raise ValueError("B and D must share shape and block structure")
     Y, X = _check_inputs(D, y, x0, iters)
-    A = D.data
-    W = B.data
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     trace.append(X, lasso_objective(D, Y, X, alpha))
     V_prev = np.zeros_like(Y)
     b = np.zeros((Y.shape[0], 1))
     for k in range(1, iters + 1):
-        V = Y - X @ A.T + b * V_prev
-        Z = X + gamma * (V @ W)
+        V = Y - kron_apply(X, D.data, D.kron_base) + b * V_prev
+        Z = X + gamma * kron_adjoint(V, B.data, B.kron_base)
         X = eta(Z, alpha, D.n, D.d)
         _guard(X, limits, k)
         if onsager:

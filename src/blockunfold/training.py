@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import _as_batch
+from .blockcore import _as_batch, kron_adjoint, kron_apply, kron_factor
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant, backward, forward, stage_arrays
 
 __all__ = [
@@ -246,7 +246,12 @@ def layerwise_train(
         state = AdamState()
         if params.variant is NetworkVariant.ALBISTA:
             # B^T (D x - y) per row; albista's one fixed B serves every layer
-            steps = [(X @ params.dictionary.T - Y) @ params.B[0] for X, Y in zip(prefixes, Ys)]
+            D, B = params.dictionary, params.B[0]
+            D_base, B_base = kron_factor(D, params.d), kron_factor(B, params.d)
+            steps = [
+                kron_adjoint(kron_apply(X, D, D_base) - Y, B, B_base)
+                for X, Y in zip(prefixes, Ys)
+            ]
 
         def run(split: int, rows=slice(None)) -> ForwardPass:
             step = steps[split]

@@ -20,6 +20,11 @@ take row batches only, measurements ``(batch, n_y)`` and signals
 ``(batch, n_x)`` with one sample per row (``y[None]`` for one sample); a
 1-d array is rejected.  They are embarrassingly parallel over samples, and
 parameters are read-only during a pass.
+
+A matrix that is exactly a lift ``W (x) I_d`` is multiplied through its
+base ``W`` (:func:`~.blockcore.kron_factor`).  Each pass finds the bases
+anew: the matrices are writable, so a factor kept between passes could go
+stale.
 """
 
 from __future__ import annotations
@@ -30,7 +35,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import BlockDictionary, _as_batch, _read_matrix, write_matrix
+from .blockcore import (
+    BlockDictionary,
+    _as_batch,
+    _read_matrix,
+    kron_adjoint,
+    kron_apply,
+    kron_factor,
+    write_matrix,
+)
 from .operators import eta, eta_dalpha, eta_jvp
 from .solvers import DivergenceError, default_step_size
 
@@ -148,6 +161,19 @@ class NetworkParams:
         )
 
 
+def _factors(d: int):
+    """``base(M)``: :func:`kron_factor` of ``M``, found on first use and kept
+    for the rest of one pass, in which no matrix changes."""
+    found: dict[int, np.ndarray | None] = {}
+
+    def base(M: np.ndarray) -> np.ndarray | None:
+        if id(M) not in found:
+            found[id(M)] = kron_factor(M, d)
+        return found[id(M)]
+
+    return base
+
+
 def _map_layers(fn, layers: list[np.ndarray] | None) -> list[np.ndarray] | None:
     """Apply ``fn`` once per distinct matrix, so a shared matrix stays shared."""
     if layers is None:
@@ -259,18 +285,20 @@ def forward(
     prethresh = []
     cp_form = params.variant in _CP_FORM
     residuals = [] if cp_form else None
+    base = _factors(d)
     for k in range(start, K):
         Bk = params.B[k]
         if cp_form:
             if k == start and step_init is not None:
                 R, step = None, step_init
             else:
-                R = X @ D.T - Y
-                step = R @ Bk
+                R = kron_apply(X, D, base(D)) - Y
+                step = kron_adjoint(R, Bk, base(Bk))
             Z = X - params.gammas[k] * step
             residuals.append(R)
         else:
-            Z = X @ params.S[k].T + Y @ Bk
+            Sk = params.S[k]
+            Z = kron_apply(X, Sk, base(Sk)) + kron_adjoint(Y, Bk, base(Bk))
         if not np.all(np.isfinite(Z)):
             raise DivergenceError("non-finite activation", k + 1)
         X = eta(Z, params.alphas[k], n, d)
@@ -336,6 +364,7 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     if v is not NetworkVariant.ALBISTA:
         grads.B = accumulators(params.B)
 
+    base = _factors(d)
     G = (fp.iterates[-1] - X_star) / batch
     for j in reversed(range(fp.depth)):
         k = fp.start + j
@@ -349,17 +378,18 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
             g = params.gammas[k]
             R = fp.residuals[j]
             if grads.gammas is not None:
-                step = fp.step_init if R is None else R @ Bk
+                step = fp.step_init if R is None else kron_adjoint(R, Bk, base(Bk))
                 grads.gammas[k] = -float(np.vdot(dZ, step))
             if grads.B is not None:
                 grads.B[k] += -g * (R.T @ dZ)
             if j > 0:
-                G = dZ - g * ((dZ @ Bk.T) @ D)
+                G = dZ - g * kron_adjoint(kron_apply(dZ, Bk, base(Bk)), D, base(D))
         else:
+            Sk = params.S[k]
             grads.S[k] += dZ.T @ X_prev
             grads.B[k] += fp.Y.T @ dZ
             if j > 0:
-                G = dZ @ params.S[k]
+                G = kron_adjoint(dZ, Sk, base(Sk))
     return grads
 
 

@@ -94,12 +94,15 @@ def measure_constants(
     X_star: np.ndarray,
     sigma: float = 0.0,
     s: int | None = None,
+    mu_tilde: float | None = None,
 ) -> BoundConstants:
     """Measure mu, C and the per-layer error suprema on a finite test set.
 
     ``fp`` must be a forward pass of ``params`` on the measurements of
     ``X_star``.  mu and C are maxima over the distinct weight matrices of
-    the executed layers; an infeasible one raises naming its layer.  The
+    the executed layers; an infeasible one raises naming its layer.  A
+    caller that has already measured the cross coherence of those matrices
+    passes it as ``mu_tilde``, which skips the block-SVD loop.  The
     sparsity level defaults to the largest block support observed in the
     set.
     """
@@ -115,13 +118,17 @@ def measure_constants(
     D = BlockDictionary(params.dictionary, n=n, d=d)
     # the tied variants share one matrix across layers
     distinct = fp.depth if params.variant is NetworkVariant.UNTIED_LBISTA_CP else 1
-    mu_tilde = B_norm = 0.0
+    measure = mu_tilde is None
+    if measure:
+        mu_tilde = 0.0
+    B_norm = 0.0
     for k, Bk in enumerate(params.B[:distinct], start=1):
         B = BlockDictionary(Bk, n=n, d=d)
-        try:
-            mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
-        except ValueError as exc:
-            raise ValueError(f"layer {k}: {exc}") from exc
+        if measure:
+            try:
+                mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
+            except ValueError as exc:
+                raise ValueError(f"layer {k}: {exc}") from exc
         B_norm = max(B_norm, max_weight_block_norm(B))
     C = float(np.max(np.abs(params.gammas[: fp.depth]))) * B_norm
     X_star = _as_batch(X_star, params.n_x, "X_star")
@@ -280,16 +287,22 @@ def calibrated_network(
     Y: np.ndarray,
     sigma: float = 0.0,
     s: int | None = None,
+    mu_tilde: float | None = None,
 ) -> tuple[NetworkParams, BoundConstants]:
     """Fixed-weight network with thresholds at the compliant lower edge.
 
     Builds layer by layer: a{k} = gamma * mu * C_X{k} + C * sigma, with
     C_X{k} measured on the supplied signals after the layers before k, which
     realizes the threshold condition with kappa = 1 on that set.  Returns
-    the network and its :func:`measure_constants` on those signals.
+    the network and its :func:`measure_constants` on those signals, taken
+    on the calibration's own layer-by-layer pass, which computes the
+    iterates of one full forward pass.  ``mu_tilde`` is the cross coherence
+    of ``(B, D)`` when the caller has measured it; it is measured otherwise.
     """
     n, d = D.n, D.d
-    mu = d * cross_block_coherence(B, D)
+    if mu_tilde is None:
+        mu_tilde = cross_block_coherence(B, D)
+    mu = d * mu_tilde
     C = abs(gamma) * max_weight_block_norm(B)
     X_star = _as_batch(X_star, D.n_x, "X_star")
     params = NetworkParams(
@@ -303,10 +316,15 @@ def calibrated_network(
         B=[B.data.copy()] * depth,
     )
     X = np.zeros_like(X_star)
+    iterates, prethresh = [X], []
     for k in range(depth):
         params.alphas[k] = gamma * mu * float(_l21_rows(X - X_star, n, d).max()) + C * sigma
-        X = forward(params, Y, depth=k + 1, start=k, x_init=X).iterates[-1]
-    return params, measure_constants(params, forward(params, Y), X_star, sigma, s)
+        layer = forward(params, Y, depth=k + 1, start=k, x_init=X)
+        X = layer.iterates[-1]
+        iterates.append(X)
+        prethresh += layer.prethresh
+    fp = ForwardPass(Y=layer.Y, iterates=iterates, prethresh=prethresh)
+    return params, measure_constants(params, fp, X_star, sigma, s, mu_tilde=mu_tilde)
 
 
 def write_verify_csv(

@@ -10,6 +10,9 @@ from blockunfold.blockcore import (
     BlockDictionary,
     block_coherence,
     cross_block_coherence,
+    kron_adjoint,
+    kron_apply,
+    kron_factor,
     kron_lift,
     load_matrix,
     mutual_coherence,
@@ -176,6 +179,70 @@ class TestKroneckerBridge:
         K = unit_column_matrix(4, 6, rng)
         assert kron_lift(K, 2).orthonormal_blocks
         assert not kron_lift(2.0 * K, 2).orthonormal_blocks
+
+
+class TestKronFactor:
+    def test_recovers_a_contiguous_copy_of_the_base(self, rng):
+        K = rng.standard_normal((3, 5))
+        lifted = kron_lift(K, 4).data
+        base = kron_factor(lifted, 4)
+        np.testing.assert_array_equal(base, K)
+        assert base.flags.c_contiguous
+        assert not np.shares_memory(base, lifted)
+
+    def test_rejects_one_perturbed_off_diagonal_channel_entry(self, rng):
+        M = np.kron(rng.standard_normal((3, 5)), np.eye(3))
+        assert kron_factor(M, 3) is not None
+        M[0, 1] = 1e-300  # row channel 0, column channel 1 of block (0, 0)
+        assert kron_factor(M, 3) is None
+
+    def test_rejects_unequal_channel_slices(self, rng):
+        M = np.kron(rng.standard_normal((3, 5)), np.eye(2))
+        M[5, 9] += 1e-15  # channel 1 of entry (2, 4)
+        assert kron_factor(M, 2) is None
+
+    def test_rejects_a_shape_that_is_not_a_multiple_of_d(self, rng):
+        M = np.kron(rng.standard_normal((3, 5)), np.eye(2))
+        assert kron_factor(M[:, :-1], 2) is None
+        assert kron_factor(M[:-1], 2) is None
+
+    def test_dense_matrix_and_input_checks(self, rng):
+        assert kron_factor(rng.standard_normal((6, 4)), 2) is None
+        with pytest.raises(ValueError):
+            kron_factor(rng.standard_normal(6), 2)
+        with pytest.raises(ValueError):
+            kron_factor(rng.standard_normal((6, 4)), 0)
+
+    def test_dictionary_keeps_its_factor(self, rng):
+        K = rng.standard_normal((3, 5))
+        D = kron_lift(K, 2)
+        assert D.kron_base is D.kron_base
+        np.testing.assert_array_equal(D.kron_base, K)
+        assert BlockDictionary(rng.standard_normal((6, 10)), n=5, d=2).kron_base is None
+
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        d=st.integers(1, 8),
+        batch=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_the_dense_lift(self, m, n, d, batch, seed):
+        if m == n:
+            n += 1  # m != n, so a transposed base shows up as a shape error
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((m, n))
+        M = kron_lift(K, d).data
+        base = kron_factor(M, d)
+        assert base is not None
+        X = rng.standard_normal((batch, n * d))
+        R = rng.standard_normal((batch, m * d))
+        np.testing.assert_allclose(kron_apply(X, M, base), X @ M.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kron_adjoint(R, M, base), R @ M, rtol=0, atol=1e-12)
+        # no factor: the dense product itself
+        np.testing.assert_array_equal(kron_apply(X, M), X @ M.T)
+        np.testing.assert_array_equal(kron_adjoint(R, M), R @ M)
 
 
 # Finite values of every magnitude, and -0.0, in small matrices.

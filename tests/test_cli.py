@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blockunfold import cli, solvers, verify
+from blockunfold import cli, solvers, unfolding, verify
 from blockunfold.cli import main, read_config
 from blockunfold.datagen import Scenario, noise_sigma
 from blockunfold.unfolding import NetworkVariant
@@ -204,6 +204,27 @@ class TestReproducibility:
         assert main(["eval", "--config", cfg, "--out", str(outs[0])]) == 0
         assert (outs[0] / "eval.csv").read_bytes() == ref_eval
 
+    def test_threads_flag_sets_blas_threads_for_the_command(self, tmp_path, monkeypatch):
+        functions = cli._openblas_threads()
+        if functions is None:
+            pytest.skip("numpy has no bundled OpenBLAS thread functions")
+        get, _ = functions
+        default = get()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda cfg: seen.append(get()) or 0)
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        for threads in (["--threads", "1"], ["--threads", "3"], []):
+            assert main(["gen", "--config", cfg, "--out", str(tmp_path), *threads]) == 0
+            assert get() == default
+        assert seen == [1, 3, default]
+
+    def test_threads_flag_warns_without_openblas(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(cli, "cmd_gen", lambda cfg: 0)
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        with pytest.warns(RuntimeWarning, match="--threads 2 ignored"):
+            assert main(["gen", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_CFG)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -228,9 +249,9 @@ class TestVerifyCommand:
         sigmas = []
 
         def recording(measure):
-            def wrapper(params, fp, X_star, sigma=0.0, s=None):
+            def wrapper(params, fp, X_star, sigma=0.0, s=None, **kwargs):
                 sigmas.append(sigma)
-                return measure(params, fp, X_star, sigma, s)
+                return measure(params, fp, X_star, sigma, s, **kwargs)
             return wrapper
 
         # the calibrated route measures through verify, the checkpoint route
@@ -255,6 +276,46 @@ class TestVerifyCommand:
         report = (out / "verify.csv").read_text()
         assert "# kappa estimation failed: nonpositive threshold-condition denominator" in report
         assert "kappa_ok=False" in report and "assertions disabled" in report
+
+    def test_calibrated_route_measures_coherence_once_and_runs_one_full_pass(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = write_cfg(tmp_path, COMPLIANT_CFG)
+        out, ref = tmp_path / "run", tmp_path / "ref"
+        for run in (out, ref):
+            for command in ("gen", "weights"):
+                assert main([command, "--config", cfg, "--out", str(run)]) == 0
+        # the reference measures its constants as verify did before: a
+        # coherence of its own, on a second full forward pass
+        calibrate = verify.calibrated_network
+
+        def remeasured(D, B, gamma, depth, X, Y, sigma=0.0, s=None, mu_tilde=None):
+            params, _ = calibrate(D, B, gamma, depth, X, Y, sigma, s)
+            fp = unfolding.forward(params, Y)
+            return params, verify.measure_constants(params, fp, X, sigma, s)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "calibrated_network", remeasured)
+            assert main(["verify", "--config", cfg, "--out", str(ref)]) == 0
+        coherences, full_passes = [], []
+        coherence, forward = verify.cross_block_coherence, unfolding.forward
+
+        def counting_coherence(B, D):
+            coherences.append(B.data.shape)
+            return coherence(B, D)
+
+        def counting_forward(params, Y, depth=None, start=0, **kwargs):
+            if start == 0 and depth in (None, params.depth):
+                full_passes.append(Y.shape)
+            return forward(params, Y, depth, start, **kwargs)
+
+        for module in (cli, verify):
+            monkeypatch.setattr(module, "cross_block_coherence", counting_coherence)
+            monkeypatch.setattr(module, "forward", counting_forward)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert coherences == [(56, 64)]
+        assert full_passes == [(40, 56)]
+        assert (out / "verify.csv").read_bytes() == (ref / "verify.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "variant, message",

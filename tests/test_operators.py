@@ -302,6 +302,18 @@ class TestKernelsAgainstOracle:
         np.testing.assert_array_equal(eta_jvp(z, 0.0, v, 2, 2), [1.0, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(eta_dalpha(z, 0.0, 2, 2), [-1.0, 0.0, 0.0, 0.0])
 
+    def test_trace_counts_only_the_blocks_eta_keeps(self):
+        # ||3e-162 * 1_4|| = 6e-162 < alpha, but its squared norm is
+        # subnormal and np.linalg.norm puts it just above alpha: eta kills
+        # the block, so the Onsager trace must not count it
+        z, alpha = np.full(4, 3e-162), 6.1e-162
+        np.testing.assert_array_equal(eta(z, alpha, 1, 4), 0.0)
+        assert np.linalg.norm(z) > alpha
+        assert eta_trace(z, alpha, 1, 4) == 0.0
+        # at alpha = 0 eta keeps a block whose squared norm underflows
+        tiny = np.array([1e-170, 0.0, 0.0, 0.0])
+        assert eta_trace(tiny, 0.0, 2, 2) == 2.0
+
     def test_kink_block_takes_zero_side(self):
         # ||(3, 4)|| = 5 exactly, so alpha = 5 sits on the kink
         z = np.array([3.0, 4.0, 0.3, 0.4])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import kron_lift
+from blockunfold import unfolding
+from blockunfold.blockcore import kron_factor, kron_lift
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
 from blockunfold.unfolding import (
@@ -312,6 +313,89 @@ class TestCachedStep:
         for bad in (step[:-1], step[:, :-1], step[0], step[..., None]):
             with pytest.raises(ValueError, match="step_init must have shape"):
                 forward(params, Y, depth=3, start=2, x_init=X0, step_init=bad)
+
+
+def lifted_network(variant, rng, depth=3, m=4, n=6, d=3):
+    """A network on D = K (x) I_d whose every matrix is a lift of a random
+    base (one per distinct matrix), a batch of block-sparse signals and their
+    measurements, with thresholds that keep some blocks and kill others."""
+    D = kron_lift(rng.standard_normal((m, n)), d)
+    B_an = np.kron(rng.standard_normal((m, n)), np.eye(d))
+    params = init_from_bista(variant, D, depth, B_analytic=B_an)
+    for layers, shape in ((params.S, (n, n)), (params.B, (m, n))):
+        for M in {id(M): M for M in layers or []}.values():
+            M[...] = np.kron(0.3 * rng.standard_normal(shape), np.eye(d))
+    params.alphas[:] = rng.uniform(0.05, 0.3, size=depth)
+    X_star = rng.standard_normal((5, n * d))
+    X_star.reshape(5, n, d)[:, 2:] = 0.0
+    return params, X_star, X_star @ D.data.T
+
+
+def dense(fn, *args):
+    """``fn(*args)`` with every product through the dense matrices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unfolding, "kron_factor", lambda M, d: None)
+        return fn(*args)
+
+
+def assert_pass_matches_dense(params, Y, X_star):
+    fp = forward(params, Y)
+    fp_dense = dense(forward, params, Y)
+    for a, b in zip(fp.iterates + fp.prethresh, fp_dense.iterates + fp_dense.prethresh):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    grads = backward(params, fp, X_star)
+    grads_dense = dense(backward, params, fp_dense, X_star)
+    for name in ("alphas", "gammas", "S", "B"):
+        got, want = getattr(grads, name), getattr(grads_dense, name)
+        if got is None:
+            assert want is None
+            continue
+        for a, b in zip(np.atleast_1d(got), np.atleast_1d(want)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+class TestFactoredProducts:
+    @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
+    def test_forward_and_backward_match_the_dense_path(self, rng, variant):
+        params, X_star, Y = lifted_network(variant, rng)
+        matrices = [params.dictionary] + (params.S or []) + params.B
+        assert all(kron_factor(M, params.d) is not None for M in matrices)
+        assert_pass_matches_dense(params, Y, X_star)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [NetworkVariant.TIED_LBISTA, NetworkVariant.TIED_LBISTA_CP, NetworkVariant.ALBISTA],
+        ids=lambda v: v.value,
+    )
+    def test_in_place_write_to_a_tied_matrix_is_seen(self, rng, variant):
+        params, X_star, Y = lifted_network(variant, rng)
+        before = forward(params, Y).iterates[-1]
+        # a new lift, written through layer 0 of the shared matrix
+        params.B[0][...] = np.kron(0.3 * rng.standard_normal((4, 6)), np.eye(3))
+        assert_pass_matches_dense(params, Y, X_star)
+        assert not np.array_equal(forward(params, Y).iterates[-1], before)
+        # an off-diagonal channel entry: no longer a lift at all
+        params.B[0][0, 1] = 0.5
+        assert kron_factor(params.B[2], params.d) is None
+        assert_pass_matches_dense(params, Y, X_star)
+
+    def test_v1_checkpoint_loads_to_the_factored_forward(self, tmp_path, rng, monkeypatch):
+        params, _, Y = lifted_network(NetworkVariant.ALBISTA, rng)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        assert path.read_text().startswith("blockunfold-checkpoint v1\n")
+        loaded = load_checkpoint(path)
+        factors = []
+
+        def recording(M, d):
+            factors.append(kron_factor(M, d))
+            return factors[-1]
+
+        monkeypatch.setattr(unfolding, "kron_factor", recording)
+        out = forward(loaded, Y).iterates[-1]
+        # D and the shared B, each found once per pass and both lifts
+        assert len(factors) == 2 and all(f is not None for f in factors)
+        np.testing.assert_array_equal(out, forward(params, Y).iterates[-1])
 
 
 class TestInit:

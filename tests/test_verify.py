@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import BlockDictionary, cross_block_coherence
+from blockunfold.blockcore import (
+    BlockDictionary,
+    cross_block_coherence,
+    kron_adjoint,
+    kron_apply,
+)
 from blockunfold.datagen import (
     Scenario,
     ScenarioConfig,
@@ -44,7 +49,11 @@ def compliant_instance(m=28, n=32, d=2, s=2, seed=0, count=200):
 def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
     """Edge calibration as its own recursion: each threshold from the
     measured l2,1 error, then one fixed-weight gradient step and threshold.
-    Returns the thresholds and the errors C_X{0..depth}."""
+    Returns the thresholds and the errors C_X{0..depth}.
+
+    The step multiplies through the lifts' bases, as the network does, so
+    the two recursions agree bit for bit; the factored products are checked
+    against the dense lift in test_blockcore.py and test_unfolding.py."""
     n, d = D.n, D.d
     mu = d * cross_block_coherence(B, D)
     C = abs(gamma) * max_weight_block_norm(B)
@@ -57,7 +66,8 @@ def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
     for k in range(depth):
         C_X[k] = worst_l21_error(X)
         alphas[k] = gamma * mu * C_X[k] + C * sigma
-        X = eta(X - gamma * ((X @ D.data.T - Y) @ B.data), alphas[k], n, d)
+        step = kron_adjoint(kron_apply(X, D.data, D.kron_base) - Y, B.data, B.kron_base)
+        X = eta(X - gamma * step, alphas[k], n, d)
     C_X[depth] = worst_l21_error(X)
     return alphas, C_X
 
