@@ -52,6 +52,10 @@ FEASIBILITY_TOL = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float64 array nobody else can write: ``a`` itself
+    when it already is one that owns its data, a read-only copy otherwise."""
+    if a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
@@ -210,10 +214,21 @@ def kron_lift(K: np.ndarray, d: int, max_entries: int = MAX_LIFT_ENTRIES) -> Blo
         raise ValueError(
             f"lift would have {entries} entries, above the configured cap {max_entries}"
         )
-    lifted = np.kron(K, np.eye(d))
+    lifted = _kron_eye(K, d)
+    lifted.flags.writeable = False
     col_norms = np.linalg.norm(K, axis=0)
     orth = bool(np.max(np.abs(col_norms**2 - 1.0)) * np.sqrt(d) <= ORTHONORMAL_TOL)
     return BlockDictionary(lifted, n=K.shape[1], d=d, orthonormal_blocks=orth)
+
+
+def _kron_eye(W: np.ndarray, d: int) -> np.ndarray:
+    """``np.kron(W, np.eye(d))``, bit for bit (signed zeros included), built
+    in one array that owns its data: ``np.kron`` returns a view of its
+    product, which :func:`_freeze` would have to copy."""
+    m, n = W.shape
+    lifted = np.empty((m * d, n * d))
+    np.multiply(W[:, None, :, None], np.eye(d)[None, :, None, :], out=lifted.reshape(m, d, n, d))
+    return lifted
 
 
 def kron_factor(M: np.ndarray, d: int) -> np.ndarray | None:
@@ -307,16 +322,55 @@ def _read_matrix(
     ``dims`` are the ``rows cols`` fields of the matrix's header, which is
     line ``lineno`` of ``path``; ``label`` names the matrix in errors.  A
     truncated or malformed matrix raises ValueError naming the file and
-    the line.  Every line ``write_matrix`` writes ends in a newline, so a
-    last line without one means the file was cut short.
+    the line (see :func:`_parse_lines`).  A well-formed matrix is parsed in
+    one :func:`np.loadtxt` call (:func:`_parse_fast`); any other goes
+    through the per-line loop, which finds and names the fault.
     """
     try:
         rows, cols = (int(v) for v in dims)
-        A = np.empty((rows, cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions are not allowed")
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: bad {label}header {dims}: {exc}") from exc
-    for r in range(rows):
+    lines = []
+    for _ in range(rows):
         line = f.readline()
+        if not line:
+            break
+        lines.append(line)
+        if not line.endswith("\n"):
+            break
+    A = _parse_fast(lines, rows, cols)
+    return _parse_lines(lines, path, rows, cols, lineno, label) if A is None else A
+
+
+def _parse_fast(lines: list[str], rows: int, cols: int) -> np.ndarray | None:
+    """The ``rows x cols`` matrix of ``lines`` in one :func:`np.loadtxt`
+    call, or None when the lines are not exactly such a matrix.
+
+    ``loadtxt`` skips blank lines, so a blank line shows as a wrong shape.
+    Both ``loadtxt`` and ``float`` round decimal strings correctly, so a
+    matrix parsed here has the bits :func:`_parse_lines` gives it.
+    """
+    if rows == 0 or cols == 0 or len(lines) != rows or not lines[-1].endswith("\n"):
+        return None
+    try:
+        A = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return A if A.shape == (rows, cols) else None
+
+
+def _parse_lines(
+    lines: list[str], path: str | Path, rows: int, cols: int, lineno: int, label: str = ""
+) -> np.ndarray:
+    """The ``rows x cols`` matrix of ``lines``, one ``float`` per value; the
+    first missing, cut or malformed row raises ValueError naming the file
+    and the line.  Every line ``write_matrix`` writes ends in a newline, so
+    a last line without one means the file was cut short."""
+    A = np.empty((rows, cols))
+    for r in range(rows):
+        line = lines[r] if r < len(lines) else ""
         row_no = lineno + 1 + r
         if not line:
             raise ValueError(

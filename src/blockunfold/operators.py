@@ -56,8 +56,15 @@ def _scaled_block_norms(Zb: np.ndarray) -> np.ndarray:
     return top * _block_norms(Zb / np.where(top > 0, top, 1.0))
 
 
-def eta(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
-    """Block soft-threshold of ``Z`` (last axis = n*d), batched over leading axes."""
+def eta(
+    Z: np.ndarray, alpha: float, n: int, d: int, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Block soft-threshold of ``Z`` (last axis = n*d), batched over leading axes.
+
+    ``norms`` may carry :func:`_block_norms` of ``Z``'s ``(..., n, d)`` view
+    when the caller has it; here and in :func:`eta_jvp` and
+    :func:`eta_dalpha` it is computed otherwise.
+    """
     if alpha < 0:
         raise ValueError(f"threshold must be nonnegative, got {alpha}")
     Zb = _block_view(Z, n, d)
@@ -67,11 +74,14 @@ def eta(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     # alpha / alpha == 1, so the scale is exactly 0 wherever r <= alpha (the
     # gate of eta_jvp and eta_dalpha) and a block whose squared norm
     # underflows to 0 is killed rather than kept
-    scale = 1.0 - alpha / np.maximum(_block_norms(Zb), alpha)
+    r = _block_norms(Zb) if norms is None else norms
+    scale = 1.0 - alpha / np.maximum(r, alpha)
     return (scale * Zb).reshape(Z.shape)
 
 
-def eta_jvp(Z: np.ndarray, alpha: float, V: np.ndarray, n: int, d: int) -> np.ndarray:
+def eta_jvp(
+    Z: np.ndarray, alpha: float, V: np.ndarray, n: int, d: int, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Jacobian-vector product of the threshold at Z applied to V.
 
     Per active block (||z[i]|| > alpha) the Jacobian is
@@ -80,14 +90,15 @@ def eta_jvp(Z: np.ndarray, alpha: float, V: np.ndarray, n: int, d: int) -> np.nd
     which keeps training gradients bounded.  The Jacobian is symmetric,
     so this is also the vector-Jacobian product.  Per block the product is
     ``s v + c z`` with ``s = 1 - alpha/r`` and ``c = (alpha/r) (u.v) / r``,
-    so the activity mask only touches the two per-block scalars.
+    so the activity mask only touches the two per-block scalars.  ``norms``
+    as in :func:`eta`; at alpha = 0 it is not used.
     """
     Zb = _block_view(Z, n, d)
     Vb = _block_view(V, n, d)
     if alpha == 0.0:
         # the identity on every nonzero block, as eta keeps them all
         return np.where(_scaled_block_norms(Zb) > 0, Vb, 0.0).reshape(Z.shape)
-    r = _block_norms(Zb)
+    r = _block_norms(Zb) if norms is None else norms
     active = r > alpha
     safe = np.where(active, r, 1.0)
     ratio = alpha / safe
@@ -97,16 +108,21 @@ def eta_jvp(Z: np.ndarray, alpha: float, V: np.ndarray, n: int, d: int) -> np.nd
     return (s * Vb + c * Zb).reshape(Z.shape)
 
 
-def eta_dalpha(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
+def eta_dalpha(
+    Z: np.ndarray, alpha: float, n: int, d: int, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Derivative of the threshold output with respect to alpha.
 
     Equals ``-z[i]/||z[i]||`` on active blocks and 0 on inactive ones
-    (one-sided derivative at the kink).
+    (one-sided derivative at the kink).  ``norms`` as in :func:`eta_jvp`.
     """
     Zb = _block_view(Z, n, d)
     # at alpha = 0 every nonzero block is active, also one whose squared
     # norm underflows
-    r = _scaled_block_norms(Zb) if alpha == 0.0 else _block_norms(Zb)
+    if alpha == 0.0:
+        r = _scaled_block_norms(Zb)
+    else:
+        r = _block_norms(Zb) if norms is None else norms
     active = r > alpha
     coef = np.where(active, -1.0 / np.where(active, r, 1.0), 0.0)
     return (coef * Zb).reshape(Z.shape)

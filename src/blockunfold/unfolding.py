@@ -38,13 +38,14 @@ import numpy as np
 from .blockcore import (
     BlockDictionary,
     _as_batch,
+    _kron_eye,
     _read_matrix,
     kron_adjoint,
     kron_apply,
     kron_factor,
     write_matrix,
 )
-from .operators import eta, eta_dalpha, eta_jvp
+from .operators import _block_norms, eta, eta_dalpha, eta_jvp
 from .solvers import DivergenceError, default_step_size
 
 __all__ = [
@@ -222,7 +223,9 @@ class ForwardPass:
     the state the run began from (x{0} = 0 for a full pass).  ``residuals``
     holds ``D x - y`` per executed gradient-step layer; when the run was
     given ``step_init``, that array stands in for the first layer's
-    ``B^T (D x - y)`` and its residual slot is None.
+    ``B^T (D x - y)`` and its residual slot is None.  ``norms`` holds
+    the block norms of each pre-threshold point, as ``(batch, n, 1)``, or
+    None for a layer with threshold 0.
     """
 
     Y: np.ndarray
@@ -231,6 +234,7 @@ class ForwardPass:
     start: int = 0
     residuals: list[np.ndarray | None] | None = None
     step_init: np.ndarray | None = None
+    norms: list[np.ndarray | None] | None = None
 
     @property
     def depth(self) -> int:
@@ -283,6 +287,7 @@ def forward(
             )
     iterates = [X]
     prethresh = []
+    norms = []
     cp_form = params.variant in _CP_FORM
     residuals = [] if cp_form else None
     base = _factors(d)
@@ -301,8 +306,12 @@ def forward(
             Z = kron_apply(X, Sk, base(Sk)) + kron_adjoint(Y, Bk, base(Bk))
         if not np.all(np.isfinite(Z)):
             raise DivergenceError("non-finite activation", k + 1)
-        X = eta(Z, params.alphas[k], n, d)
+        a = params.alphas[k]
+        # one block-norm pass per layer, shared by eta and the backward kernels
+        r = None if a == 0.0 else _block_norms(Z.reshape(Z.shape[0], n, d))
+        X = eta(Z, a, n, d, norms=r)
         prethresh.append(Z)
+        norms.append(r)
         iterates.append(X)
     return ForwardPass(
         Y=Y,
@@ -311,6 +320,7 @@ def forward(
         start=start,
         residuals=residuals,
         step_init=step_init,
+        norms=norms,
     )
 
 
@@ -330,6 +340,12 @@ class Gradients:
     gammas: np.ndarray | None = None
     S: list[np.ndarray] | None = None
     B: list[np.ndarray] | None = None
+
+
+def _dot(A: np.ndarray, B: np.ndarray) -> float:
+    """Sum of ``A * B`` over both axes, the same bits at any BLAS thread
+    count: ``np.vdot`` splits its sum across OpenBLAS threads."""
+    return float(np.einsum("ij,ij->", A, B))
 
 
 def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Gradients:
@@ -370,8 +386,9 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
         k = fp.start + j
         Z = fp.prethresh[j]
         a = params.alphas[k]
-        grads.alphas[k] = float(np.vdot(eta_dalpha(Z, a, n, d), G))
-        dZ = eta_jvp(Z, a, G, n, d)
+        r = None if fp.norms is None else fp.norms[j]
+        grads.alphas[k] = _dot(eta_dalpha(Z, a, n, d, norms=r), G)
+        dZ = eta_jvp(Z, a, G, n, d, norms=r)
         X_prev = fp.iterates[j]
         Bk = params.B[k]
         if v in _CP_FORM:
@@ -379,7 +396,7 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
             R = fp.residuals[j]
             if grads.gammas is not None:
                 step = fp.step_init if R is None else kron_adjoint(R, Bk, base(Bk))
-                grads.gammas[k] = -float(np.vdot(dZ, step))
+                grads.gammas[k] = -_dot(dZ, step)
             if grads.B is not None:
                 grads.B[k] += -g * (R.T @ dZ)
             if j > 0:
@@ -513,39 +530,70 @@ def conv_step_fft(
 # checkpoint files: variant tag, depth, block structure, per-layer scalars,
 # then matrix payloads in the shared text matrix format: D, then a tied
 # variant's shared S and B once, or an untied one's S.k and B.k per layer.
+# In v2 a matrix that is a lift W (x) I_d (d > 1) is stored as its base W,
+# with "lift" after its tag; v1 stored every matrix dense.
+
+_MAGIC = "blockunfold-checkpoint v2"
+_READ_MAGICS = ("blockunfold-checkpoint v1", _MAGIC)
+
+
+def _lift_base(M: np.ndarray, d: int) -> np.ndarray | None:
+    """The base ``W`` of ``M`` when d > 1 and ``M`` is bit for bit the lift
+    ``np.kron(W, np.eye(d))``, signed zeros included, so the loader rebuilds
+    it exactly; None otherwise."""
+    if d == 1:
+        return None
+    W = kron_factor(M, d)
+    # an infinite entry times 0.0 is NaN, which the lift M cannot hold
+    if W is None or not np.all(np.isfinite(W)):
+        return None
+    # kron_factor compares values, under which -0.0 == 0.0; W * 1.0 and
+    # W * 0.0 both carry the sign of W, so every entry of the lift's
+    # (i, :, j, :) block has the sign bit of W[i, j]
+    m, n = W.shape
+    signs = np.signbit(M).reshape(m, d, n, d)
+    return W if np.all(signs == np.signbit(W)[:, None, :, None]) else None
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
+    def write(tag: str, M: np.ndarray) -> None:
+        W = _lift_base(M, params.d)
+        if W is None:
+            write_matrix(f, M, f"matrix {tag} ")
+        else:
+            write_matrix(f, W, f"matrix {tag} lift ")
+
     with open(path, "w", encoding="utf-8") as f:
-        f.write("blockunfold-checkpoint v1\n")
+        f.write(_MAGIC + "\n")
         f.write(f"variant {params.variant.value}\n")
         f.write(f"depth {params.depth}\n")
         f.write(f"blocks {params.n} {params.d}\n")
         f.write("alphas " + " ".join(f"{v:.17g}" for v in params.alphas) + "\n")
         if params.gammas is not None:
             f.write("gammas " + " ".join(f"{v:.17g}" for v in params.gammas) + "\n")
-        write_matrix(f, params.dictionary, "matrix D ")
+        write("D", params.dictionary)
         for tag, layers in (("S", params.S), ("B", params.B)):
             if layers is None:
                 continue
             if params.variant in _UNTIED:
                 for k, M in enumerate(layers):
-                    write_matrix(f, M, f"matrix {tag}.{k} ")
+                    write(f"{tag}.{k}", M)
             else:
-                write_matrix(f, layers[0], f"matrix {tag} ")
+                write(tag, layers[0])
 
 
 def load_checkpoint(path: str | Path) -> NetworkParams:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read a checkpoint written by :func:`save_checkpoint`, or a v1 one.
 
     A truncated or malformed file raises ValueError naming the file and
     the offending line or header field.
     """
     fields: dict[str, tuple[int, str]] = {}
-    matrices: dict[str, np.ndarray] = {}
+    # tag -> (stored as a lift's base, matrix as stored)
+    matrices: dict[str, tuple[bool, np.ndarray]] = {}
     with open(path, "r", encoding="utf-8") as f:
         magic = f.readline().strip()
-        if magic != "blockunfold-checkpoint v1":
+        if magic not in _READ_MAGICS:
             raise ValueError(f"{path}: not a checkpoint file (header {magic!r})")
         lineno = 1
         while line := f.readline():
@@ -561,8 +609,11 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
                 fields[parts[0]] = (lineno, " ".join(parts[1:]))
                 continue
             tag = parts[1] if len(parts) > 1 else ""
-            matrices[tag] = _read_matrix(f, path, parts[2:], lineno, f"matrix {tag} ")
-            lineno += len(matrices[tag])
+            dims = parts[2:]
+            lifted = dims[:1] == ["lift"]
+            M = _read_matrix(f, path, dims[1:] if lifted else dims, lineno, f"matrix {tag} ")
+            matrices[tag] = (lifted, M)
+            lineno += len(M)
 
     def field(name: str, parse):
         if name not in fields:
@@ -574,15 +625,19 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
             raise ValueError(f"{path}:{lineno}: bad {name} field {text!r}: {exc}") from exc
 
     def matrix(tag: str) -> np.ndarray:
+        # lifted only here, once the header fields, d included, are read
         if tag not in matrices:
             raise ValueError(f"{path}: missing matrix {tag}")
-        return matrices[tag]
+        lifted, M = matrices[tag]
+        return _kron_eye(M, d) if lifted else M
 
     def floats(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split()])
 
     def blocks(text: str) -> tuple[int, int]:
         n, d = (int(v) for v in text.split())
+        if n < 1 or d < 1:
+            raise ValueError("block count and size must be >= 1")
         return n, d
 
     variant = field("variant", NetworkVariant)

@@ -1,8 +1,9 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +20,12 @@ from blockunfold.blockcore import (
     save_matrix,
     write_matrix,
 )
-from blockunfold.blockcore import _block_gram_residuals, _pairwise_block_spectral_max
+from blockunfold.blockcore import (
+    _block_gram_residuals,
+    _pairwise_block_spectral_max,
+    _parse_fast,
+    _parse_lines,
+)
 from blockunfold.operators import eta
 from blockunfold.solvers import lasso_objective
 
@@ -253,6 +259,25 @@ _MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 )
 
 
+# Any float64, with the values the format must carry exactly made likely:
+# signed zeros, subnormals, the largest magnitudes, infinities and NaN.
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308,
+            np.inf, -np.inf, np.nan)
+_ANY_MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(
+        np.float64, shape, elements=st.one_of(st.sampled_from(_SPECIAL), st.floats())
+    )
+)
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and bits, any NaN matching any NaN."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a.view(np.uint64)[~nan], b.view(np.uint64)[~nan])
+
+
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path, rng):
         A = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-8, 8, size=(7, 3))
@@ -308,6 +333,36 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="bad.txt:3: could not convert"):
             load_matrix(path)
 
+    @given(A=_ANY_MATRICES)
+    @example(A=np.array([[-0.0, 5e-324, -1e308, np.inf, np.nan]]))
+    @example(A=np.array([[-0.0], [-5e-324], [1e308], [-np.inf], [np.nan]]))
+    @settings(max_examples=100, deadline=None)
+    def test_fast_parse_matches_the_per_line_loop(self, A):
+        f = io.StringIO()
+        write_matrix(f, A)
+        lines = f.getvalue().splitlines(keepends=True)[1:]
+        rows, cols = A.shape
+        fast = _parse_fast(lines, rows, cols)
+        assert fast is not None
+        assert_same_bits(fast, _parse_lines(lines, "m.txt", rows, cols, 1))
+        assert_same_bits(fast, A)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 2\n\n3 4\n5 6\n", "m.txt:3: row has 0 values, expected 2"),
+            ("1 2\n3 4 5\n6 7\n", "m.txt:3: row has 3 values, expected 2"),
+            ("1 2\n3 4\n5\n", "m.txt:4: row has 1 values, expected 2"),
+            ("1 2\n3 x\n5 6\n", "m.txt:3: could not convert string to float: 'x'"),
+        ],
+        ids=["blank_line", "long_row", "short_row", "bad_token"],
+    )
+    def test_malformed_rows_keep_their_messages(self, tmp_path, body, message):
+        path = tmp_path / "m.txt"
+        path.write_text("3 2\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+
 
 class TestValidation:
     def test_orthonormal_flag_enforced(self, rng):
@@ -319,6 +374,28 @@ class TestValidation:
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         for i in range(3):
             np.testing.assert_array_equal(D.block(i), D.data[:, 2 * i : 2 * i + 2])
+
+    def test_kron_lift_holds_one_lift(self, rng):
+        K = unit_column_matrix(64, 256, rng)
+        tracemalloc.start()
+        try:
+            D = kron_lift(K, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.orthonormal_blocks
+        assert peak <= 1.1 * D.data.nbytes
+        assert_same_bits(D.data, np.kron(K, np.eye(8)))
+
+    def test_writable_data_is_copied(self, rng):
+        A = rng.standard_normal((4, 6))
+        view = A.view()
+        view.flags.writeable = False
+        for data in (A, view):
+            D = BlockDictionary(data, n=3, d=2)
+            assert not np.shares_memory(D.data, A)
+        A[0, 0] = 99.0
+        assert D.data[0, 0] != 99.0
 
     def test_immutability(self, rng):
         # the cached ||D||_2 relies on a dictionary's data never changing

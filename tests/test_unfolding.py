@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockunfold import unfolding
-from blockunfold.blockcore import kron_factor, kron_lift
+from blockunfold import cli, unfolding
+from blockunfold.blockcore import kron_factor, kron_lift, write_matrix
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
 from blockunfold.unfolding import (
@@ -265,6 +265,37 @@ class TestBackward:
             )
 
 
+    def test_kept_block_norms_give_the_same_gradients(self, rng):
+        params, X_star, Y = lifted_network(NetworkVariant.ALBISTA, rng)
+        fp = forward(params, Y)
+        assert len(fp.norms) == fp.depth and all(r.shape == (5, 6, 1) for r in fp.norms)
+        kept = backward(params, fp, X_star)
+        fp.norms = None
+        recomputed = backward(params, fp, X_star)
+        np.testing.assert_array_equal(kept.alphas, recomputed.alphas)
+        np.testing.assert_array_equal(kept.gammas, recomputed.gammas)
+
+    def test_gradients_do_not_depend_on_the_blas_thread_count(self, rng):
+        if cli._openblas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS thread functions were not found")
+        # circ-desk's training batch: 250 signals of 64 blocks of 5
+        m, n, d = 64, 64, 5
+        D = kron_lift(unit_column_matrix(m, n, rng), d)
+        B_an = np.kron(unit_column_matrix(m, n, rng), np.eye(d))
+        params = init_from_bista(NetworkVariant.ALBISTA, D, 4, B_analytic=B_an, alpha=0.1)
+        X_star = rng.standard_normal((250, n * d))
+        X_star.reshape(250, n, d)[:, 8:] = 0.0
+        fp = forward(params, X_star @ D.data.T)
+        grads = []
+        for threads in (1, 2):
+            with cli._blas_threads(threads):
+                grads.append(backward(params, fp, X_star))
+        for name in ("alphas", "gammas"):
+            a, b = (getattr(g, name) for g in grads)
+            assert np.any(a != 0.0)
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
+
+
 class TestCachedStep:
     """``step_init`` carries albista's B^T (D x - y) for the first executed layer."""
 
@@ -313,6 +344,46 @@ class TestCachedStep:
         for bad in (step[:-1], step[:, :-1], step[0], step[..., None]):
             with pytest.raises(ValueError, match="step_init must have shape"):
                 forward(params, Y, depth=3, start=2, x_init=X0, step_init=bad)
+
+
+def save_v1_checkpoint(path, params):
+    """A checkpoint in the v1 layout, which stores every matrix dense."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("blockunfold-checkpoint v1\n")
+        f.write(f"variant {params.variant.value}\ndepth {params.depth}\n")
+        f.write(f"blocks {params.n} {params.d}\n")
+        f.write("alphas " + " ".join(f"{v:.17g}" for v in params.alphas) + "\n")
+        if params.gammas is not None:
+            f.write("gammas " + " ".join(f"{v:.17g}" for v in params.gammas) + "\n")
+        write_matrix(f, params.dictionary, "matrix D ")
+        for tag, layers in (("S", params.S), ("B", params.B)):
+            if layers is None:
+                continue
+            if params.variant in _UNTIED_VARIANTS:
+                for k, M in enumerate(layers):
+                    write_matrix(f, M, f"matrix {tag}.{k} ")
+            else:
+                write_matrix(f, layers[0], f"matrix {tag} ")
+
+
+def assert_same_network(a, b):
+    """Equal variants and bit-identical arrays, signed zeros included; a
+    tied variant's matrices stay one shared array."""
+    assert (a.variant, a.n, a.d, a.depth) == (b.variant, b.n, b.d, b.depth)
+    pairs = [(a.dictionary, b.dictionary), (a.alphas, b.alphas)]
+    if a.gammas is not None or b.gammas is not None:
+        pairs.append((a.gammas, b.gammas))
+    for name in ("S", "B"):
+        la, lb = getattr(a, name), getattr(b, name)
+        assert (la is None) == (lb is None)
+        if la is None:
+            continue
+        assert len({id(M) for M in la}) == len({id(M) for M in lb})
+        pairs += zip(la, lb)
+    for x, y in pairs:
+        assert x.shape == y.shape
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(y))
+        np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def lifted_network(variant, rng, depth=3, m=4, n=6, d=3):
@@ -382,7 +453,7 @@ class TestFactoredProducts:
     def test_v1_checkpoint_loads_to_the_factored_forward(self, tmp_path, rng, monkeypatch):
         params, _, Y = lifted_network(NetworkVariant.ALBISTA, rng)
         path = tmp_path / "ckpt.txt"
-        save_checkpoint(path, params)
+        save_v1_checkpoint(path, params)
         assert path.read_text().startswith("blockunfold-checkpoint v1\n")
         loaded = load_checkpoint(path)
         factors = []
@@ -530,6 +601,56 @@ class TestCheckpoint:
         save_checkpoint(second, load_checkpoint(first))
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("lifted", [True, False], ids=["lifts", "dense"])
+    def test_v1_and_v2_load_to_the_saved_arrays(self, tmp_path, variant, lifted, rng):
+        if lifted:
+            params, _, Y = lifted_network(variant, rng)
+        else:
+            D, _, y = make_problem(rng)
+            params, Y = perturbed_init(variant, D, 3, rng), np.stack([y, 0.5 * y])
+        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
+        save_v1_checkpoint(v1, params)
+        save_checkpoint(v2, params)
+        assert v2.read_text().startswith("blockunfold-checkpoint v2\n")
+        want = forward(params, Y).iterates[-1]
+        for path in (v1, v2):
+            loaded = load_checkpoint(path)
+            assert_same_network(loaded, params)
+            np.testing.assert_array_equal(forward(loaded, Y).iterates[-1], want)
+
+    def test_lifts_are_stored_as_bases(self, tmp_path, rng):
+        params, _, _ = lifted_network(NetworkVariant.ALBISTA, rng)
+        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
+        save_v1_checkpoint(v1, params)
+        save_checkpoint(v2, params)
+
+        def matrix_bytes(path):
+            text = path.read_text()
+            return len(text[text.index("matrix D") :])
+
+        assert "matrix D lift 4 6\n" in v2.read_text()
+        assert "matrix B lift 4 6\n" in v2.read_text()
+        assert matrix_bytes(v1) >= params.d * matrix_bytes(v2)
+
+    @pytest.mark.parametrize("case", ["zero_signs", "infinite_base"])
+    def test_a_lift_np_kron_cannot_rebuild_is_stored_dense(self, tmp_path, rng, case):
+        D, _, _ = make_problem(rng)
+        params = perturbed_init(NetworkVariant.TIED_LBISTA_CP, D, 3, rng)
+        B = params.B[0]
+        if case == "zero_signs":
+            # the values of K (x) I_d, but +0.0 where np.kron gives -0.0
+            B[...] = np.kron(-np.abs(rng.standard_normal((4, 6))), np.eye(2)) + 0.0
+        else:
+            # zeros where np.kron gives inf * 0.0 = NaN
+            B[...] = np.kron(rng.standard_normal((4, 6)), np.eye(2))
+            B[0, 0] = B[1, 1] = np.inf
+        assert kron_factor(B, 2) is not None
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        assert "matrix B 8 12\n" in path.read_text()
+        assert_same_network(load_checkpoint(path), params)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
@@ -577,4 +698,11 @@ class TestCheckpoint:
         path = self._saved_albista(tmp_path, rng)
         path.write_text(path.read_text().replace("depth 3", "depth three"))
         with pytest.raises(ValueError, match="ckpt.txt:3: bad depth field"):
+            load_checkpoint(path)
+
+    def test_block_size_below_one_names_the_line(self, tmp_path, rng):
+        # d = 0 would lift every stored base to an empty matrix
+        path = self._saved_albista(tmp_path, rng)
+        path.write_text(path.read_text().replace("blocks 6 2", "blocks 6 0"))
+        with pytest.raises(ValueError, match="ckpt.txt:4: bad blocks field '6 0': block count"):
             load_checkpoint(path)
