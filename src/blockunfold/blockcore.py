@@ -14,15 +14,14 @@ signal per row of a ``(batch, n*d)`` array.  Dictionaries are immutable
 after construction and safe to share across threads.
 
 A lift ``M = W (x) I_d`` never needs its dense ``(m*d) x (n*d)`` product:
-:func:`kron_factor` recovers ``W`` from ``M``, and :func:`kron_apply` and
-:func:`kron_adjoint` multiply a batch by ``M`` or ``M^T`` through ``W``,
-``d`` times fewer flops than the lift.
+:func:`kron_apply` and :func:`kron_adjoint` take ``W`` itself (its width
+says it is a base), ``d`` times fewer flops than the lift.
+:func:`kron_lift` keeps the base it lifts; :func:`kron_factor` finds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
@@ -76,13 +75,15 @@ class BlockDictionary:
 
     When ``orthonormal_blocks`` is set, every block satisfies
     ``D[i]^T D[i] = I_d`` up to ``1e-10`` in Frobenius norm; construction
-    fails otherwise.
+    fails otherwise.  ``kron_base`` is the ``m x n`` base ``W`` when the
+    data is the lift ``W (x) I_d`` (:func:`kron_lift` sets it), else None.
     """
 
     data: np.ndarray
     n: int
     d: int
     orthonormal_blocks: bool = False
+    kron_base: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -95,6 +96,11 @@ class BlockDictionary:
                 f"column count {data.shape[1]} does not match n*d = {self.n * self.d}"
             )
         object.__setattr__(self, "data", _freeze(data))
+        if self.kron_base is not None:
+            base = _freeze(self.kron_base)
+            if base.shape[1] != self.n or base.shape[0] * self.d != data.shape[0]:
+                raise ValueError(f"kron_base of shape {base.shape} does not lift to {data.shape}")
+            object.__setattr__(self, "kron_base", base)
         if self.orthonormal_blocks:
             resid = self.max_block_gram_residual()
             if resid > ORTHONORMAL_TOL:
@@ -118,11 +124,11 @@ class BlockDictionary:
     def max_block_gram_residual(self) -> float:
         return float(_block_gram_residuals(self.data, self.data, self.n, self.d).max())
 
-    @cached_property
-    def kron_base(self) -> np.ndarray | None:
-        """:func:`kron_factor` of the data, found once: the data is read-only,
-        so the factor cannot go stale."""
-        return kron_factor(self.data, self.d)
+    @property
+    def held(self) -> np.ndarray:
+        """The matrix the products take: the base when there is one, else
+        the data."""
+        return self.data if self.kron_base is None else self.kron_base
 
 
 def _block_gram_residuals(X: np.ndarray, Y: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -218,7 +224,7 @@ def kron_lift(K: np.ndarray, d: int, max_entries: int = MAX_LIFT_ENTRIES) -> Blo
     lifted.flags.writeable = False
     col_norms = np.linalg.norm(K, axis=0)
     orth = bool(np.max(np.abs(col_norms**2 - 1.0)) * np.sqrt(d) <= ORTHONORMAL_TOL)
-    return BlockDictionary(lifted, n=K.shape[1], d=d, orthonormal_blocks=orth)
+    return BlockDictionary(lifted, n=K.shape[1], d=d, orthonormal_blocks=orth, kron_base=K)
 
 
 def _kron_eye(W: np.ndarray, d: int) -> np.ndarray:
@@ -262,27 +268,26 @@ def kron_factor(M: np.ndarray, d: int) -> np.ndarray | None:
 def _through_base(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Rows of ``X``, each a ``(q, d)`` block signal, multiplied by the
     ``p x q`` matrix ``W`` on the block axis: one batched matmul of
-    ``(batch, q, d)`` views, returned as ``(batch, p*d)``."""
+    ``(batch, q, d)`` views, returned as ``(batch, p*d)``.  OpenBLAS runs
+    it faster, to the same bits, with ``W`` column-major."""
     batch = X.shape[0]
     d = X.shape[1] // W.shape[1]
     if d == 1:
         return X @ W.T
-    return np.matmul(W, X.reshape(batch, W.shape[1], d)).reshape(batch, -1)
+    return np.matmul(np.asfortranarray(W), X.reshape(batch, W.shape[1], d)).reshape(batch, -1)
 
 
-def kron_apply(X: np.ndarray, M: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-    """``X @ M.T``: ``M`` applied to every row of the batch ``X``.
-
-    ``base`` is :func:`kron_factor` of ``M`` as the caller found it; with
-    it the product runs through the base, without it through ``M``.
-    """
-    return X @ M.T if base is None else _through_base(base, X)
+def kron_apply(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M`` applied to every row of the batch ``X``: ``X @ (M (x) I_d).T``
+    for a base ``M`` with ``X.shape[1] / M.shape[1] = d`` columns per block,
+    ``X @ M.T`` for a dense ``M`` as wide as ``X``."""
+    return _through_base(M, X)
 
 
-def kron_adjoint(R: np.ndarray, M: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-    """``R @ M``: ``M^T`` applied to every row of the batch ``R``; ``base``
-    as in :func:`kron_apply`."""
-    return R @ M if base is None else _through_base(base.T, R)
+def kron_adjoint(R: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``M^T`` applied to every row of the batch ``R``; ``M`` as in
+    :func:`kron_apply`, which gives ``R @ M`` for a dense ``M``."""
+    return _through_base(M.T, R)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +399,16 @@ def load_matrix(path: str | Path) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`.
 
     A truncated or malformed file raises ValueError naming the file and
-    the line (see :func:`_read_matrix`).
+    the line (see :func:`_read_matrix`), and so does a non-finite value.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline()
         if not header.endswith("\n"):
             raise ValueError(f"{path}:1: file ends mid-line (truncated)")
-        return _read_matrix(f, path, header.split(), 1)
+        A = _read_matrix(f, path, header.split(), 1)
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        r, c = bad[0]
+        # the header is line 1, so row r is line r + 2
+        raise ValueError(f"{path}:{r + 2}: non-finite value {A[r, c]} in column {c + 1}")
+    return A

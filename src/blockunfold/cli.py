@@ -299,8 +299,9 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 
 def _load_artifacts(cfg: ExperimentConfig):
     """The dataset directory, its problem and the analytic weights' base
-    ``B_base``; each stage reads the splits it uses with :func:`load_split`
-    and lifts the weights to ``B_base (x) I_d`` only if it uses them."""
+    ``B_base``; each stage reads the splits it uses with :func:`load_split`.
+    The networks take ``B_base`` as it is; only eval's ``alamp`` baseline
+    and verify's calibrated network lift it to ``B_base (x) I_d``."""
     data_dir = _require(cfg.out_dir / "data" / "manifest.txt", "gen").parent
     _, problem = load_dataset(data_dir)
     base_B = load_matrix(_require(cfg.out_dir / "weights" / "B_base.txt", "weights"))
@@ -310,9 +311,8 @@ def _load_artifacts(cfg: ExperimentConfig):
 def cmd_train(cfg: ExperimentConfig) -> int:
     data_dir, problem, base_B = _load_artifacts(cfg)
     data = TrainData(*load_split(data_dir, "train"), *load_split(data_dir, "val"))
-    B = kron_lift(base_B, problem.D.d)
     params = init_from_bista(
-        cfg.variant, problem.D, cfg.depth, B_analytic=B.data, alpha=cfg.bista_alpha
+        cfg.variant, problem.D, cfg.depth, B_analytic=base_B, alpha=cfg.bista_alpha
     )
     t0 = time.perf_counter()
     trained, history = layerwise_train(params, data, cfg.train)
@@ -360,7 +360,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     curves["alamp"] = _curve(
         alamp_run(D, B, alpha * gamma, gamma, K_layers, Y_nz).iterates, X_nz
     )
-    init_params = init_from_bista(cfg.variant, D, K_layers, B_analytic=B.data, alpha=alpha)
+    init_params = init_from_bista(cfg.variant, D, K_layers, B_analytic=base_B, alpha=alpha)
     curves[f"{cfg.variant.value}_init"] = _curve(
         forward(init_params, Y_test).iterates, X_test
     )

@@ -19,7 +19,7 @@ Solvers are pure given their inputs.  Each takes a batch of measurement
 vectors, one per row of a ``(batch, n_y)`` array, and runs every row at
 once, one GEMM per step.  A 1-d measurement vector is rejected; pass
 ``y[None]`` for one signal.  A dictionary that is a lift ``K (x) I_d``
-multiplies through its base ``K`` (:attr:`~.blockcore.BlockDictionary.kron_base`).
+multiplies through its base ``K`` (:attr:`~.blockcore.BlockDictionary.held`).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def lasso_objective(
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (y.shape[0], D.n_x):
         raise ValueError(f"x has shape {x.shape}, expected {(y.shape[0], D.n_x)}")
-    resid = kron_apply(x, D.data, D.kron_base) - y
+    resid = kron_apply(x, D.held) - y
     block_norms = np.linalg.norm(x.reshape(-1, D.n, D.d), axis=-1)
     return 0.5 * np.einsum("ij,ij->i", resid, resid) + alpha * block_norms.sum(axis=-1)
 
@@ -202,12 +202,12 @@ def bista_run(
             f"gamma={gamma:.3g} outside the recommended interval (0, {1.0 / L:.3g}]",
             stacklevel=2,
         )
-    A, base = D.data, D.kron_base
+    A = D.held
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     trace.append(X, lasso_objective(D, Y, X, alpha))
     for k in range(1, iters + 1):
-        grad = kron_adjoint(kron_apply(X, A, base) - Y, A, base)
+        grad = kron_adjoint(kron_apply(X, A) - Y, A)
         X = eta(X - gamma * grad, alpha * gamma, D.n, D.d)
         _guard(X, limits, k)
         trace.append(X, lasso_objective(D, Y, X, alpha))
@@ -228,7 +228,7 @@ def fast_bista_run(
     the plain method.  Batches as :func:`bista_run` does.
     """
     Y, X = _check_inputs(D, y, x0, iters)
-    A, base = D.data, D.kron_base
+    A = D.held
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     X_prev = X
@@ -238,7 +238,7 @@ def fast_bista_run(
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         W = X + ((t - 1.0) / t_next) * (X - X_prev)
         X_prev = X
-        grad = kron_adjoint(kron_apply(W, A, base) - Y, A, base)
+        grad = kron_adjoint(kron_apply(W, A) - Y, A)
         X = eta(W - gamma * grad, alpha * gamma, D.n, D.d)
         t = t_next
         _guard(X, limits, k)
@@ -273,8 +273,8 @@ def alamp_run(
     V_prev = np.zeros_like(Y)
     b = np.zeros((Y.shape[0], 1))
     for k in range(1, iters + 1):
-        V = Y - kron_apply(X, D.data, D.kron_base) + b * V_prev
-        Z = X + gamma * kron_adjoint(V, B.data, B.kron_base)
+        V = Y - kron_apply(X, D.held) + b * V_prev
+        Z = X + gamma * kron_adjoint(V, B.held)
         X = eta(Z, alpha, D.n, D.d)
         _guard(X, limits, k)
         if onsager:

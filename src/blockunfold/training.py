@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockcore import _as_batch, kron_adjoint, kron_apply, kron_factor
+from .blockcore import _as_batch, kron_adjoint, kron_apply
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant, backward, forward, stage_arrays
 
 __all__ = [
@@ -247,11 +247,7 @@ def layerwise_train(
         if params.variant is NetworkVariant.ALBISTA:
             # B^T (D x - y) per row; albista's one fixed B serves every layer
             D, B = params.dictionary, params.B[0]
-            D_base, B_base = kron_factor(D, params.d), kron_factor(B, params.d)
-            steps = [
-                kron_adjoint(kron_apply(X, D, D_base) - Y, B, B_base)
-                for X, Y in zip(prefixes, Ys)
-            ]
+            steps = [kron_adjoint(kron_apply(X, D) - Y, B) for X, Y in zip(prefixes, Ys)]
 
         def run(split: int, rows=slice(None)) -> ForwardPass:
             step = steps[split]

@@ -21,10 +21,11 @@ take row batches only, measurements ``(batch, n_y)`` and signals
 1-d array is rejected.  They are embarrassingly parallel over samples, and
 parameters are read-only during a pass.
 
-A matrix that is exactly a lift ``W (x) I_d`` is multiplied through its
-base ``W`` (:func:`~.blockcore.kron_factor`).  Each pass finds the bases
-anew: the matrices are writable, so a factor kept between passes could go
-stale.
+A network holds each fixed matrix (the dictionary, and albista's ``B``)
+as its ``m x n`` base ``W`` when it is a lift ``W (x) I_d``, and each
+trained matrix dense; an array's width says which form it is in.  The
+products take either form (:func:`~.blockcore.kron_apply`), so no pass
+searches for a Kronecker factor.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class NetworkParams:
     and untied only) and ``B`` are per-layer lists of matrices: the untied
     variants hold K distinct arrays, the tied ones (albista included, whose
     ``B`` is the fixed analytical matrix) one shared array K times, so an
-    in-place update through any layer reaches every layer.
+    in-place update through any layer reaches every layer.  Each matrix is
+    held in the form :func:`_hold` gives it.
     """
 
     variant: NetworkVariant
@@ -116,17 +118,18 @@ class NetworkParams:
 
     @property
     def n_y(self) -> int:
-        return self.dictionary.shape[0]
+        rows, cols = self.dictionary.shape
+        return rows * (self.n_x // cols)
 
     def __post_init__(self):
-        self.dictionary = np.asarray(self.dictionary, dtype=np.float64)
+        self.dictionary = _hold(self.dictionary, self.n, self.d, fixed=True)
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
         K = self.depth
         v = self.variant
         if K < 1:
             raise ValueError(f"depth must be >= 1, got {K}")
-        if self.dictionary.shape[1] != self.n_x:
-            raise ValueError("dictionary width does not match n*d")
+        if self.dictionary.shape[1] not in (self.n, self.n_x):
+            raise ValueError("dictionary width matches neither n nor n*d")
         if self.alphas.shape != (K,):
             raise ValueError(f"alphas must have shape ({K},)")
         if v in _CP_FORM:
@@ -146,7 +149,8 @@ class NetworkParams:
             raise ValueError(f"{self.variant.value} needs {self.depth} per-layer {name} matrices")
         if self.variant not in _UNTIED and any(M is not layers[0] for M in layers):
             raise ValueError(f"{self.variant.value} shares one {name} matrix across its layers")
-        return list(layers)
+        fixed = name == "B" and self.variant is NetworkVariant.ALBISTA
+        return _map_layers(lambda M: _hold(M, self.n, self.d, fixed), list(layers))
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(
@@ -162,24 +166,25 @@ class NetworkParams:
         )
 
 
-def _factors(d: int):
-    """``base(M)``: :func:`kron_factor` of ``M``, found on first use and kept
-    for the rest of one pass, in which no matrix changes."""
-    found: dict[int, np.ndarray | None] = {}
-
-    def base(M: np.ndarray) -> np.ndarray | None:
-        if id(M) not in found:
-            found[id(M)] = kron_factor(M, d)
-        return found[id(M)]
-
-    return base
+def _hold(M, n: int, d: int, fixed: bool) -> np.ndarray:
+    """``M`` in the form a network holds it.  An array with ``n`` columns is
+    a base and one with ``n*d`` columns is dense (at d = 1 the two are the
+    same).  A fixed dense matrix that is a lift ``W (x) I_d`` becomes its
+    base ``W``; a base given for a trained matrix becomes its lift."""
+    M = np.asarray(M, dtype=np.float64)
+    if d == 1:
+        return M
+    if M.shape[1] == n:
+        return M if fixed else _kron_eye(M, d)
+    W = kron_factor(M, d) if fixed else None
+    return M if W is None else W
 
 
 def _map_layers(fn, layers: list[np.ndarray] | None) -> list[np.ndarray] | None:
     """Apply ``fn`` once per distinct matrix, so a shared matrix stays shared."""
     if layers is None:
         return None
-    mapped = {id(M): fn(M) for M in layers}
+    mapped = {key: fn(M) for key, M in {id(M): M for M in layers}.items()}
     return [mapped[id(M)] for M in layers]
 
 
@@ -290,20 +295,18 @@ def forward(
     norms = []
     cp_form = params.variant in _CP_FORM
     residuals = [] if cp_form else None
-    base = _factors(d)
     for k in range(start, K):
         Bk = params.B[k]
         if cp_form:
             if k == start and step_init is not None:
                 R, step = None, step_init
             else:
-                R = kron_apply(X, D, base(D)) - Y
-                step = kron_adjoint(R, Bk, base(Bk))
+                R = kron_apply(X, D) - Y
+                step = kron_adjoint(R, Bk)
             Z = X - params.gammas[k] * step
             residuals.append(R)
         else:
-            Sk = params.S[k]
-            Z = kron_apply(X, Sk, base(Sk)) + kron_adjoint(Y, Bk, base(Bk))
+            Z = kron_apply(X, params.S[k]) + kron_adjoint(Y, Bk)
         if not np.all(np.isfinite(Z)):
             raise DivergenceError("non-finite activation", k + 1)
         a = params.alphas[k]
@@ -380,7 +383,6 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     if v is not NetworkVariant.ALBISTA:
         grads.B = accumulators(params.B)
 
-    base = _factors(d)
     G = (fp.iterates[-1] - X_star) / batch
     for j in reversed(range(fp.depth)):
         k = fp.start + j
@@ -395,18 +397,17 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
             g = params.gammas[k]
             R = fp.residuals[j]
             if grads.gammas is not None:
-                step = fp.step_init if R is None else kron_adjoint(R, Bk, base(Bk))
+                step = fp.step_init if R is None else kron_adjoint(R, Bk)
                 grads.gammas[k] = -_dot(dZ, step)
             if grads.B is not None:
                 grads.B[k] += -g * (R.T @ dZ)
             if j > 0:
-                G = dZ - g * kron_adjoint(kron_apply(dZ, Bk, base(Bk)), D, base(D))
+                G = dZ - g * kron_adjoint(kron_apply(dZ, Bk), D)
         else:
-            Sk = params.S[k]
             grads.S[k] += dZ.T @ X_prev
             grads.B[k] += fp.Y.T @ dZ
             if j > 0:
-                G = kron_adjoint(dZ, Sk, base(Sk))
+                G = kron_adjoint(dZ, params.S[k])
     return grads
 
 
@@ -421,12 +422,13 @@ def init_from_bista(
 
     The step size is 1/(1.01 ||D||_2^2) and every layer's threshold is
     alpha times that step (the threshold the classical iteration actually
-    applies).  The gain matrices start from ``B_analytic`` when given and
-    from D itself otherwise: the gradient-step variants take that base as
-    B, the others B = step * base and S = I - B^T D.  The untied variants
-    get ``depth`` copies of each matrix, the tied ones one shared copy.  At
-    this initialization the tied variants reproduce the classical
-    trajectory exactly when ``B_analytic`` is None.
+    applies).  The gain matrices start from ``B_analytic`` when given, as
+    D's shape or as the ``m x n`` base of a lift of it, and from D itself
+    otherwise: the gradient-step variants take that base as B, the others
+    B = step * base and S = I - B^T D.  The untied variants get ``depth``
+    copies of each matrix, the tied ones one shared copy.  At this
+    initialization the tied variants reproduce the classical trajectory
+    exactly when ``B_analytic`` is None.
     """
     if not isinstance(variant, NetworkVariant):
         raise ValueError(f"unknown variant {variant}")
@@ -434,13 +436,16 @@ def init_from_bista(
         raise ValueError(f"depth must be >= 1, got {depth}")
     gamma0 = default_step_size(D)
     base = D.data if B_analytic is None else np.asarray(B_analytic, dtype=np.float64)
-    if base.shape != D.data.shape:
-        raise ValueError(f"B_analytic has shape {base.shape}, expected {D.data.shape}")
+    if D.data.shape not in (base.shape, (base.shape[0] * D.d, base.shape[-1] * D.d)):
+        raise ValueError(
+            f"B_analytic has shape {base.shape}, expected {D.data.shape} "
+            f"or the base of a lift of it"
+        )
     if variant is NetworkVariant.ALBISTA and B_analytic is None:
         raise ValueError("albista needs a precomputed analytical weight matrix")
     gammas, S, B = np.full(depth, gamma0), None, base
     if variant not in _CP_FORM:
-        gammas, B = None, gamma0 * base
+        gammas, B = None, gamma0 * _hold(base, D.n, D.d, fixed=False)
         S = np.eye(D.n_x) - B.T @ D.data
 
     def layers(M: np.ndarray) -> list[np.ndarray]:
@@ -449,7 +454,7 @@ def init_from_bista(
         return [M.copy()] * depth
 
     return NetworkParams(
-        variant=variant, n=D.n, d=D.d, depth=depth, dictionary=D.data.copy(),
+        variant=variant, n=D.n, d=D.d, depth=depth, dictionary=D.held.copy(),
         alphas=np.full(depth, alpha * gamma0), gammas=gammas,
         S=None if S is None else layers(S), B=layers(B),
     )
@@ -530,38 +535,17 @@ def conv_step_fft(
 # checkpoint files: variant tag, depth, block structure, per-layer scalars,
 # then matrix payloads in the shared text matrix format: D, then a tied
 # variant's shared S and B once, or an untied one's S.k and B.k per layer.
-# In v2 a matrix that is a lift W (x) I_d (d > 1) is stored as its base W,
-# with "lift" after its tag; v1 stored every matrix dense.
+# In v2 a matrix the network holds as a lift's base W (d > 1) is stored as
+# W, with "lift" after its tag; v1 stored every matrix dense.
 
 _MAGIC = "blockunfold-checkpoint v2"
 _READ_MAGICS = ("blockunfold-checkpoint v1", _MAGIC)
 
 
-def _lift_base(M: np.ndarray, d: int) -> np.ndarray | None:
-    """The base ``W`` of ``M`` when d > 1 and ``M`` is bit for bit the lift
-    ``np.kron(W, np.eye(d))``, signed zeros included, so the loader rebuilds
-    it exactly; None otherwise."""
-    if d == 1:
-        return None
-    W = kron_factor(M, d)
-    # an infinite entry times 0.0 is NaN, which the lift M cannot hold
-    if W is None or not np.all(np.isfinite(W)):
-        return None
-    # kron_factor compares values, under which -0.0 == 0.0; W * 1.0 and
-    # W * 0.0 both carry the sign of W, so every entry of the lift's
-    # (i, :, j, :) block has the sign bit of W[i, j]
-    m, n = W.shape
-    signs = np.signbit(M).reshape(m, d, n, d)
-    return W if np.all(signs == np.signbit(W)[:, None, :, None]) else None
-
-
 def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
     def write(tag: str, M: np.ndarray) -> None:
-        W = _lift_base(M, params.d)
-        if W is None:
-            write_matrix(f, M, f"matrix {tag} ")
-        else:
-            write_matrix(f, W, f"matrix {tag} lift ")
+        lift = "lift " if params.d > 1 and M.shape[1] == params.n else ""
+        write_matrix(f, M, f"matrix {tag} {lift}")
 
     with open(path, "w", encoding="utf-8") as f:
         f.write(_MAGIC + "\n")
@@ -585,12 +569,13 @@ def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
 def load_checkpoint(path: str | Path) -> NetworkParams:
     """Read a checkpoint written by :func:`save_checkpoint`, or a v1 one.
 
-    A truncated or malformed file raises ValueError naming the file and
-    the offending line or header field.
+    A lift-tagged matrix is a base and stays one; :class:`NetworkParams`
+    puts every matrix in the form the network holds it.  A truncated or
+    malformed file raises ValueError naming the file and the offending
+    line or header field.
     """
     fields: dict[str, tuple[int, str]] = {}
-    # tag -> (stored as a lift's base, matrix as stored)
-    matrices: dict[str, tuple[bool, np.ndarray]] = {}
+    matrices: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as f:
         magic = f.readline().strip()
         if magic not in _READ_MAGICS:
@@ -612,7 +597,7 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
             dims = parts[2:]
             lifted = dims[:1] == ["lift"]
             M = _read_matrix(f, path, dims[1:] if lifted else dims, lineno, f"matrix {tag} ")
-            matrices[tag] = (lifted, M)
+            matrices[tag] = M
             lineno += len(M)
 
     def field(name: str, parse):
@@ -625,11 +610,9 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
             raise ValueError(f"{path}:{lineno}: bad {name} field {text!r}: {exc}") from exc
 
     def matrix(tag: str) -> np.ndarray:
-        # lifted only here, once the header fields, d included, are read
         if tag not in matrices:
             raise ValueError(f"{path}: missing matrix {tag}")
-        lifted, M = matrices[tag]
-        return _kron_eye(M, d) if lifted else M
+        return matrices[tag]
 
     def floats(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split()])

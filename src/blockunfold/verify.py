@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockcore import BlockDictionary, _as_batch, cross_block_coherence
+from .blockcore import BlockDictionary, _as_batch, cross_block_coherence, kron_lift
 # unused here; kept for benchmark/tests/test_harness.py's rebinding check
 from .operators import eta  # noqa: F401
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant, forward
@@ -84,6 +84,12 @@ def max_weight_block_norm(B: BlockDictionary) -> float:
     return max(float(np.linalg.norm(B.block(j), 2)) for j in range(B.n))
 
 
+def _dictionary(M: np.ndarray, n: int, d: int) -> BlockDictionary:
+    """A matrix a network holds as a dictionary: a base (``n`` columns) is
+    lifted with :func:`kron_lift`, a dense matrix taken as it is."""
+    return kron_lift(M, d) if M.shape[1] == n else BlockDictionary(M, n=n, d=d)
+
+
 def _l21_rows(X: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.linalg.norm(X.reshape(X.shape[0], n, d), axis=2).sum(axis=1)
 
@@ -115,7 +121,7 @@ def measure_constants(
             f"constants are defined for the gradient-step variants, not {params.variant.value}"
         )
     n, d = params.n, params.d
-    D = BlockDictionary(params.dictionary, n=n, d=d)
+    D = _dictionary(params.dictionary, n, d)
     # the tied variants share one matrix across layers
     distinct = fp.depth if params.variant is NetworkVariant.UNTIED_LBISTA_CP else 1
     measure = mu_tilde is None
@@ -123,7 +129,7 @@ def measure_constants(
         mu_tilde = 0.0
     B_norm = 0.0
     for k, Bk in enumerate(params.B[:distinct], start=1):
-        B = BlockDictionary(Bk, n=n, d=d)
+        B = _dictionary(Bk, n, d)
         if measure:
             try:
                 mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
@@ -310,10 +316,10 @@ def calibrated_network(
         n=n,
         d=d,
         depth=depth,
-        dictionary=D.data.copy(),
+        dictionary=D.held.copy(),
         alphas=np.zeros(depth),
         gammas=np.full(depth, gamma),
-        B=[B.data.copy()] * depth,
+        B=[B.held.copy()] * depth,
     )
     X = np.zeros_like(X_star)
     iterates, prethresh = [X], []

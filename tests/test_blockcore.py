@@ -222,9 +222,12 @@ class TestKronFactor:
     def test_dictionary_keeps_its_factor(self, rng):
         K = rng.standard_normal((3, 5))
         D = kron_lift(K, 2)
-        assert D.kron_base is D.kron_base
+        assert D.kron_base is D.kron_base and D.held is D.kron_base
         np.testing.assert_array_equal(D.kron_base, K)
-        assert BlockDictionary(rng.standard_normal((6, 10)), n=5, d=2).kron_base is None
+        dense = BlockDictionary(rng.standard_normal((6, 10)), n=5, d=2)
+        assert dense.kron_base is None and dense.held is dense.data
+        with pytest.raises(ValueError, match="does not lift"):
+            BlockDictionary(D.data, n=5, d=2, kron_base=K.T)
 
     @given(
         m=st.integers(1, 6),
@@ -244,11 +247,26 @@ class TestKronFactor:
         assert base is not None
         X = rng.standard_normal((batch, n * d))
         R = rng.standard_normal((batch, m * d))
-        np.testing.assert_allclose(kron_apply(X, M, base), X @ M.T, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(kron_adjoint(R, M, base), R @ M, rtol=0, atol=1e-12)
-        # no factor: the dense product itself
+        np.testing.assert_allclose(kron_apply(X, base), X @ M.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kron_adjoint(R, base), R @ M, rtol=0, atol=1e-12)
+        # a dense matrix: the dense product itself
         np.testing.assert_array_equal(kron_apply(X, M), X @ M.T)
         np.testing.assert_array_equal(kron_adjoint(R, M), R @ M)
+
+    @pytest.mark.parametrize(
+        "m, n, d, batch", [(64, 64, 5, 250), (64, 256, 8, 200)], ids=["circ-desk", "gauss-wide"]
+    )
+    def test_column_major_base_gives_the_bits_of_a_c_ordered_matmul(self, rng, m, n, d, batch):
+        W = rng.standard_normal((m, n))
+        X = rng.standard_normal((batch, n * d))
+        R = rng.standard_normal((batch, m * d))
+        want_apply = np.matmul(W, X.reshape(batch, n, d)).reshape(batch, -1)
+        WT = np.ascontiguousarray(W.T)
+        want_adjoint = np.matmul(WT, R.reshape(batch, m, d)).reshape(batch, -1)
+        np.testing.assert_array_equal(kron_apply(X, W).view(np.uint64), want_apply.view(np.uint64))
+        np.testing.assert_array_equal(
+            kron_adjoint(R, W).view(np.uint64), want_adjoint.view(np.uint64)
+        )
 
 
 # Finite values of every magnitude, and -0.0, in small matrices.
@@ -361,6 +379,13 @@ class TestMatrixFormat:
         path = tmp_path / "m.txt"
         path.write_text("3 2\n" + body)
         with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
+        path = tmp_path / "m.txt"
+        path.write_text(f"3 2\n1 2\n3 4\n5 {value}\n")
+        with pytest.raises(ValueError, match=rf"m.txt:4: non-finite value {value} in column 2"):
             load_matrix(path)
 
 

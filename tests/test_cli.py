@@ -408,6 +408,23 @@ class TestErrors:
         assert "K.txt:3: could not convert string to float" in err
 
     @pytest.mark.parametrize(
+        "stage, name, value",
+        [("train", "Y_train.txt", "nan"), ("eval", "Y_test.txt", "inf")],
+        ids=["nan_in_train", "inf_in_test"],
+    )
+    def test_non_finite_data_value_is_an_error_line(self, tmp_path, capsys, stage, name, value):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        for step in ("gen", "weights"):
+            assert main([step, "--config", cfg, "--out", str(out)]) == 0
+        path = out / "data" / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = value + lines[3][lines[3].index(" "):]
+        path.write_text("".join(lines))
+        err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
+        assert f"{name}:4: non-finite value {value} in column 1" in err
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("learning_rate", "learning_rat", "unknown key 'learning_rat' in [training]"),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockunfold import cli, unfolding
-from blockunfold.blockcore import kron_factor, kron_lift, write_matrix
+from blockunfold import blockcore, cli, training, unfolding
+from blockunfold.blockcore import kron_factor, kron_lift
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
 from blockunfold.unfolding import (
@@ -307,7 +307,7 @@ class TestCachedStep:
         Xs = scales * x_star
         head = forward(params, Y, depth=start)
         X0 = head.iterates[-1]
-        step = (X0 @ params.dictionary.T - Y) @ params.B[0]
+        step = (X0 @ D.data.T - Y) @ params.B[0]
         return params, Y, Xs, X0, step
 
     def test_forward_backward_match_uncached(self, rng):
@@ -347,7 +347,13 @@ class TestCachedStep:
 
 
 def save_v1_checkpoint(path, params):
-    """A checkpoint in the v1 layout, which stores every matrix dense."""
+    """A checkpoint in the v1 layout, which stores every matrix dense: a
+    held base as its lift."""
+
+    def write_matrix(f, M, prefix):
+        dense = np.kron(M, np.eye(params.d)) if M.shape[1] == params.n else M
+        blockcore.write_matrix(f, dense, prefix)
+
     with open(path, "w", encoding="utf-8") as f:
         f.write("blockunfold-checkpoint v1\n")
         f.write(f"variant {params.variant.value}\ndepth {params.depth}\n")
@@ -389,33 +395,44 @@ def assert_same_network(a, b):
 def lifted_network(variant, rng, depth=3, m=4, n=6, d=3):
     """A network on D = K (x) I_d whose every matrix is a lift of a random
     base (one per distinct matrix), a batch of block-sparse signals and their
-    measurements, with thresholds that keep some blocks and kill others."""
+    measurements, with thresholds that keep some blocks and kill others.
+    The network holds the fixed matrices as those bases and the trained
+    ones as the lifts."""
     D = kron_lift(rng.standard_normal((m, n)), d)
-    B_an = np.kron(rng.standard_normal((m, n)), np.eye(d))
+    B_an = rng.standard_normal((m, n))
     params = init_from_bista(variant, D, depth, B_analytic=B_an)
     for layers, shape in ((params.S, (n, n)), (params.B, (m, n))):
         for M in {id(M): M for M in layers or []}.values():
-            M[...] = np.kron(0.3 * rng.standard_normal(shape), np.eye(d))
+            W = 0.3 * rng.standard_normal(shape)
+            M[...] = W if M.shape == shape else np.kron(W, np.eye(d))
     params.alphas[:] = rng.uniform(0.05, 0.3, size=depth)
     X_star = rng.standard_normal((5, n * d))
     X_star.reshape(5, n, d)[:, 2:] = 0.0
     return params, X_star, X_star @ D.data.T
 
 
-def dense(fn, *args):
-    """``fn(*args)`` with every product through the dense matrices."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(unfolding, "kron_factor", lambda M, d: None)
-        return fn(*args)
+def dense_twin(params):
+    """The same network with each held base replaced by its lift, after
+    construction: every product of the twin runs through dense matrices."""
+    twin = params.copy()
+
+    def lift(M):
+        return np.kron(M, np.eye(params.d)) if M.shape[1] == params.n else M
+
+    twin.dictionary = lift(twin.dictionary)
+    twin.B = unfolding._map_layers(lift, twin.B)
+    return twin
 
 
 def assert_pass_matches_dense(params, Y, X_star):
+    twin = dense_twin(params)
+    assert twin.dictionary.shape == (twin.n_y, twin.n_x)
     fp = forward(params, Y)
-    fp_dense = dense(forward, params, Y)
+    fp_dense = forward(twin, Y)
     for a, b in zip(fp.iterates + fp.prethresh, fp_dense.iterates + fp_dense.prethresh):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     grads = backward(params, fp, X_star)
-    grads_dense = dense(backward, params, fp_dense, X_star)
+    grads_dense = backward(twin, fp_dense, X_star)
     for name in ("alphas", "gammas", "S", "B"):
         got, want = getattr(grads, name), getattr(grads_dense, name)
         if got is None:
@@ -429,8 +446,11 @@ class TestFactoredProducts:
     @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
     def test_forward_and_backward_match_the_dense_path(self, rng, variant):
         params, X_star, Y = lifted_network(variant, rng)
-        matrices = [params.dictionary] + (params.S or []) + params.B
-        assert all(kron_factor(M, params.d) is not None for M in matrices)
+        fixed = [params.dictionary]
+        trained = list(params.S or [])
+        (fixed if variant is NetworkVariant.ALBISTA else trained).extend(params.B)
+        assert all(M.shape == (4, 6) for M in fixed)
+        assert all(kron_factor(M, params.d) is not None for M in trained)
         assert_pass_matches_dense(params, Y, X_star)
 
     @pytest.mark.parametrize(
@@ -441,21 +461,24 @@ class TestFactoredProducts:
     def test_in_place_write_to_a_tied_matrix_is_seen(self, rng, variant):
         params, X_star, Y = lifted_network(variant, rng)
         before = forward(params, Y).iterates[-1]
-        # a new lift, written through layer 0 of the shared matrix
-        params.B[0][...] = np.kron(0.3 * rng.standard_normal((4, 6)), np.eye(3))
+        # a new matrix, written through layer 0 of the shared one: a base
+        # into albista's fixed B, a lift into a trained B
+        W = 0.3 * rng.standard_normal((4, 6))
+        fixed = variant is NetworkVariant.ALBISTA
+        params.B[0][...] = W if fixed else np.kron(W, np.eye(3))
         assert_pass_matches_dense(params, Y, X_star)
         assert not np.array_equal(forward(params, Y).iterates[-1], before)
-        # an off-diagonal channel entry: no longer a lift at all
-        params.B[0][0, 1] = 0.5
-        assert kron_factor(params.B[2], params.d) is None
-        assert_pass_matches_dense(params, Y, X_star)
+        if not fixed:
+            # an off-diagonal channel entry: no longer a lift at all
+            params.B[0][0, 1] = 0.5
+            assert kron_factor(params.B[2], params.d) is None
+            assert_pass_matches_dense(params, Y, X_star)
 
     def test_v1_checkpoint_loads_to_the_factored_forward(self, tmp_path, rng, monkeypatch):
         params, _, Y = lifted_network(NetworkVariant.ALBISTA, rng)
         path = tmp_path / "ckpt.txt"
         save_v1_checkpoint(path, params)
         assert path.read_text().startswith("blockunfold-checkpoint v1\n")
-        loaded = load_checkpoint(path)
         factors = []
 
         def recording(M, d):
@@ -463,10 +486,37 @@ class TestFactoredProducts:
             return factors[-1]
 
         monkeypatch.setattr(unfolding, "kron_factor", recording)
-        out = forward(loaded, Y).iterates[-1]
-        # D and the shared B, each found once per pass and both lifts
+        loaded = load_checkpoint(path)
+        # D and the shared B, each factored once, at construction
         assert len(factors) == 2 and all(f is not None for f in factors)
+        assert loaded.dictionary.shape == loaded.B[0].shape == (4, 6)
+        out = forward(loaded, Y).iterates[-1]
+        assert len(factors) == 2
         np.testing.assert_array_equal(out, forward(params, Y).iterates[-1])
+
+    def test_no_pass_searches_for_a_factor(self, tmp_path, rng, monkeypatch):
+        def refuse(M, d):
+            raise AssertionError("kron_factor called")
+
+        monkeypatch.setattr(blockcore, "kron_factor", refuse)
+        monkeypatch.setattr(unfolding, "kron_factor", refuse)
+        m, n, d = 4, 6, 3
+        D = kron_lift(rng.standard_normal((m, n)), d)
+        B_base = rng.standard_normal((m, n))
+        params = init_from_bista(NetworkVariant.ALBISTA, D, 2, B_analytic=B_base, alpha=0.1)
+        assert params.dictionary.shape == params.B[0].shape == (m, n)
+        X = rng.standard_normal((20, n * d))
+        X.reshape(20, n, d)[:, 2:] = 0.0
+        Y = X @ D.data.T
+        backward(params, forward(params, Y), X)
+        data = training.TrainData(X[:12], Y[:12], X[12:], Y[12:])
+        cfg = training.TrainConfig(batch_size=4, max_iters_per_layer=3, eval_every=1)
+        trained, history = training.layerwise_train(params, data, cfg)
+        assert history.layers[-1] == 2
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, trained)
+        assert "matrix D lift 4 6\n" in path.read_text()
+        assert "matrix B lift 4 6\n" in path.read_text()
 
 
 class TestInit:

@@ -6,6 +6,7 @@ from blockunfold.blockcore import (
     cross_block_coherence,
     kron_adjoint,
     kron_apply,
+    kron_factor,
 )
 from blockunfold.datagen import (
     Scenario,
@@ -57,6 +58,8 @@ def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
     n, d = D.n, D.d
     mu = d * cross_block_coherence(B, D)
     C = abs(gamma) * max_weight_block_norm(B)
+    # kron_weights' B carries no base; the network factors it once
+    B_base = kron_factor(B.data, d)
 
     def worst_l21_error(X):
         return np.linalg.norm((X - X_star).reshape(X.shape[0], n, d), axis=2).sum(axis=1).max()
@@ -66,7 +69,7 @@ def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
     for k in range(depth):
         C_X[k] = worst_l21_error(X)
         alphas[k] = gamma * mu * C_X[k] + C * sigma
-        step = kron_adjoint(kron_apply(X, D.data, D.kron_base) - Y, B.data, B.kron_base)
+        step = kron_adjoint(kron_apply(X, D.held) - Y, B_base)
         X = eta(X - gamma * step, alphas[k], n, d)
     C_X[depth] = worst_l21_error(X)
     return alphas, C_X
