@@ -1,4 +1,4 @@
-"""Block-structured dictionaries, coherence measures and the text matrix format.
+"""Block-structured dictionaries, coherence measures and the matrix files.
 
 A signal of length ``n*d`` is partitioned into ``n`` contiguous blocks of
 length ``d``; sparsity is counted in whole blocks.  A multiple measurement
@@ -291,10 +291,49 @@ def kron_adjoint(R: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# text matrix format shared by all save/load paths
+# matrix files
 #
-# Header line "rows cols", then rows lines of cols whitespace-separated
-# decimal values printed with 17 significant digits (float64 round-trips).
+# Datasets and weights are numpy ``.npy`` files of one 2-d float64 array
+# (:func:`save_matrix`, :func:`load_matrix`).  The checkpoint keeps a text
+# format: a "rows cols" header line, then rows lines of cols
+# whitespace-separated decimal values printed with 17 significant digits
+# (float64 round-trips); :func:`write_matrix` and :func:`_read_matrix`.
+
+
+def save_matrix(path: str | Path, A: np.ndarray) -> None:
+    """Write ``A`` (a 1-d array as one column) to exactly ``path`` as a
+    C-ordered ``.npy`` file; ``np.save`` given a name would append
+    ``.npy`` to it."""
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim == 1:
+        A = A[:, None]
+    if A.ndim != 2:
+        raise ValueError(f"can only save 1-d or 2-d arrays, got shape {A.shape}")
+    with open(path, "wb") as f:
+        np.save(f, np.ascontiguousarray(A), allow_pickle=False)
+
+
+def load_matrix(path: str | Path) -> np.ndarray:
+    """The C-ordered matrix of a file written by :func:`save_matrix`.
+
+    A truncated file, one that is not ``.npy`` (a pickle or a text matrix
+    included), an array that is not 2-d float64 and a non-finite value
+    each raise ValueError naming the file; a non-finite value also names
+    its row and column.  ``read_array`` is :func:`np.load` without its
+    ``.npz`` and pickle branches: every fault of the file is a ValueError.
+    """
+    with open(path, "rb") as f:
+        try:
+            A = np.lib.format.read_array(f, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a readable .npy matrix: {exc}") from exc
+    if A.ndim != 2 or A.dtype != np.float64:
+        raise ValueError(f"{path}: holds a {A.ndim}-d {A.dtype} array, expected 2-d float64")
+    finite = np.isfinite(A)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite value {A[r, c]} at row {r + 1}, column {c + 1}")
+    return np.ascontiguousarray(A)
 
 
 def write_matrix(f: TextIO, A: np.ndarray, prefix: str = "") -> None:
@@ -307,29 +346,19 @@ def write_matrix(f: TextIO, A: np.ndarray, prefix: str = "") -> None:
         f.write(row_format % tuple(row.tolist()))
 
 
-def save_matrix(path: str | Path, A: np.ndarray) -> None:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != 2:
-        raise ValueError(f"can only save 1-d or 2-d arrays, got shape {A.shape}")
-    with open(path, "w", encoding="utf-8") as f:
-        write_matrix(f, A)
-
-
 def _read_matrix(
     f: TextIO, path: str | Path, dims: list[str], lineno: int, label: str = ""
 ) -> np.ndarray:
     """Read the rows of a matrix written by :func:`write_matrix` from ``f``;
-    the one parser of the format, shared by :func:`load_matrix` and the
-    checkpoint loader.
+    the checkpoint loader's parser of the text format.
 
     ``dims`` are the ``rows cols`` fields of the matrix's header, which is
     line ``lineno`` of ``path``; ``label`` names the matrix in errors.  A
-    truncated or malformed matrix raises ValueError naming the file and
-    the line (see :func:`_parse_lines`).  A well-formed matrix is parsed in
-    one :func:`np.loadtxt` call (:func:`_parse_fast`); any other goes
-    through the per-line loop, which finds and names the fault.
+    truncated or malformed matrix, or a non-finite value, raises
+    ValueError naming the file and the line (see :func:`_parse_lines`).
+    A well-formed matrix is parsed in one :func:`np.loadtxt` call
+    (:func:`_parse_fast`); any other goes through the per-line loop,
+    which finds and names the fault.
     """
     try:
         rows, cols = (int(v) for v in dims)
@@ -346,7 +375,15 @@ def _read_matrix(
         if not line.endswith("\n"):
             break
     A = _parse_fast(lines, rows, cols)
-    return _parse_lines(lines, path, rows, cols, lineno, label) if A is None else A
+    if A is None:
+        A = _parse_lines(lines, path, rows, cols, lineno, label)
+    finite = np.isfinite(A)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}:{lineno + 1 + r}: {label}value {A[r, c]} in column {c + 1} is not finite"
+        )
+    return A
 
 
 def _parse_fast(lines: list[str], rows: int, cols: int) -> np.ndarray | None:
@@ -392,23 +429,4 @@ def _parse_lines(
             A[r] = [float(v) for v in vals]
         except ValueError as exc:
             raise ValueError(f"{path}:{row_no}: {exc}") from exc
-    return A
-
-
-def load_matrix(path: str | Path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`.
-
-    A truncated or malformed file raises ValueError naming the file and
-    the line (see :func:`_read_matrix`), and so does a non-finite value.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline()
-        if not header.endswith("\n"):
-            raise ValueError(f"{path}:1: file ends mid-line (truncated)")
-        A = _read_matrix(f, path, header.split(), 1)
-    bad = np.argwhere(~np.isfinite(A))
-    if bad.size:
-        r, c = bad[0]
-        # the header is line 1, so row r is line r + 2
-        raise ValueError(f"{path}:{r + 2}: non-finite value {A[r, c]} in column {c + 1}")
     return A

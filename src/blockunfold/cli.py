@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ALLOCATOR_POLICY
 from .blockcore import (
     BlockDictionary,
     cross_block_coherence,
@@ -280,7 +281,7 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
     runtime = time.perf_counter() - t0
     out = cfg.out_dir / "weights"
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(out / "B_base.txt", w.B.data)
+    save_matrix(out / "B_base.npy", w.B.data)
     with open(out / "B_base.meta", "w", encoding="utf-8") as f:
         f.write(f"method = {cfg.weights_method}\n")
         f.write(f"feasibility_residual = {w.feasibility_residual:.17g}\n")
@@ -304,7 +305,7 @@ def _load_artifacts(cfg: ExperimentConfig):
     and verify's calibrated network lift it to ``B_base (x) I_d``."""
     data_dir = _require(cfg.out_dir / "data" / "manifest.txt", "gen").parent
     _, problem = load_dataset(data_dir)
-    base_B = load_matrix(_require(cfg.out_dir / "weights" / "B_base.txt", "weights"))
+    base_B = load_matrix(_require(cfg.out_dir / "weights" / "B_base.npy", "weights"))
     return data_dir, problem, base_B
 
 
@@ -511,6 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("BLOCKUNFOLD_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
+    log.info("allocator policy %s: %s", *ALLOCATOR_POLICY)
     commands = {
         "gen": cmd_gen,
         "weights": cmd_weights,

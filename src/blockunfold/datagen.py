@@ -241,10 +241,23 @@ def sample_signal_class(
 
 
 # ---------------------------------------------------------------------------
-# dataset files: one matrix file per split plus a manifest
+# dataset files: a text manifest and one ``.npy`` matrix file (see
+# :func:`~.blockcore.save_matrix`) per array
 
 
 _SPLITS = ("train", "val", "test")
+
+
+def _matrix_file(data: Path, name: str) -> Path:
+    """The path of matrix ``name`` in dataset directory ``data``.  A text
+    matrix file from an older version in its place raises ValueError: the
+    dataset must be written again."""
+    path, old = data / f"{name}.npy", data / f"{name}.txt"
+    if not path.exists() and old.exists():
+        raise ValueError(
+            f"{old}: dataset in the old text format; rerun `blockunfold gen` to write it as .npy"
+        )
+    return path
 
 
 def save_dataset(
@@ -255,12 +268,12 @@ def save_dataset(
 ) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix(out / "K.txt", problem.K)
+    save_matrix(out / "K.npy", problem.K)
     if problem.kernel is not None:
-        save_matrix(out / "kernel.txt", problem.kernel)
+        save_matrix(out / "kernel.npy", problem.kernel)
     for split, (X, Y) in splits.items():
-        save_matrix(out / f"X_{split}.txt", X)
-        save_matrix(out / f"Y_{split}.txt", Y)
+        save_matrix(out / f"X_{split}.npy", X)
+        save_matrix(out / f"Y_{split}.npy", Y)
     with open(out / "manifest.txt", "w", encoding="utf-8") as f:
         f.write("[dataset]\n")
         f.write(f"scenario = {cfg.scenario.value}\n")
@@ -304,9 +317,10 @@ def _read_manifest(data: Path):
 def load_dataset(data_dir: str | Path) -> tuple[ScenarioConfig, ProblemData]:
     """The scenario and problem of a dataset written by :func:`save_dataset`.
 
-    Reads the manifest, ``K.txt`` and ``kernel.txt``; the splits are read
+    Reads the manifest, ``K.npy`` and ``kernel.npy``; the splits are read
     one at a time by :func:`load_split`.  A missing or malformed manifest
-    key, split row counts included, raises ValueError naming the file.
+    key, split row counts included, raises ValueError naming the file, and
+    so does a dataset written in the old text format.
     """
     data = Path(data_dir)
     field = _read_manifest(data)
@@ -327,11 +341,10 @@ def load_dataset(data_dir: str | Path) -> tuple[ScenarioConfig, ProblemData]:
         cfg = ScenarioConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{data / 'manifest.txt'}: {exc}") from exc
-    K = load_matrix(data / "K.txt")
+    K = load_matrix(_matrix_file(data, "K"))
     D = kron_lift(K, cfg.d)
-    kernel = (
-        load_matrix(data / "kernel.txt").ravel() if (data / "kernel.txt").exists() else None
-    )
+    kernel_path = _matrix_file(data, "kernel")
+    kernel = load_matrix(kernel_path).ravel() if kernel_path.exists() else None
     return cfg, ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
 
 
@@ -345,11 +358,12 @@ def load_split(data_dir: str | Path, split: str) -> tuple[np.ndarray, np.ndarray
     count = _read_manifest(data)(f"n_{split}", int)
     if count == 0:
         raise FileNotFoundError(f"{data}: the dataset has no {split} split (n_{split} = 0)")
-    pair = (load_matrix(data / f"X_{split}.txt"), load_matrix(data / f"Y_{split}.txt"))
-    for name, M in zip((f"X_{split}.txt", f"Y_{split}.txt"), pair):
+    paths = (_matrix_file(data, f"X_{split}"), _matrix_file(data, f"Y_{split}"))
+    pair = tuple(load_matrix(path) for path in paths)
+    for path, M in zip(paths, pair):
         if M.shape[0] != count:
             raise ValueError(
-                f"{data / name}: {M.shape[0]} rows, but {data / 'manifest.txt'} "
+                f"{path}: {M.shape[0]} rows, but {data / 'manifest.txt'} "
                 f"gives n_{split} = {count}"
             )
     return pair

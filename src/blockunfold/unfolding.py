@@ -298,12 +298,17 @@ def forward(
     for k in range(start, K):
         Bk = params.B[k]
         if cp_form:
+            g = params.gammas[k]
             if k == start and step_init is not None:
-                R, step = None, step_init
+                R = None
+                Z = X - g * step_init
             else:
-                R = kron_apply(X, D) - Y
-                step = kron_adjoint(R, Bk)
-            Z = X - params.gammas[k] * step
+                # in place, the bits of X - g * B^T (D X - Y)
+                R = kron_apply(X, D)
+                R -= Y
+                Z = kron_adjoint(R, Bk)
+                Z *= -g
+                Z += X
             residuals.append(R)
         else:
             Z = kron_apply(X, params.S[k]) + kron_adjoint(Y, Bk)
@@ -571,8 +576,8 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
 
     A lift-tagged matrix is a base and stays one; :class:`NetworkParams`
     puts every matrix in the form the network holds it.  A truncated or
-    malformed file raises ValueError naming the file and the offending
-    line or header field.
+    malformed file, or a non-finite value, raises ValueError naming the
+    file and the offending line or header field.
     """
     fields: dict[str, tuple[int, str]] = {}
     matrices: dict[str, np.ndarray] = {}
@@ -615,7 +620,10 @@ def load_checkpoint(path: str | Path) -> NetworkParams:
         return matrices[tag]
 
     def floats(text: str) -> np.ndarray:
-        return np.array([float(v) for v in text.split()])
+        values = np.array([float(v) for v in text.split()])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite value")
+        return values
 
     def blocks(text: str) -> tuple[int, int]:
         n, d = (int(v) for v in text.split())

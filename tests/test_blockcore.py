@@ -1,4 +1,5 @@
 import io
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from blockunfold.blockcore import (
     _pairwise_block_spectral_max,
     _parse_fast,
     _parse_lines,
+    _read_matrix,
 )
 from blockunfold.operators import eta
 from blockunfold.solvers import lasso_objective
@@ -296,22 +298,52 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64)[~nan], b.view(np.uint64)[~nan])
 
 
+def read_text_matrix(path):
+    """A text matrix file through the checkpoint's parser: the header line,
+    then :func:`_read_matrix`."""
+    with open(path, encoding="utf-8") as f:
+        return _read_matrix(f, path, f.readline().split(), 1)
+
+
 class TestMatrixFormat:
+    """The ``.npy`` files of datasets and weights (``save_matrix``,
+    ``load_matrix``) and the text format of checkpoint matrices
+    (``write_matrix``, ``_read_matrix``)."""
+
     def test_round_trip_exact(self, tmp_path, rng):
         A = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-8, 8, size=(7, 3))
-        path = tmp_path / "a.txt"
+        A[0] = [-0.0, 5e-324, -2.2e-308]
+        A[1] = [1e308, -1e308, 1.7976931348623157e308]
+        path = tmp_path / "a.npy"
         save_matrix(path, A)
-        np.testing.assert_array_equal(load_matrix(path), A)
+        assert_same_bits(load_matrix(path), A)
 
-    def test_header_and_layout(self, tmp_path):
-        save_matrix(tmp_path / "m.txt", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        lines = (tmp_path / "m.txt").read_text().splitlines()
+    def test_saves_to_exactly_the_path(self, tmp_path):
+        path = tmp_path / "m.dat"
+        save_matrix(path, np.eye(2))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.dat"]
+        assert path.read_bytes().startswith(b"\x93NUMPY")
+        np.testing.assert_array_equal(load_matrix(path), np.eye(2))
+
+    def test_fortran_ordered_file_loads_c_ordered(self, tmp_path, rng):
+        A = np.asfortranarray(rng.standard_normal((3, 4)))
+        path = tmp_path / "f.npy"
+        with open(path, "wb") as f:
+            np.save(f, A)
+        loaded = load_matrix(path)
+        assert loaded.flags.c_contiguous
+        np.testing.assert_array_equal(loaded, A)
+
+    def test_header_and_layout(self):
+        f = io.StringIO()
+        write_matrix(f, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        lines = f.getvalue().splitlines()
         assert lines[0] == "2 2"
         assert lines[1].split() == ["1", "2"]
 
     def test_vector_saved_as_column(self, tmp_path):
-        save_matrix(tmp_path / "v.txt", np.array([1.0, 2.0, 3.0]))
-        assert load_matrix(tmp_path / "v.txt").shape == (3, 1)
+        save_matrix(tmp_path / "v.npy", np.array([1.0, 2.0, 3.0]))
+        assert load_matrix(tmp_path / "v.npy").shape == (3, 1)
 
     @given(A=_MATRICES)
     @settings(max_examples=50, deadline=None)
@@ -329,27 +361,54 @@ class TestMatrixFormat:
     @settings(max_examples=25, deadline=None)
     def test_round_trip_and_every_truncation_names_the_file(self, tmp_path_factory, A):
         tmp = tmp_path_factory.mktemp("matrix")
-        path = tmp / "full.txt"
+        path = tmp / "full.npy"
         save_matrix(path, A)
-        np.testing.assert_array_equal(load_matrix(path), A)
+        assert_same_bits(load_matrix(path), A)
         full = path.read_bytes()
-        cut_path = tmp / "cut.txt"
+        cut_path = tmp / "cut.npy"
         for size in range(len(full)):
             cut_path.write_bytes(full[:size])
-            with pytest.raises(ValueError, match="cut.txt"):
+            with pytest.raises(ValueError, match="cut.npy"):
                 load_matrix(cut_path)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("pickle", "not a readable .npy matrix"),
+            ("object", "not a readable .npy matrix"),
+            ("text", "not a readable .npy matrix"),
+            ("vector", "holds a 1-d float64 array"),
+            ("cube", "holds a 3-d float64 array"),
+            ("integer", "holds a 2-d int64 array"),
+        ],
+    )
+    def test_other_files_are_rejected(self, tmp_path, kind, message):
+        path = tmp_path / "m.npy"
+        with open(path, "wb") as f:
+            if kind == "pickle":
+                pickle.dump(np.eye(2), f)
+            elif kind == "object":
+                np.save(f, np.array([[1.0, "a"]], dtype=object), allow_pickle=True)
+            elif kind == "text":
+                f.write(b"2 2\n1 2\n3 4\n")
+            else:
+                shapes = {"vector": (3,), "cube": (2, 2, 2), "integer": (2, 2)}
+                dtype = np.int64 if kind == "integer" else np.float64
+                np.save(f, np.zeros(shapes[kind], dtype=dtype))
+        with pytest.raises(ValueError, match=f"m.npy: {message}"):
+            load_matrix(path)
 
     def test_missing_rows_name_the_file(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("3 2\n1 2\n3 4\n")
         with pytest.raises(ValueError, match=r"short.txt: ends after 2 of 3 rows \(line 4"):
-            load_matrix(path)
+            read_text_matrix(path)
 
     def test_bad_value_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 2\n3 x\n")
         with pytest.raises(ValueError, match="bad.txt:3: could not convert"):
-            load_matrix(path)
+            read_text_matrix(path)
 
     @given(A=_ANY_MATRICES)
     @example(A=np.array([[-0.0, 5e-324, -1e308, np.inf, np.nan]]))
@@ -379,14 +438,19 @@ class TestMatrixFormat:
         path = tmp_path / "m.txt"
         path.write_text("3 2\n" + body)
         with pytest.raises(ValueError, match=message):
-            load_matrix(path)
+            read_text_matrix(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_the_line(self, tmp_path, value):
+        A = np.arange(6.0).reshape(3, 2)
+        A[2, 1] = float(value)
+        save_matrix(tmp_path / "m.npy", A)
+        with pytest.raises(ValueError, match=rf"m.npy: non-finite value {value} at row 3, column 2"):
+            load_matrix(tmp_path / "m.npy")
         path = tmp_path / "m.txt"
         path.write_text(f"3 2\n1 2\n3 4\n5 {value}\n")
-        with pytest.raises(ValueError, match=rf"m.txt:4: non-finite value {value} in column 2"):
-            load_matrix(path)
+        with pytest.raises(ValueError, match=rf"m.txt:4: value {value} in column 2 is not finite"):
+            read_text_matrix(path)
 
 
 class TestValidation:

@@ -1,12 +1,15 @@
 import importlib.util
 import json
+import logging
 import math
 import re
 from pathlib import Path
 
 import pytest
 
+import blockunfold
 from blockunfold import cli, solvers, unfolding, verify
+from blockunfold.blockcore import load_matrix, save_matrix
 from blockunfold.cli import main, read_config
 from blockunfold.datagen import Scenario, noise_sigma
 from blockunfold.unfolding import NetworkVariant
@@ -114,9 +117,9 @@ class TestPipeline:
         assert main(["all", "--config", cfg, "--out", str(out)]) == 0
         for name in (
             "data/manifest.txt",
-            "data/K.txt",
-            "data/X_train.txt",
-            "weights/B_base.txt",
+            "data/K.npy",
+            "data/X_train.npy",
+            "weights/B_base.npy",
             "weights/B_base.meta",
             "checkpoint.txt",
             "history.csv",
@@ -136,6 +139,16 @@ class TestPipeline:
         manifest = (out / "data" / "manifest.txt").read_text()
         for line in ("m = 6", "n = 12", "d = 2", "seed = 3"):
             assert line in manifest
+
+    def test_allocator_policy_is_logged(self, tmp_path, caplog):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        with caplog.at_level(logging.INFO, logger="blockunfold"):
+            assert main(["gen", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        outcome, detail = blockunfold.ALLOCATOR_POLICY
+        assert outcome in ("applied", "skipped", "unavailable")
+        assert f"allocator policy {outcome}: {detail}" in caplog.messages
+        if outcome == "applied":
+            assert "mallopt(M_MMAP_THRESHOLD, 33554432) = " in detail
 
     def test_trained_below_untrained_at_final_layer(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY_CFG)
@@ -167,7 +180,7 @@ class TestPipeline:
         out = tmp_path / "run"
         assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
         assert "rank = 16" in (out / "data" / "manifest.txt").read_text()
-        assert (out / "data" / "kernel.txt").exists()
+        assert (out / "data" / "kernel.npy").exists()
         assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
         meta = (out / "weights" / "B_base.meta").read_text()
         assert "method = circulant_fft" in meta
@@ -230,7 +243,7 @@ class TestReproducibility:
         a, b = tmp_path / "a", tmp_path / "b"
         main(["gen", "--config", cfg, "--out", str(a)])
         main(["gen", "--config", cfg, "--out", str(b), "--seed", "99"])
-        assert (a / "data" / "K.txt").read_bytes() != (b / "data" / "K.txt").read_bytes()
+        assert (a / "data" / "K.npy").read_bytes() != (b / "data" / "K.npy").read_bytes()
 
 
 class TestVerifyCommand:
@@ -400,16 +413,14 @@ class TestErrors:
         cfg = write_cfg(tmp_path, TINY_CFG)
         out = tmp_path / "run"
         assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "data" / "K.txt"
-        lines = path.read_text().splitlines(keepends=True)
-        lines[2] = "abc" + lines[2][lines[2].index(" "):]
-        path.write_text("".join(lines))
+        path = out / "data" / "K.npy"
+        path.write_bytes(path.read_bytes()[:-8])
         err = self._single_error(capsys, ["weights", "--config", cfg, "--out", str(out)])
-        assert "K.txt:3: could not convert string to float" in err
+        assert "K.npy: not a readable .npy matrix" in err
 
     @pytest.mark.parametrize(
         "stage, name, value",
-        [("train", "Y_train.txt", "nan"), ("eval", "Y_test.txt", "inf")],
+        [("train", "Y_train.npy", "nan"), ("eval", "Y_test.npy", "inf")],
         ids=["nan_in_train", "inf_in_test"],
     )
     def test_non_finite_data_value_is_an_error_line(self, tmp_path, capsys, stage, name, value):
@@ -418,11 +429,32 @@ class TestErrors:
         for step in ("gen", "weights"):
             assert main([step, "--config", cfg, "--out", str(out)]) == 0
         path = out / "data" / name
+        Y = load_matrix(path)
+        Y[2, 0] = float(value)
+        save_matrix(path, Y)
+        err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
+        assert f"{name}: non-finite value {value} at row 3, column 1" in err
+
+    @pytest.mark.parametrize(
+        "stage, field", [("eval", "matrix B"), ("verify", "alphas")], ids=["nan_B", "inf_alpha"]
+    )
+    def test_non_finite_checkpoint_value_is_an_error_line(self, tmp_path, capsys, stage, field):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "checkpoint.txt"
         lines = path.read_text().splitlines(keepends=True)
-        lines[3] = value + lines[3][lines[3].index(" "):]
+        row = next(i for i, line in enumerate(lines) if line.startswith(field))
+        if field == "alphas":
+            lines[row] = "alphas inf" + lines[row][lines[row].index(" ", 7):]
+            want = f"checkpoint.txt:{row + 1}: bad alphas field 'inf "
+        else:
+            row += 1  # the first row of B
+            lines[row] = "nan" + lines[row][lines[row].index(" "):]
+            want = f"checkpoint.txt:{row + 1}: matrix B value nan in column 1 is not finite"
         path.write_text("".join(lines))
         err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
-        assert f"{name}:4: non-finite value {value} in column 1" in err
+        assert want in err
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -451,14 +483,14 @@ class TestSplitLoading:
         assert main(["all", "--config", cfg, "--out", str(out)]) == 0
         data = out / "data"
         for name in ("X_train", "Y_train", "X_val", "Y_val"):
-            (data / f"{name}.txt").unlink()
+            (data / f"{name}.npy").unlink()
         assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
-        assert "X_train.txt" in capsys.readouterr().err
+        assert "X_train.npy" in capsys.readouterr().err
         for name in ("X_test", "Y_test"):
-            (data / f"{name}.txt").unlink()
+            (data / f"{name}.npy").unlink()
         assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
 
 

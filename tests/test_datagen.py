@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockunfold.blockcore import kron_lift
+from blockunfold.blockcore import kron_lift, load_matrix, write_matrix
 from blockunfold.datagen import (
     Scenario,
     ScenarioConfig,
@@ -167,7 +167,7 @@ class TestDatasetFiles:
         splits = {"train": gen_signal_batch(cfg, problem.D, 4, 0)}
         save_dataset(tmp_path / "a", cfg, problem, splits)
         save_dataset(tmp_path / "b", cfg, problem, splits)
-        for name in ("K.txt", "X_train.txt", "Y_train.txt", "manifest.txt"):
+        for name in ("K.npy", "X_train.npy", "Y_train.npy", "manifest.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -253,7 +253,23 @@ class TestDatasetLoader:
         self._save(tmp_path, cfg, {"train": 2})
         path = tmp_path / "manifest.txt"
         path.write_text(path.read_text().replace("n_train = 2", f"n_train = {claimed}"))
-        with pytest.raises(ValueError, match=f"X_train.txt: 2 rows, but .*n_train = {claimed}"):
+        with pytest.raises(ValueError, match=f"X_train.npy: 2 rows, but .*n_train = {claimed}"):
+            load_split(tmp_path, "train")
+
+    def test_old_text_dataset_asks_for_gen(self, tmp_path):
+        cfg = ScenarioConfig(
+            scenario=Scenario.CIRCULANT, m=4, n=4, d=2, pnz=0.5, rank=4, seed=1
+        )
+        self._save(tmp_path, cfg, {"train": 2})
+        # the layout of a dataset written before the .npy files
+        for path in sorted(tmp_path.glob("*.npy")):
+            with open(path.with_suffix(".txt"), "w", encoding="utf-8") as f:
+                write_matrix(f, load_matrix(path))
+            path.unlink()
+        old = "dataset in the old text format; rerun `blockunfold gen`"
+        with pytest.raises(ValueError, match=f"K.txt: {old}"):
+            load_dataset(tmp_path)
+        with pytest.raises(ValueError, match=f"X_train.txt: {old}"):
             load_split(tmp_path, "train")
 
 

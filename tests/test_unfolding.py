@@ -3,6 +3,7 @@ import pytest
 
 from blockunfold import blockcore, cli, training, unfolding
 from blockunfold.blockcore import kron_factor, kron_lift
+from blockunfold.operators import _block_norms, eta
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
 from blockunfold.unfolding import (
@@ -99,7 +100,83 @@ def kink_margin(params, Y, depth):
     return margin
 
 
+def out_of_place_forward(params, Y, start=0, x_init=None, step_init=None):
+    """:func:`forward` with each layer written as one out-of-place
+    expression, ``X - g * B^T (D X - Y)`` for the gradient-step variants;
+    the reference the in-place layer must reproduce bit for bit."""
+    n, d = params.n, params.d
+    cp_form = params.variant in unfolding._CP_FORM
+    X = np.zeros((Y.shape[0], params.n_x)) if x_init is None else x_init
+    iterates, prethresh, residuals, norms = [X], [], [], []
+    for k in range(start, params.depth):
+        Bk = params.B[k]
+        if cp_form:
+            if k == start and step_init is not None:
+                R, step = None, step_init
+            else:
+                R = blockcore.kron_apply(X, params.dictionary) - Y
+                step = blockcore.kron_adjoint(R, Bk)
+            Z = X - params.gammas[k] * step
+            residuals.append(R)
+        else:
+            Z = blockcore.kron_apply(X, params.S[k]) + blockcore.kron_adjoint(Y, Bk)
+        a = params.alphas[k]
+        r = None if a == 0.0 else _block_norms(Z.reshape(Z.shape[0], n, d))
+        X = eta(Z, a, n, d, norms=r)
+        prethresh.append(Z)
+        norms.append(r)
+        iterates.append(X)
+    return unfolding.ForwardPass(
+        Y=Y, iterates=iterates, prethresh=prethresh, start=start,
+        residuals=residuals if cp_form else None, step_init=step_init, norms=norms,
+    )
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def read_only(A):
+    A = A.copy()
+    A.flags.writeable = False
+    return A
+
+
 class TestForward:
+    @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
+    def test_in_place_layers_give_the_out_of_place_bits(self, rng, variant):
+        params, X_star, Y = lifted_network(variant, rng, depth=4)
+        Y = read_only(Y)
+        fp = forward(params, Y)
+        ref = out_of_place_forward(params, Y)
+        for name in ("iterates", "prethresh", "residuals"):
+            for a, b in zip(getattr(fp, name) or [], getattr(ref, name) or []):
+                assert_bits(a, b)
+        grads, ref_grads = backward(params, fp, X_star), backward(params, ref, X_star)
+        for name in ("alphas", "gammas"):
+            if getattr(grads, name) is not None:
+                assert_bits(getattr(grads, name), getattr(ref_grads, name))
+        for name in ("S", "B"):
+            for a, b in zip(getattr(grads, name) or [], getattr(ref_grads, name) or []):
+                if a is not None:
+                    assert_bits(a, b)
+
+    def test_resumed_cached_pass_gives_the_out_of_place_bits(self, rng):
+        params, X_star, Y = lifted_network(NetworkVariant.ALBISTA, rng, depth=4)
+        head = forward(params, Y, depth=2)
+        X0 = read_only(head.iterates[-1])
+        step = read_only(
+            blockcore.kron_adjoint(blockcore.kron_apply(X0, params.dictionary) - Y, params.B[2])
+        )
+        Y = read_only(Y)
+        # read-only inputs: a write to Y, x_init or step_init would raise
+        fp = forward(params, Y, start=2, x_init=X0, step_init=step)
+        ref = out_of_place_forward(params, Y, start=2, x_init=X0, step_init=step)
+        for a, b in zip(fp.iterates + fp.prethresh, ref.iterates + ref.prethresh):
+            assert_bits(a, b)
+        assert_bits(backward(params, fp, X_star).gammas, backward(params, ref, X_star).gammas)
+
     def test_zero_depth(self, rng):
         D, _, y = make_problem(rng)
         params = init_from_bista(NetworkVariant.TIED_LBISTA, D, 4)
@@ -699,6 +776,13 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, params)
         assert "matrix B 8 12\n" in path.read_text()
+        if case == "infinite_base":
+            # a checkpoint holds finite values only
+            lines = path.read_text().splitlines()
+            row = lines.index("matrix B 8 12") + 2
+            with pytest.raises(ValueError, match=f"ckpt.txt:{row}: matrix B value inf in column 1"):
+                load_checkpoint(path)
+            return
         assert_same_network(load_checkpoint(path), params)
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -733,6 +817,30 @@ class TestCheckpoint:
         lines[row] = " ".join(lines[row].split()[:-1]) + "\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=rf"ckpt.txt:{row + 1}: matrix D row has"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("matrix B", "nan", "matrix B value nan in column 1 is not finite"),
+            ("matrix D", "-inf", "matrix D value -inf in column 1 is not finite"),
+            ("alphas", "inf", "bad alphas field 'inf .*': non-finite value"),
+            ("gammas", "nan", "bad gammas field 'nan .*': non-finite value"),
+        ],
+        ids=["nan_B", "inf_D", "inf_alpha", "nan_gamma"],
+    )
+    def test_non_finite_value_names_the_line(self, tmp_path, rng, field, value, message):
+        path = self._saved_albista(tmp_path, rng)
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith(field + " "))
+        if field.startswith("matrix"):
+            row += 1  # the matrix's first row
+            lines[row] = value + lines[row][lines[row].index(" "):]
+        else:
+            words = lines[row].split(" ")
+            lines[row] = " ".join([words[0], value, *words[2:]])
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"ckpt.txt:{row + 1}: {message}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["variant", "depth", "blocks", "alphas"])
