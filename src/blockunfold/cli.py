@@ -52,7 +52,7 @@ from .datagen import (
     noise_sigma,
     save_dataset,
 )
-from .solvers import alamp_run, bista_run, default_step_size, fast_bista_run
+from .solvers import DivergenceError, alamp_run, bista_run, default_step_size, fast_bista_run
 from .training import (
     TrainConfig,
     TrainData,
@@ -311,12 +311,19 @@ def _load_artifacts(cfg: ExperimentConfig):
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     data_dir, problem, base_B = _load_artifacts(cfg)
-    data = TrainData(*load_split(data_dir, "train"), *load_split(data_dir, "val"))
     params = init_from_bista(
         cfg.variant, problem.D, cfg.depth, B_analytic=base_B, alpha=cfg.bista_alpha
     )
+    # the network holds what it uses of the problem, so the lifted
+    # dictionary is not kept through training; the splits and the
+    # trainer's caches go when it returns, before the checkpoint is written
+    del problem
     t0 = time.perf_counter()
-    trained, history = layerwise_train(params, data, cfg.train)
+    trained, history = layerwise_train(
+        params,
+        TrainData(*load_split(data_dir, "train"), *load_split(data_dir, "val")),
+        cfg.train,
+    )
     log.info(
         "trained %d layers in %.1fs (%d steps)",
         cfg.depth,
@@ -528,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
             return commands[args.command](cfg)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DivergenceError as exc:
+        print(f"error: diverged: {exc}", file=sys.stderr)
         return 2
 
 

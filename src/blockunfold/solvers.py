@@ -56,12 +56,15 @@ class DivergenceError(RuntimeError):
     """Raised when an iteration produces non-finite or exploding state.
 
     ``row`` is the offending row of a solver's batch; None for an error
-    that no single row caused.
+    that no single row caused.  ``unit`` names what ``iteration`` counts in
+    the message: an unfolded network's iterations are its layers.
     """
 
-    def __init__(self, message: str, iteration: int, row: int | None = None):
+    def __init__(
+        self, message: str, iteration: int, row: int | None = None, unit: str = "iteration"
+    ):
         where = "" if row is None else f" in row {row}"
-        super().__init__(f"{message}{where} (iteration {iteration})")
+        super().__init__(f"{message}{where} ({unit} {iteration})")
         self.iteration = iteration
         self.row = row
 

@@ -209,6 +209,78 @@ _LOCAL_STAGE = {
     NetworkVariant.UNTIED_LBISTA_CP,
 }
 
+# Block size of the frame an albista stage trains in.
+_FRAME_D = 3
+
+
+def _frame_view(params: NetworkParams) -> NetworkParams | None:
+    """albista with blocks larger than the frame as a network of block size
+    3 that shares ``params``' ``alphas`` and ``gammas`` arrays, so a stage
+    trained through it updates ``params``; None for any other network, and
+    for one whose dictionary or ``B`` is not held as a lift's base."""
+    if params.variant is not NetworkVariant.ALBISTA or params.d <= _FRAME_D:
+        return None
+    if params.dictionary.shape[1] != params.n or params.B[0].shape[1] != params.n:
+        return None
+    return NetworkParams(
+        variant=params.variant,
+        n=params.n,
+        d=_FRAME_D,
+        depth=params.depth,
+        dictionary=params.dictionary,
+        alphas=params.alphas,
+        gammas=params.gammas,
+        B=params.B,
+    )
+
+
+def _block_frame(
+    X: np.ndarray, S: np.ndarray, T: np.ndarray, n: int, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every block of the states ``X``, steps ``S`` and targets ``T`` (rows
+    of ``n`` blocks of size ``d``) in an orthonormal frame of its span:
+    x -> (|x|, 0, 0), s -> (s1, s2, 0), x* -> (t1, t2, t3), as three
+    ``(rows, 3n)`` arrays.
+
+    The coordinates come in closed form from per-block inner products, so
+    every inner product among x, s and x* is kept to rounding and no basis
+    vector is formed.  The two lengths off x, ``s2 = |s - s1 e1|`` and
+    ``|x* - t1 e1|`` with ``e1 = x / |x|``, are taken from those vectors:
+    from ``|s|^2 - s1^2`` they keep only half their digits where s or x*
+    nearly lies along x.  ``t2`` is clipped to ``|x* - t1 e1|``, so
+    ``|x*'| = |x*|`` also where rounding breaks Cauchy-Schwarz.
+    """
+    rows = X.shape[0]
+    Xb, Sb, Tb = (A.reshape(rows, n, d) for A in (X, S, T))
+
+    def dot(A, B):
+        return np.einsum("ijk,ijk->ij", A, B)
+
+    # each coordinate is written into its slot; the other slots stay 0
+    frame = np.zeros((3, rows, n, _FRAME_D))
+    x_norm, s1, s2, t1, t2, t3 = (
+        frame[i, ..., j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+    )
+    np.sqrt(dot(Xb, Xb), out=x_norm)
+    has_x = x_norm > 0
+    np.divide(dot(Xb, Sb), x_norm, out=s1, where=has_x)
+    np.divide(dot(Xb, Tb), x_norm, out=t1, where=has_x)
+    off = np.empty_like(Xb)
+
+    def length_off_x(Ab, a1):
+        # |a - a1 e1|, through one buffer the size of the blocks
+        along = np.divide(a1, x_norm, out=np.zeros_like(a1), where=has_x)
+        np.multiply(Xb, along[..., None], out=off)
+        np.subtract(Ab, off, out=off)
+        return np.sqrt(dot(off, off))
+
+    s2[...] = length_off_x(Sb, s1)
+    t_off = length_off_x(Tb, t1)
+    np.divide(dot(Sb, Tb) - s1 * t1, s2, out=t2, where=s2 > 0)
+    np.clip(t2, -t_off, t_off, out=t2)
+    np.sqrt(np.maximum(t_off * t_off - t2 * t2, 0.0), out=t3)
+    return tuple(frame.reshape(3, rows, n * _FRAME_D))
+
 
 def layerwise_train(
     params0: NetworkParams, data: TrainData, cfg: TrainConfig
@@ -223,7 +295,18 @@ def layerwise_train(
     forward pass from a cached state per sample: the frozen prefix's output
     x{k-1} where the stage acts only inside layer k, else x{0} = 0 and the
     whole unroll.  For albista, whose B is fixed, the gradient term
-    ``B^T (D x{k-1} - y)`` is also cached, so every step is elementwise.
+    ``s = B^T (D x{k-1} - y)`` is also cached, so every step is elementwise.
+
+    An albista stage then depends on each block only through x{k-1}, s and
+    the target x*: its loss, gradients and validation metric are sums over
+    blocks of functions of their inner products, which a rotation of the
+    block keeps.  So where d > 3 (and the network holds its dictionary and
+    B as a lift's base) the stage's steps and checks run on the
+    coordinates of each block in an orthonormal frame of span{x, s, x*}
+    (:func:`_block_frame`), through a block-size-3 view of the network that
+    shares its alphas and gammas.  The same forward, backward and Adam code
+    then handles 3 numbers per block instead of d.  The prefix update at
+    the end of the stage runs at full d.
     """
     if data.X_train.shape[0] < 1 or data.X_val.shape[0] < 1:
         raise ValueError("training and validation sets must be nonempty")
@@ -233,35 +316,46 @@ def layerwise_train(
     n_train = data.X_train.shape[0]
     global_step = 0
     local = params.variant in _LOCAL_STAGE
-    # train and validation measurements, each row's cached state and, for
-    # albista, its gradient term
+    framed = _frame_view(params)
+    # train and validation measurements, targets and each row's cached state
     Ys = (data.Y_train, data.Y_val)
+    Xs = (data.X_train, data.X_val)
     prefixes = [np.zeros((Y.shape[0], params.n_x)) for Y in Ys]
-    steps = [None, None]
 
     for layer in range(1, params.depth + 1):
         kidx = layer - 1
         start = kidx if local else 0
         trained = stage_arrays(params, kidx)
         state = AdamState()
+        # albista's gradient term per row; its one fixed B serves every layer
+        steps = [None, None]
         if params.variant is NetworkVariant.ALBISTA:
-            # B^T (D x - y) per row; albista's one fixed B serves every layer
             D, B = params.dictionary, params.B[0]
             steps = [kron_adjoint(kron_apply(X, D) - Y, B) for X, Y in zip(prefixes, Ys)]
+        # per split, the measurements, states, gradient terms and targets
+        # the stage's steps and checks run on, and the network they run
+        # through; a framed run is one cached layer, which reads only the
+        # row count of its measurements
+        net, cache = params, list(zip(Ys, prefixes, steps, Xs))
+        if framed is not None:
+            net = framed
+            cache = [
+                (Y[:, :0], *_block_frame(X, S, T, params.n, params.d)) for Y, X, S, T in cache
+            ]
 
-        def run(split: int, rows=slice(None)) -> ForwardPass:
-            step = steps[split]
+        def run(net: NetworkParams, split, rows=slice(None)) -> ForwardPass:
+            Y, X, S = split[:3]
             return forward(
-                params,
-                Ys[split][rows],
+                net,
+                Y[rows],
                 depth=layer,
                 start=start,
-                x_init=prefixes[split][rows],
-                step_init=None if step is None else step[rows],
+                x_init=X[rows],
+                step_init=None if S is None else S[rows],
             )
 
         def val_metric() -> float:
-            return float(batch_nmse_ratios(run(1).iterates[-1], data.X_val).max())
+            return float(batch_nmse_ratios(run(net, cache[1]).iterates[-1], cache[1][3]).max())
 
         best_metric = val_metric()
         best_snapshot = {name: value.copy() for name, value in trained.items()}
@@ -272,9 +366,9 @@ def layerwise_train(
         steps_in_layer = 0
         while steps_in_layer < cfg.max_iters_per_layer and patience < cfg.patience_iters:
             idx = rng.integers(0, n_train, size=cfg.batch_size)
-            X_batch = data.X_train[idx]
-            fp = run(0, idx)
-            grads = backward(params, fp, X_batch)
+            X_batch = cache[0][3][idx]
+            fp = run(net, cache[0], idx)
+            grads = backward(net, fp, X_batch)
             loss = empirical_risk(fp.iterates[-1], X_batch)
             adam_step(trained, stage_arrays(grads, kidx), state, cfg.learning_rate, kidx)
             _clamp_alphas(params)
@@ -301,8 +395,12 @@ def layerwise_train(
                 "freezing at its best observed state",
                 stacklevel=2,
             )
-        if local:
-            prefixes = [run(split).iterates[-1] for split in (0, 1)]
+        # the frame goes before the prefix update and the full-size steps
+        # after it; after the last layer no stage needs a prefix
+        cache = None
+        if local and layer < params.depth:
+            prefixes = [run(params, split).iterates[-1] for split in zip(Ys, prefixes, steps)]
+        del steps
         history.layer_boundaries.append(global_step)
         history.frozen_val_db.append(_ratio_db(best_metric))
     return params, history

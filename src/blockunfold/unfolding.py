@@ -261,14 +261,21 @@ def forward(
     albista, whose weight matrix B is fixed, ``step_init`` may also carry
     the cached gradient term ``B^T (D x_init - y)`` of the first executed
     layer, one row per sample; that layer then needs no matrix product.
-    All iterates are retained for diagnostics and for the backward pass.
+    ``Y`` is a ``(batch, n_y)`` batch with one row per sample.  A run of
+    that one layer alone reads only ``Y``'s row count, so its width is not
+    checked there: the trainer runs such layers on a network of smaller
+    block size.  All iterates are retained for diagnostics and for the
+    backward pass.
     """
     K = params.depth if depth is None else depth
     if not 0 <= K <= params.depth:
         raise ValueError(f"depth must be in [0, {params.depth}], got {K}")
     if not 0 <= start <= K:
         raise ValueError(f"start must be in [0, {K}], got {start}")
-    Y = _as_batch(Y, params.n_y, "Y")
+    Y = np.asarray(Y, dtype=np.float64)
+    reads_Y = step_init is None or K - start > 1
+    if Y.ndim != 2 or (reads_Y and Y.shape[1] != params.n_y):
+        raise ValueError(f"Y has shape {Y.shape}, expected (batch, {params.n_y})")
     D = params.dictionary
     n, d = params.n, params.d
     if x_init is None:
@@ -297,23 +304,25 @@ def forward(
     residuals = [] if cp_form else None
     for k in range(start, K):
         Bk = params.B[k]
-        if cp_form:
-            g = params.gammas[k]
-            if k == start and step_init is not None:
-                R = None
-                Z = X - g * step_init
+        # an overflow is reported by the DivergenceError below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cp_form:
+                g = params.gammas[k]
+                if k == start and step_init is not None:
+                    R = None
+                    Z = X - g * step_init
+                else:
+                    # in place, the bits of X - g * B^T (D X - Y)
+                    R = kron_apply(X, D)
+                    R -= Y
+                    Z = kron_adjoint(R, Bk)
+                    Z *= -g
+                    Z += X
+                residuals.append(R)
             else:
-                # in place, the bits of X - g * B^T (D X - Y)
-                R = kron_apply(X, D)
-                R -= Y
-                Z = kron_adjoint(R, Bk)
-                Z *= -g
-                Z += X
-            residuals.append(R)
-        else:
-            Z = kron_apply(X, params.S[k]) + kron_adjoint(Y, Bk)
+                Z = kron_apply(X, params.S[k]) + kron_adjoint(Y, Bk)
         if not np.all(np.isfinite(Z)):
-            raise DivergenceError("non-finite activation", k + 1)
+            raise DivergenceError("non-finite activation", k + 1, unit="layer")
         a = params.alphas[k]
         # one block-norm pass per layer, shared by eta and the backward kernels
         r = None if a == 0.0 else _block_norms(Z.reshape(Z.shape[0], n, d))
@@ -369,7 +378,7 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     n, d = params.n, params.d
     D = params.dictionary
     X_star = _as_batch(X_star, params.n_x, "X_star")
-    batch = fp.Y.shape[0]
+    batch = fp.iterates[0].shape[0]
     if X_star.shape[0] != batch:
         raise ValueError("X_star batch size does not match the forward pass")
 

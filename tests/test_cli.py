@@ -1,5 +1,3 @@
-import importlib.util
-import json
 import logging
 import math
 import re
@@ -13,6 +11,8 @@ from blockunfold.blockcore import load_matrix, save_matrix
 from blockunfold.cli import main, read_config
 from blockunfold.datagen import Scenario, noise_sigma
 from blockunfold.unfolding import NetworkVariant
+
+from conftest import load_benchmark_tracer, per_layer_functions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -456,6 +456,21 @@ class TestErrors:
         err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
         assert want in err
 
+    @pytest.mark.parametrize("stage", ["eval", "verify"])
+    def test_diverging_network_is_an_error_line(self, tmp_path, capsys, stage):
+        # every step size 1e200: layer 1 is still finite, layer 2 overflows
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out = tmp_path / "run"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "checkpoint.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("gammas"))
+        lines[row] = "gammas" + " 1e200" * (len(lines[row].split()) - 1) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
+        assert err == "error: diverged: non-finite activation (layer 2)\n"
+
     @pytest.mark.parametrize(
         "old, new, message",
         [
@@ -494,26 +509,13 @@ class TestSplitLoading:
         assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_tracer", REPO / "benchmark" / "tracer.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestTracedPipeline:
     def test_every_function_with_a_per_layer_metric_runs(self, tmp_path):
         # benchmark/run.py fails a traced run in which a function with a
         # per-layer metric in BENCHMARK.json is never called; the same
         # contract on a pipeline small enough for every test run
-        tracer = _load_tracer()
-        spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
-        wanted = {
-            m["name"].rsplit(".", 1)[0] for m in spec["per_layer"] if m["name"].count(".") == 2
-        }
-        wanted.add("weights.closed_form_weights")
+        tracer = load_benchmark_tracer()
+        wanted = per_layer_functions() | {"weights.closed_form_weights"}
         cfg = write_cfg(tmp_path, TINY_CFG)
         with tracer.patched(tracer.Tracer()) as traced:
             assert main(["all", "--config", cfg, "--out", str(tmp_path / "run")]) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockunfold import training
 from blockunfold.blockcore import kron_lift
@@ -15,6 +17,7 @@ from blockunfold.training import (
     write_history_csv,
 )
 from blockunfold.unfolding import (
+    NetworkParams,
     NetworkVariant,
     backward,
     forward,
@@ -423,3 +426,170 @@ class TestLayerwiseTraining:
         np.testing.assert_allclose(h_cached.train_losses, h_ref.train_losses, rtol=1e-10)
         np.testing.assert_allclose(cached.alphas, ref.alphas, rtol=1e-10)
         np.testing.assert_allclose(cached.gammas, ref.gammas, rtol=1e-10)
+
+
+# per-block cases of (x, s, x*) a frame must map exactly
+FRAME_CASES = (
+    "generic",
+    "zero_x",
+    "zero_s_and_target",
+    "s_parallel_x",
+    "s_nearly_parallel_x",
+    "target_in_span",
+    "target_in_span_nearly_along_x",
+)
+
+
+def frame_case(rng, case: str, d: int):
+    x, s, t = rng.standard_normal((3, d))
+    if case == "zero_x":
+        x = np.zeros(d)
+    elif case == "zero_s_and_target":
+        s, t = np.zeros(d), np.zeros(d)
+    elif case == "s_parallel_x":
+        s = -2.5 * x
+    elif case == "s_nearly_parallel_x":
+        u = rng.standard_normal(d)
+        s = 0.7 * x + 1e-9 * np.linalg.norm(x) * u / np.linalg.norm(u)
+    elif case == "target_in_span":
+        t = 0.3 * x - 1.2 * s
+    elif case == "target_in_span_nearly_along_x":
+        t = 0.8 * x + 1e-9 * s
+    return x, s, t
+
+
+def one_stage(params, Y, X, S, T):
+    """Loss, alpha and gamma gradients and per-row NMSE of one cached albista
+    layer run from states ``X`` with gradient terms ``S`` against ``T``."""
+    fp = forward(params, Y, depth=1, x_init=X, step_init=S)
+    grads = backward(params, fp, T)
+    X_hat = fp.iterates[-1]
+    return (
+        empirical_risk(X_hat, T),
+        grads.alphas[0],
+        grads.gammas[0],
+        batch_nmse_ratios(X_hat, T),
+    )
+
+
+class TestBlockFrame:
+    """An albista stage at d > 3 trains on per-block frame coordinates."""
+
+    @staticmethod
+    def _network(rng, n, d, alpha=0.1, gamma=0.8):
+        K = unit_column_matrix(4, n, rng)
+        return NetworkParams(
+            variant=NetworkVariant.ALBISTA, n=n, d=d, depth=1, dictionary=K,
+            alphas=[alpha], gammas=[gamma], B=[K],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([5, 8]),
+        cases=st.lists(st.sampled_from(FRAME_CASES), min_size=4, max_size=12),
+        first_layer=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.floats(0.05, 2.0),
+        active=st.floats(0.1, 0.9),
+    )
+    def test_stage_matches_full_block_size(self, d, cases, first_layer, seed, gamma, active):
+        rng = np.random.default_rng(seed)
+        n, rows = len(cases), 3
+        blocks = np.array([[frame_case(rng, c, d) for c in cases] for _ in range(rows)])
+        X, S, T = (blocks[:, :, i].reshape(rows, n * d) for i in range(3))
+        if first_layer:
+            X[:] = 0.0  # every block at layer 1
+        T[0, :d] = 1.0  # a nonzero target in every row
+        # a threshold halfway between two block norms of the step, so no
+        # block sits on the kink, where rounding decides which side it takes
+        norms = np.sort(np.linalg.norm((X - gamma * S).reshape(rows, n, d), axis=2), axis=None)
+        i = int(active * (norms.size - 1))
+        alpha = float(norms[i] + norms[i + 1]) / 2
+        params = self._network(rng, n, d, alpha, gamma)
+        Y = np.zeros((rows, params.n_y))
+        want = one_stage(params, Y, X, S, T)
+        view = training._frame_view(params)
+        got = one_stage(view, Y, *training._block_frame(X, S, T, n, d))
+        for name, a, b in zip(("loss", "dalpha", "dgamma", "nmse"), got, want):
+            np.testing.assert_allclose(
+                a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)), err_msg=name
+            )
+
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_targets_keep_their_block_norms(self, rng, d):
+        n, rows = len(FRAME_CASES), 4
+        blocks = np.array([[frame_case(rng, c, d) for c in FRAME_CASES] for _ in range(rows)])
+        X, S, T = (blocks[:, :, i].reshape(rows, n * d) for i in range(3))
+        X_f, S_f, T_f = training._block_frame(X, S, T, n, d)
+        assert X_f.shape == S_f.shape == T_f.shape == (rows, 3 * n)
+        framed = np.linalg.norm(T_f.reshape(rows, n, 3), axis=2)
+        full = np.linalg.norm(T.reshape(rows, n, d), axis=2)
+        np.testing.assert_allclose(framed, full, rtol=1e-14, atol=0.0)
+        # x -> (|x|, 0, 0) and s -> (s1, s2, 0)
+        np.testing.assert_allclose(
+            X_f.reshape(rows, n, 3)[..., 0], np.linalg.norm(X.reshape(rows, n, d), axis=2),
+            rtol=1e-14,
+        )
+        assert np.all(X_f.reshape(rows, n, 3)[..., 1:] == 0.0)
+        assert np.all(S_f.reshape(rows, n, 3)[..., 2] == 0.0)
+
+    def test_view_shares_the_scalars_so_adam_updates_land_in_the_network(self, rng):
+        params = self._network(rng, n=6, d=5)
+        view = training._frame_view(params)
+        assert view.d == 3 and view.alphas is params.alphas and view.gammas is params.gammas
+        grads = backward(
+            view,
+            forward(view, np.ones((2, 1)), x_init=np.ones((2, 18)), step_init=np.ones((2, 18))),
+            np.zeros((2, 18)),
+        )
+        before = params.copy()
+        adam_step(stage_arrays(view, 0), stage_arrays(grads, 0), AdamState(), 0.1, 0)
+        assert params.alphas[0] != before.alphas[0]
+        assert params.gammas[0] != before.gammas[0]
+
+    @pytest.mark.parametrize(
+        "variant, d",
+        [
+            (NetworkVariant.ALBISTA, 2),
+            (NetworkVariant.ALBISTA, 3),
+            (NetworkVariant.TIED_LBISTA, 5),
+            (NetworkVariant.TIED_LBISTA_CP, 5),
+            (NetworkVariant.UNTIED_LBISTA, 5),
+            (NetworkVariant.UNTIED_LBISTA_CP, 5),
+        ],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    @pytest.mark.filterwarnings("ignore:layer . did not improve")
+    def test_no_frame_below_four_or_for_other_variants(self, rng, monkeypatch, variant, d):
+        # these stages run the full-size code they ran before the frame
+        def no_frame(*args):
+            raise AssertionError("a frame was built")
+
+        monkeypatch.setattr(training, "_block_frame", no_frame)
+        D, data = toy_data(rng, n=4, d=d, n_train=20, n_val=8)
+        params = init_from_bista(variant, D, 2, B_analytic=D.data.copy())
+        assert training._frame_view(params) is None
+        cfg = TrainConfig(
+            learning_rate=0.01, patience_iters=2, n_train=20, n_validation=8,
+            batch_size=5, max_iters_per_layer=10, seed=2, eval_every=5,
+        )
+        layerwise_train(params, data, cfg)
+
+    def test_framed_training_matches_full_block_size(self, rng, monkeypatch):
+        D, data = toy_data(rng, n=6, d=5, n_train=60)
+        B_base = D.kron_base + 0.1 * rng.standard_normal(D.kron_base.shape)
+        params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=B_base)
+        assert training._frame_view(params) is not None
+        cfg = TrainConfig(
+            learning_rate=0.02, patience_iters=4, n_train=60, n_validation=16,
+            batch_size=12, max_iters_per_layer=60, seed=9, eval_every=5,
+        )
+        framed, h_framed = layerwise_train(params, data, cfg)
+        monkeypatch.setattr(training, "_frame_view", lambda params: None)
+        full, h_full = layerwise_train(params, data, cfg)
+        assert h_framed.steps == h_full.steps
+        assert h_framed.layer_boundaries == h_full.layer_boundaries
+        np.testing.assert_allclose(h_framed.train_losses, h_full.train_losses, rtol=1e-12)
+        np.testing.assert_allclose(h_framed.val_nmse_db, h_full.val_nmse_db, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(framed.alphas, full.alphas, rtol=1e-12)
+        np.testing.assert_allclose(framed.gammas, full.gammas, rtol=1e-12)

@@ -422,6 +422,30 @@ class TestCachedStep:
             with pytest.raises(ValueError, match="step_init must have shape"):
                 forward(params, Y, depth=3, start=2, x_init=X0, step_init=bad)
 
+    def test_rejects_a_measurement_batch_of_another_size(self, rng):
+        params, Y, _, X0, step = self._case(rng)
+        for cached in ({}, {"step_init": step}):
+            with pytest.raises(ValueError, match="x_init batch size does not match Y"):
+                forward(params, Y[:-1], depth=3, start=2, x_init=X0, **cached)
+        with pytest.raises(ValueError, match=r"Y has shape \(8,\), expected \(batch, 8\)"):
+            forward(params, Y[0], depth=3, start=2, x_init=X0, step_init=step)
+
+    def test_one_cached_layer_reads_only_the_row_count(self, rng):
+        # the trainer runs such a layer on a network of smaller block size,
+        # with the measurements of the full one
+        params, Y, _, X0, step = self._case(rng)
+        want = forward(params, Y, depth=3, start=2, x_init=X0, step_init=step)
+        got = forward(params, Y[:, :1], depth=3, start=2, x_init=X0, step_init=step)
+        np.testing.assert_array_equal(got.iterates[-1], want.iterates[-1])
+        # a full pass, and a second layer after the cached one, read Y
+        for run in (
+            dict(),
+            dict(depth=4, start=2, x_init=X0, step_init=step),
+            dict(depth=3, start=2, x_init=X0),
+        ):
+            with pytest.raises(ValueError, match=r"Y has shape \(5, 1\), expected \(batch, 8\)"):
+                forward(params, Y[:, :1], **run)
+
 
 def save_v1_checkpoint(path, params):
     """A checkpoint in the v1 layout, which stores every matrix dense: a
