@@ -1,4 +1,4 @@
-"""Block-structured dictionaries, coherence measures and the matrix files.
+"""Block-structured dictionaries, coherence measures and the file formats.
 
 A signal of length ``n*d`` is partitioned into ``n`` contiguous blocks of
 length ``d``; sparsity is counted in whole blocks.  A multiple measurement
@@ -16,14 +16,14 @@ after construction and safe to share across threads.
 A lift ``M = W (x) I_d`` never needs its dense ``(m*d) x (n*d)`` product:
 :func:`kron_apply` and :func:`kron_adjoint` take ``W`` itself (its width
 says it is a base), ``d`` times fewer flops than the lift.
-:func:`kron_lift` keeps the base it lifts; :func:`kron_factor` finds it.
+:func:`kron_lift` keeps the base it lifts; :func:`kron_factor` finds the
+base of a dense lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "kron_factor",
     "kron_apply",
     "kron_adjoint",
-    "write_matrix",
     "save_matrix",
     "load_matrix",
 ]
@@ -204,7 +203,7 @@ def mutual_coherence(A: np.ndarray) -> float:
 # MMV <-> block-sparse bridge
 
 
-def kron_lift(K: np.ndarray, d: int, max_entries: int = MAX_LIFT_ENTRIES) -> BlockDictionary:
+def kron_lift(K: np.ndarray, d: int) -> BlockDictionary:
     """Dense lift ``K (x) I_d`` of the ``m x n`` channel matrix K; block ``i``
     equals ``K[:,i] (x) I_d``, so ``n_y = m*d`` and ``n_x = n*d``.
 
@@ -216,9 +215,9 @@ def kron_lift(K: np.ndarray, d: int, max_entries: int = MAX_LIFT_ENTRIES) -> Blo
     if d < 1:
         raise ValueError(f"channel count d must be >= 1, got {d}")
     entries = K.size * d * d
-    if entries > max_entries:
+    if entries > MAX_LIFT_ENTRIES:
         raise ValueError(
-            f"lift would have {entries} entries, above the configured cap {max_entries}"
+            f"lift would have {entries} entries, above the cap {MAX_LIFT_ENTRIES}"
         )
     lifted = _kron_eye(K, d)
     lifted.flags.writeable = False
@@ -291,13 +290,12 @@ def kron_adjoint(R: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix files
+# files
 #
-# Datasets and weights are numpy ``.npy`` files of one 2-d float64 array
-# (:func:`save_matrix`, :func:`load_matrix`).  The checkpoint keeps a text
-# format: a "rows cols" header line, then rows lines of cols
-# whitespace-separated decimal values printed with 17 significant digits
-# (float64 round-trips); :func:`write_matrix` and :func:`_read_matrix`.
+# Datasets, weights and checkpoints are a text manifest of ``key = value``
+# lines (:func:`_write_manifest`, :func:`_read_manifest`) and numpy ``.npy``
+# files of one 2-d float64 array each (:func:`save_matrix`,
+# :func:`load_matrix`).
 
 
 def save_matrix(path: str | Path, A: np.ndarray) -> None:
@@ -336,97 +334,46 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return np.ascontiguousarray(A)
 
 
-def write_matrix(f: TextIO, A: np.ndarray, prefix: str = "") -> None:
-    """Write 2-d ``A`` to an open text file: a ``{prefix}rows cols`` header
-    line, then one line per row."""
-    rows, cols = A.shape
-    f.write(f"{prefix}{rows} {cols}\n")
-    row_format = " ".join(["%.17g"] * cols) + "\n"
-    for row in A:
-        f.write(row_format % tuple(row.tolist()))
+def _write_manifest(path: str | Path, section: str, values: dict[str, object]) -> None:
+    """Write ``values`` to ``path`` as a manifest: a ``[section]`` line, then
+    one ``key = value`` line per entry."""
+    lines = [f"[{section}]"] + [f"{key} = {value}" for key, value in values.items()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_matrix(
-    f: TextIO, path: str | Path, dims: list[str], lineno: int, label: str = ""
-) -> np.ndarray:
-    """Read the rows of a matrix written by :func:`write_matrix` from ``f``;
-    the checkpoint loader's parser of the text format.
+def _read_manifest(path: str | Path, section: str):
+    """``field(key, parse)`` of a manifest written by :func:`_write_manifest`.
 
-    ``dims`` are the ``rows cols`` fields of the matrix's header, which is
-    line ``lineno`` of ``path``; ``label`` names the matrix in errors.  A
-    truncated or malformed matrix, or a non-finite value, raises
-    ValueError naming the file and the line (see :func:`_parse_lines`).
-    A well-formed matrix is parsed in one :func:`np.loadtxt` call
-    (:func:`_parse_fast`); any other goes through the per-line loop,
-    which finds and names the fault.
+    The first line must be ``[section]``; each other line is blank, a
+    ``[...]`` header or ``key = value``.  A line of any other form, a
+    repeated key, a last line without its newline (the file was cut
+    short), a missing key and a value ``parse`` rejects each raise
+    ValueError naming the file and, but for a missing key, the line.
     """
-    try:
-        rows, cols = (int(v) for v in dims)
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions are not allowed")
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad {label}header {dims}: {exc}") from exc
-    lines = []
-    for _ in range(rows):
-        line = f.readline()
-        if not line:
-            break
-        lines.append(line)
-        if not line.endswith("\n"):
-            break
-    A = _parse_fast(lines, rows, cols)
-    if A is None:
-        A = _parse_lines(lines, path, rows, cols, lineno, label)
-    finite = np.isfinite(A)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(
-            f"{path}:{lineno + 1 + r}: {label}value {A[r, c]} in column {c + 1} is not finite"
-        )
-    return A
+    *lines, tail = Path(path).read_text(encoding="utf-8").split("\n")
+    if tail:
+        raise ValueError(f"{path}:{len(lines) + 1}: file ends mid-line (truncated)")
+    if not lines or lines[0].strip() != f"[{section}]":
+        raise ValueError(f"{path}:1: not a {section} manifest (no [{section}] line first)")
+    entries: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        text = line.strip()
+        if not text or (text.startswith("[") and text.endswith("]")):
+            continue
+        key, eq, value = (part.strip() for part in text.partition("="))
+        if not eq or not key:
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {text!r}")
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {entries[key][0]}")
+        entries[key] = (lineno, value)
 
-
-def _parse_fast(lines: list[str], rows: int, cols: int) -> np.ndarray | None:
-    """The ``rows x cols`` matrix of ``lines`` in one :func:`np.loadtxt`
-    call, or None when the lines are not exactly such a matrix.
-
-    ``loadtxt`` skips blank lines, so a blank line shows as a wrong shape.
-    Both ``loadtxt`` and ``float`` round decimal strings correctly, so a
-    matrix parsed here has the bits :func:`_parse_lines` gives it.
-    """
-    if rows == 0 or cols == 0 or len(lines) != rows or not lines[-1].endswith("\n"):
-        return None
-    try:
-        A = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return A if A.shape == (rows, cols) else None
-
-
-def _parse_lines(
-    lines: list[str], path: str | Path, rows: int, cols: int, lineno: int, label: str = ""
-) -> np.ndarray:
-    """The ``rows x cols`` matrix of ``lines``, one ``float`` per value; the
-    first missing, cut or malformed row raises ValueError naming the file
-    and the line.  Every line ``write_matrix`` writes ends in a newline, so
-    a last line without one means the file was cut short."""
-    A = np.empty((rows, cols))
-    for r in range(rows):
-        line = lines[r] if r < len(lines) else ""
-        row_no = lineno + 1 + r
-        if not line:
-            raise ValueError(
-                f"{path}: {label}ends after {r} of {rows} rows (line {row_no} missing)"
-            )
-        if not line.endswith("\n"):
-            raise ValueError(f"{path}:{row_no}: file ends mid-line (truncated)")
-        vals = line.split()
-        if len(vals) != cols:
-            raise ValueError(
-                f"{path}:{row_no}: {label}row has {len(vals)} values, expected {cols}"
-            )
+    def field(key: str, parse):
+        if key not in entries:
+            raise ValueError(f"{path}: missing key {key!r}")
+        lineno, text = entries[key]
         try:
-            A[r] = [float(v) for v in vals]
+            return parse(text)
         except ValueError as exc:
-            raise ValueError(f"{path}:{row_no}: {exc}") from exc
-    return A
+            raise ValueError(f"{path}:{lineno}: bad {key} value {text!r}: {exc}") from exc
+
+    return field

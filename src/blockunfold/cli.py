@@ -154,8 +154,6 @@ def read_config(path: str | Path | None) -> ExperimentConfig:
         learning_rate=get("training", "learning_rate", float, 1e-3),
         patience_iters=get("training", "patience", int, 5000),
         tol=get("training", "tol", float, 1e-5),
-        n_train=splits["n_train"],
-        n_validation=splits["n_validation"],
         batch_size=get("training", "batch_size", int, 250),
         max_iters_per_layer=get("training", "max_iters_per_layer", int, 50_000),
         seed=scenario.seed,

@@ -24,7 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blockcore import BlockDictionary, kron_lift, load_matrix, save_matrix
+from .blockcore import (
+    BlockDictionary,
+    _read_manifest,
+    _write_manifest,
+    kron_lift,
+    load_matrix,
+    save_matrix,
+)
 from .weights import circulant
 
 __all__ = [
@@ -274,44 +281,19 @@ def save_dataset(
     for split, (X, Y) in splits.items():
         save_matrix(out / f"X_{split}.npy", X)
         save_matrix(out / f"Y_{split}.npy", Y)
-    with open(out / "manifest.txt", "w", encoding="utf-8") as f:
-        f.write("[dataset]\n")
-        f.write(f"scenario = {cfg.scenario.value}\n")
-        f.write(f"m = {cfg.m}\n")
-        f.write(f"n = {cfg.n}\n")
-        f.write(f"d = {cfg.d}\n")
-        f.write(f"pnz = {cfg.pnz:.17g}\n")
-        f.write(f"snr_db = {cfg.snr_db:.17g}\n")
-        f.write(f"seed = {cfg.seed}\n")
-        f.write(f"rank = {problem.rank if problem.rank is not None else 'none'}\n")
-        for split in _SPLITS:
-            count = splits[split][0].shape[0] if split in splits else 0
-            f.write(f"n_{split} = {count}\n")
-
-
-def _read_manifest(data: Path):
-    """``field(key, parse)`` of ``data/manifest.txt``; a missing or malformed
-    key raises ValueError naming the file and line."""
-    manifest_path = data / "manifest.txt"
-    manifest: dict[str, tuple[int, str]] = {}
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("["):
-                continue
-            key, _, value = line.partition("=")
-            manifest[key.strip()] = (lineno, value.strip())
-
-    def field(key: str, parse):
-        if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing key {key!r}")
-        lineno, text = manifest[key]
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise ValueError(f"{manifest_path}:{lineno}: bad {key} value {text!r}: {exc}") from exc
-
-    return field
+    values = dict(
+        scenario=cfg.scenario.value,
+        m=cfg.m,
+        n=cfg.n,
+        d=cfg.d,
+        pnz=f"{cfg.pnz:.17g}",
+        snr_db=f"{cfg.snr_db:.17g}",
+        seed=cfg.seed,
+        rank="none" if problem.rank is None else problem.rank,
+    )
+    for split in _SPLITS:
+        values[f"n_{split}"] = splits[split][0].shape[0] if split in splits else 0
+    _write_manifest(out / "manifest.txt", "dataset", values)
 
 
 def load_dataset(data_dir: str | Path) -> tuple[ScenarioConfig, ProblemData]:
@@ -323,7 +305,7 @@ def load_dataset(data_dir: str | Path) -> tuple[ScenarioConfig, ProblemData]:
     so does a dataset written in the old text format.
     """
     data = Path(data_dir)
-    field = _read_manifest(data)
+    field = _read_manifest(data / "manifest.txt", "dataset")
     for split in _SPLITS:
         field(f"n_{split}", int)
     rank = field("rank", lambda v: None if v == "none" else int(v))
@@ -355,7 +337,7 @@ def load_split(data_dir: str | Path, split: str) -> tuple[np.ndarray, np.ndarray
     the file; a split of 0 rows has no files and raises FileNotFoundError.
     """
     data = Path(data_dir)
-    count = _read_manifest(data)(f"n_{split}", int)
+    count = _read_manifest(data / "manifest.txt", "dataset")(f"n_{split}", int)
     if count == 0:
         raise FileNotFoundError(f"{data}: the dataset has no {split} split (n_{split} = 0)")
     paths = (_matrix_file(data, f"X_{split}"), _matrix_file(data, f"Y_{split}"))

@@ -52,8 +52,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     patience_iters: int = 5000
     tol: float = 1e-5
-    n_train: int = 1000
-    n_validation: int = 250
     batch_size: int = 250
     max_iters_per_layer: int = 50_000
     seed: int = 0
@@ -63,8 +61,6 @@ class TrainConfig:
         positives = {
             "learning_rate": self.learning_rate,
             "tol": self.tol,
-            "n_train": self.n_train,
-            "n_validation": self.n_validation,
             "batch_size": self.batch_size,
             "max_iters_per_layer": self.max_iters_per_layer,
             "eval_every": self.eval_every,

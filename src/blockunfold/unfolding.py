@@ -22,10 +22,12 @@ take row batches only, measurements ``(batch, n_y)`` and signals
 parameters are read-only during a pass.
 
 A network holds each fixed matrix (the dictionary, and albista's ``B``)
-as its ``m x n`` base ``W`` when it is a lift ``W (x) I_d``, and each
-trained matrix dense; an array's width says which form it is in.  The
-products take either form (:func:`~.blockcore.kron_apply`), so no pass
-searches for a Kronecker factor.
+as it is given, which for a lift ``W (x) I_d`` is its ``m x n`` base ``W``
+(:func:`init_from_bista` and the checkpoint give it so), and each trained
+matrix dense; an array's width says which form it is in.  The products
+take either form (:func:`~.blockcore.kron_apply`), so no pass searches for
+a Kronecker factor.  A checkpoint is a text manifest and one ``.npy`` file
+per array (:func:`save_checkpoint`).
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ from .blockcore import (
     BlockDictionary,
     _as_batch,
     _kron_eye,
-    _read_matrix,
+    _read_manifest,
+    _write_manifest,
     kron_adjoint,
     kron_apply,
-    kron_factor,
-    write_matrix,
+    load_matrix,
+    save_matrix,
 )
 from .operators import _block_norms, eta, eta_dalpha, eta_jvp
 from .solvers import DivergenceError, default_step_size
@@ -122,6 +125,8 @@ class NetworkParams:
         return rows * (self.n_x // cols)
 
     def __post_init__(self):
+        if self.n < 1 or self.d < 1:
+            raise ValueError(f"block count n and size d must be >= 1, got n={self.n}, d={self.d}")
         self.dictionary = _hold(self.dictionary, self.n, self.d, fixed=True)
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
         K = self.depth
@@ -169,15 +174,12 @@ class NetworkParams:
 def _hold(M, n: int, d: int, fixed: bool) -> np.ndarray:
     """``M`` in the form a network holds it.  An array with ``n`` columns is
     a base and one with ``n*d`` columns is dense (at d = 1 the two are the
-    same).  A fixed dense matrix that is a lift ``W (x) I_d`` becomes its
-    base ``W``; a base given for a trained matrix becomes its lift."""
+    same).  A fixed matrix is held as given; a base given for a trained
+    matrix becomes its lift."""
     M = np.asarray(M, dtype=np.float64)
-    if d == 1:
+    if fixed or d == 1 or M.shape[1] != n:
         return M
-    if M.shape[1] == n:
-        return M if fixed else _kron_eye(M, d)
-    W = kron_factor(M, d) if fixed else None
-    return M if W is None else W
+    return _kron_eye(M, d)
 
 
 def _map_layers(fn, layers: list[np.ndarray] | None) -> list[np.ndarray] | None:
@@ -546,117 +548,68 @@ def conv_step_fft(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint files: variant tag, depth, block structure, per-layer scalars,
-# then matrix payloads in the shared text matrix format: D, then a tied
-# variant's shared S and B once, or an untied one's S.k and B.k per layer.
-# In v2 a matrix the network holds as a lift's base W (d > 1) is stored as
-# W, with "lift" after its tag; v1 stored every matrix dense.
+# checkpoint files: a manifest (variant, depth, n, d) and, beside it, one
+# ``.npy`` file per array, named ``<stem>.<name>.npy``: alphas, gammas (the
+# gradient-step variants), D, then a tied variant's S and B once or an
+# untied one's S.k and B.k per layer.  Each matrix is stored in the form the
+# network holds it, and its width gives that form back.
 
-_MAGIC = "blockunfold-checkpoint v2"
-_READ_MAGICS = ("blockunfold-checkpoint v1", _MAGIC)
+
+def _array_file(path: str | Path, name: str) -> Path:
+    """The file of array ``name`` of the checkpoint whose manifest is ``path``."""
+    return Path(path).with_name(f"{Path(path).stem}.{name}.npy")
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams) -> None:
-    def write(tag: str, M: np.ndarray) -> None:
-        lift = "lift " if params.d > 1 and M.shape[1] == params.n else ""
-        write_matrix(f, M, f"matrix {tag} {lift}")
-
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_MAGIC + "\n")
-        f.write(f"variant {params.variant.value}\n")
-        f.write(f"depth {params.depth}\n")
-        f.write(f"blocks {params.n} {params.d}\n")
-        f.write("alphas " + " ".join(f"{v:.17g}" for v in params.alphas) + "\n")
-        if params.gammas is not None:
-            f.write("gammas " + " ".join(f"{v:.17g}" for v in params.gammas) + "\n")
-        write("D", params.dictionary)
-        for tag, layers in (("S", params.S), ("B", params.B)):
-            if layers is None:
-                continue
-            if params.variant in _UNTIED:
-                for k, M in enumerate(layers):
-                    write(f"{tag}.{k}", M)
-            else:
-                write(tag, layers[0])
+    arrays = {"alphas": params.alphas, "gammas": params.gammas, "D": params.dictionary}
+    for tag, layers in (("S", params.S), ("B", params.B)):
+        if params.variant in _UNTIED:
+            arrays.update((f"{tag}.{k}", M) for k, M in enumerate(layers or []))
+        elif layers is not None:
+            arrays[tag] = layers[0]
+    for name, A in arrays.items():
+        if A is not None:
+            save_matrix(_array_file(path, name), A)
+    values = {"variant": params.variant.value, "depth": params.depth, "n": params.n, "d": params.d}
+    _write_manifest(path, "checkpoint", values)
 
 
 def load_checkpoint(path: str | Path) -> NetworkParams:
-    """Read a checkpoint written by :func:`save_checkpoint`, or a v1 one.
+    """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A lift-tagged matrix is a base and stays one; :class:`NetworkParams`
-    puts every matrix in the form the network holds it.  A truncated or
-    malformed file, or a non-finite value, raises ValueError naming the
-    file and the offending line or header field.
+    A fault of the manifest or the network it describes raises ValueError
+    naming the manifest, and a fault of an array file
+    (:func:`~.blockcore.load_matrix`) one naming that file; a missing array
+    file raises FileNotFoundError.  A checkpoint in the text format of
+    earlier versions raises ValueError: ``blockunfold train`` writes it
+    again.
     """
-    fields: dict[str, tuple[int, str]] = {}
-    matrices: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        magic = f.readline().strip()
-        if magic not in _READ_MAGICS:
-            raise ValueError(f"{path}: not a checkpoint file (header {magic!r})")
-        lineno = 1
-        while line := f.readline():
-            lineno += 1
-            # every line save_checkpoint writes ends in a newline, so a
-            # last line without one means the file was cut short
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}:{lineno}: file ends mid-line (truncated)")
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] != "matrix":
-                fields[parts[0]] = (lineno, " ".join(parts[1:]))
-                continue
-            tag = parts[1] if len(parts) > 1 else ""
-            dims = parts[2:]
-            lifted = dims[:1] == ["lift"]
-            M = _read_matrix(f, path, dims[1:] if lifted else dims, lineno, f"matrix {tag} ")
-            matrices[tag] = M
-            lineno += len(M)
-
-    def field(name: str, parse):
-        if name not in fields:
-            raise ValueError(f"{path}: missing header field {name!r}")
-        lineno, text = fields[name]
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad {name} field {text!r}: {exc}") from exc
-
-    def matrix(tag: str) -> np.ndarray:
-        if tag not in matrices:
-            raise ValueError(f"{path}: missing matrix {tag}")
-        return matrices[tag]
-
-    def floats(text: str) -> np.ndarray:
-        values = np.array([float(v) for v in text.split()])
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite value")
-        return values
-
-    def blocks(text: str) -> tuple[int, int]:
-        n, d = (int(v) for v in text.split())
-        if n < 1 or d < 1:
-            raise ValueError("block count and size must be >= 1")
-        return n, d
-
+    with open(path, "rb") as f:
+        if f.readline().startswith(b"blockunfold-checkpoint v"):
+            raise ValueError(
+                f"{path}: checkpoint in the old text format; "
+                f"rerun `blockunfold train` to write it again"
+            )
+    field = _read_manifest(path, "checkpoint")
     variant = field("variant", NetworkVariant)
     depth = field("depth", int)
-    n, d = field("blocks", blocks)
+
+    def array(name: str) -> np.ndarray:
+        return load_matrix(_array_file(path, name))
 
     def per_layer(tag: str) -> list[np.ndarray]:
         if variant in _UNTIED:
-            return [matrix(f"{tag}.{k}") for k in range(depth)]
-        return [matrix(tag)] * depth
+            return [array(f"{tag}.{k}") for k in range(depth)]
+        return [array(tag)] * depth
 
     kwargs = dict(
         variant=variant,
-        n=n,
-        d=d,
+        n=field("n", int),
+        d=field("d", int),
         depth=depth,
-        dictionary=matrix("D"),
-        alphas=field("alphas", floats),
-        gammas=field("gammas", floats) if "gammas" in fields else None,
+        dictionary=array("D"),
+        alphas=array("alphas").ravel(),
+        gammas=array("gammas").ravel() if variant in _CP_FORM else None,
         S=None if variant in _CP_FORM else per_layer("S"),
         B=per_layer("B"),
     )

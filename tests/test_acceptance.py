@@ -321,8 +321,6 @@ CRITERION_08_TRAIN = TrainConfig(
     learning_rate=0.03,
     patience_iters=30,
     tol=1e-5,
-    n_train=1000,
-    n_validation=250,
     batch_size=250,
     max_iters_per_layer=800,
     seed=2,

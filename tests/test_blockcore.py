@@ -1,10 +1,9 @@
-import io
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,14 +18,13 @@ from blockunfold.blockcore import (
     load_matrix,
     mutual_coherence,
     save_matrix,
-    write_matrix,
 )
 from blockunfold.blockcore import (
+    MAX_LIFT_ENTRIES,
     _block_gram_residuals,
     _pairwise_block_spectral_max,
-    _parse_fast,
-    _parse_lines,
-    _read_matrix,
+    _read_manifest,
+    _write_manifest,
 )
 from blockunfold.operators import eta
 from blockunfold.solvers import lasso_objective
@@ -174,8 +172,12 @@ class TestKroneckerBridge:
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
     def test_lift_entry_cap(self, rng):
+        # the cap is checked before the lift is built, so no array of
+        # 100 * 100 * 1001**2 entries is ever allocated
+        K = rng.standard_normal((100, 100))
+        assert K.size * 1001**2 > MAX_LIFT_ENTRIES
         with pytest.raises(ValueError, match="cap"):
-            kron_lift(rng.standard_normal((100, 100)), 200, max_entries=10**6)
+            kron_lift(K, 1001)
 
     def test_lift_input_checks(self, rng):
         with pytest.raises(ValueError, match="2-d"):
@@ -279,36 +281,15 @@ _MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 )
 
 
-# Any float64, with the values the format must carry exactly made likely:
-# signed zeros, subnormals, the largest magnitudes, infinities and NaN.
-_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308,
-            np.inf, -np.inf, np.nan)
-_ANY_MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
-    lambda shape: arrays(
-        np.float64, shape, elements=st.one_of(st.sampled_from(_SPECIAL), st.floats())
-    )
-)
-
-
 def assert_same_bits(a, b):
-    """Equal shapes and bits, any NaN matching any NaN."""
+    """Equal shapes and bits, signed zeros included."""
     assert a.shape == b.shape
-    nan = np.isnan(a)
-    np.testing.assert_array_equal(nan, np.isnan(b))
-    np.testing.assert_array_equal(a.view(np.uint64)[~nan], b.view(np.uint64)[~nan])
-
-
-def read_text_matrix(path):
-    """A text matrix file through the checkpoint's parser: the header line,
-    then :func:`_read_matrix`."""
-    with open(path, encoding="utf-8") as f:
-        return _read_matrix(f, path, f.readline().split(), 1)
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestMatrixFormat:
-    """The ``.npy`` files of datasets and weights (``save_matrix``,
-    ``load_matrix``) and the text format of checkpoint matrices
-    (``write_matrix``, ``_read_matrix``)."""
+    """The ``.npy`` files of datasets, weights and checkpoints
+    (``save_matrix``, ``load_matrix``)."""
 
     def test_round_trip_exact(self, tmp_path, rng):
         A = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-8, 8, size=(7, 3))
@@ -334,28 +315,20 @@ class TestMatrixFormat:
         assert loaded.flags.c_contiguous
         np.testing.assert_array_equal(loaded, A)
 
-    def test_header_and_layout(self):
-        f = io.StringIO()
-        write_matrix(f, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        lines = f.getvalue().splitlines()
-        assert lines[0] == "2 2"
-        assert lines[1].split() == ["1", "2"]
+    def test_header_and_layout(self, tmp_path):
+        path = tmp_path / "m.npy"
+        save_matrix(path, np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]))
+        with open(path, "rb") as f:
+            assert np.lib.format.read_magic(f) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+            body = f.read()
+        assert (shape, fortran_order, dtype) == ((2, 2), False, np.dtype("<f8"))
+        # the values follow the header row by row
+        assert np.frombuffer(body, dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_vector_saved_as_column(self, tmp_path):
         save_matrix(tmp_path / "v.npy", np.array([1.0, 2.0, 3.0]))
         assert load_matrix(tmp_path / "v.npy").shape == (3, 1)
-
-    @given(A=_MATRICES)
-    @settings(max_examples=50, deadline=None)
-    def test_rows_match_per_value_formatting(self, A):
-        # reference: one f-string per numpy scalar, the format's definition
-        f = io.StringIO()
-        write_matrix(f, A, "matrix T ")
-        rows, cols = A.shape
-        want = f"matrix T {rows} {cols}\n" + "".join(
-            " ".join(f"{v:.17g}" for v in row) + "\n" for row in A
-        )
-        assert f.getvalue() == want
 
     @given(A=_MATRICES)
     @settings(max_examples=25, deadline=None)
@@ -399,46 +372,12 @@ class TestMatrixFormat:
             load_matrix(path)
 
     def test_missing_rows_name_the_file(self, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("3 2\n1 2\n3 4\n")
-        with pytest.raises(ValueError, match=r"short.txt: ends after 2 of 3 rows \(line 4"):
-            read_text_matrix(path)
-
-    def test_bad_value_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2\n1 2\n3 x\n")
-        with pytest.raises(ValueError, match="bad.txt:3: could not convert"):
-            read_text_matrix(path)
-
-    @given(A=_ANY_MATRICES)
-    @example(A=np.array([[-0.0, 5e-324, -1e308, np.inf, np.nan]]))
-    @example(A=np.array([[-0.0], [-5e-324], [1e308], [-np.inf], [np.nan]]))
-    @settings(max_examples=100, deadline=None)
-    def test_fast_parse_matches_the_per_line_loop(self, A):
-        f = io.StringIO()
-        write_matrix(f, A)
-        lines = f.getvalue().splitlines(keepends=True)[1:]
-        rows, cols = A.shape
-        fast = _parse_fast(lines, rows, cols)
-        assert fast is not None
-        assert_same_bits(fast, _parse_lines(lines, "m.txt", rows, cols, 1))
-        assert_same_bits(fast, A)
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("1 2\n\n3 4\n5 6\n", "m.txt:3: row has 0 values, expected 2"),
-            ("1 2\n3 4 5\n6 7\n", "m.txt:3: row has 3 values, expected 2"),
-            ("1 2\n3 4\n5\n", "m.txt:4: row has 1 values, expected 2"),
-            ("1 2\n3 x\n5 6\n", "m.txt:3: could not convert string to float: 'x'"),
-        ],
-        ids=["blank_line", "long_row", "short_row", "bad_token"],
-    )
-    def test_malformed_rows_keep_their_messages(self, tmp_path, body, message):
-        path = tmp_path / "m.txt"
-        path.write_text("3 2\n" + body)
-        with pytest.raises(ValueError, match=message):
-            read_text_matrix(path)
+        path = tmp_path / "short.npy"
+        save_matrix(path, np.arange(6.0).reshape(3, 2))
+        # the header still says 3 rows; the last row's 16 bytes are gone
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="short.npy: not a readable .npy matrix"):
+            load_matrix(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_the_line(self, tmp_path, value):
@@ -447,10 +386,52 @@ class TestMatrixFormat:
         save_matrix(tmp_path / "m.npy", A)
         with pytest.raises(ValueError, match=rf"m.npy: non-finite value {value} at row 3, column 2"):
             load_matrix(tmp_path / "m.npy")
+
+
+class TestManifest:
+    """The text manifests of datasets and checkpoints (``_write_manifest``,
+    ``_read_manifest``)."""
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        _write_manifest(path, "run", {"name": "a b", "count": 3, "empty": ""})
+        assert path.read_text() == "[run]\nname = a b\ncount = 3\nempty = \n"
+        field = _read_manifest(path, "run")
+        assert (field("name", str), field("count", int), field("empty", str)) == ("a b", 3, "")
+
+    def test_blank_lines_and_section_headers_are_skipped(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("[run]\n\n  \n[more]\n k=v \n")
+        assert _read_manifest(path, "run")("k", str) == "v"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", r"m.txt:1: not a run manifest"),
+            ("[other]\nk = v\n", r"m.txt:1: not a run manifest"),
+            ("[run]\nk = v\njust words\n", r"m.txt:3: expected `key = value`, got 'just words'"),
+            ("[run]\n= v\n", r"m.txt:2: expected `key = value`, got '= v'"),
+            ("[run]\nk = 1\nj = 2\nk = 3\n", r"m.txt:4: key 'k' repeats line 2"),
+            ("[run]\nk = 12", r"m.txt:2: file ends mid-line \(truncated\)"),
+            ("[run]\nk = v\n[run", r"m.txt:3: file ends mid-line \(truncated\)"),
+        ],
+        ids=["empty", "other_section", "no_equals", "no_key", "repeated_key", "cut_value",
+             "cut_header"],
+    )
+    def test_malformed_lines_name_the_line(self, tmp_path, text, message):
         path = tmp_path / "m.txt"
-        path.write_text(f"3 2\n1 2\n3 4\n5 {value}\n")
-        with pytest.raises(ValueError, match=rf"m.txt:4: value {value} in column 2 is not finite"):
-            read_text_matrix(path)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            _read_manifest(path, "run")
+
+    def test_missing_key_names_the_file_and_bad_value_the_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("[run]\ncount = three\n")
+        field = _read_manifest(path, "run")
+        with pytest.raises(ValueError, match="m.txt: missing key 'depth'"):
+            field("depth", int)
+        with pytest.raises(ValueError, match="m.txt:2: bad count value 'three': invalid literal"):
+            field("count", int)
 
 
 class TestValidation:

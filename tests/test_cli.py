@@ -1,8 +1,10 @@
 import logging
 import math
 import re
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockunfold
@@ -122,6 +124,10 @@ class TestPipeline:
             "weights/B_base.npy",
             "weights/B_base.meta",
             "checkpoint.txt",
+            "checkpoint.alphas.npy",
+            "checkpoint.gammas.npy",
+            "checkpoint.D.npy",
+            "checkpoint.B.npy",
             "history.csv",
             "eval.csv",
             "verify.csv",
@@ -436,25 +442,32 @@ class TestErrors:
         assert f"{name}: non-finite value {value} at row 3, column 1" in err
 
     @pytest.mark.parametrize(
-        "stage, field", [("eval", "matrix B"), ("verify", "alphas")], ids=["nan_B", "inf_alpha"]
+        "stage, name, value",
+        [("eval", "B", "nan"), ("verify", "alphas", "inf")],
+        ids=["nan_B", "inf_alpha"],
     )
-    def test_non_finite_checkpoint_value_is_an_error_line(self, tmp_path, capsys, stage, field):
+    def test_non_finite_checkpoint_value_is_an_error_line(
+        self, tmp_path, capsys, stage, name, value
+    ):
         cfg = write_cfg(tmp_path, TINY_CFG)
         out = tmp_path / "run"
         assert main(["all", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "checkpoint.txt"
-        lines = path.read_text().splitlines(keepends=True)
-        row = next(i for i, line in enumerate(lines) if line.startswith(field))
-        if field == "alphas":
-            lines[row] = "alphas inf" + lines[row][lines[row].index(" ", 7):]
-            want = f"checkpoint.txt:{row + 1}: bad alphas field 'inf "
-        else:
-            row += 1  # the first row of B
-            lines[row] = "nan" + lines[row][lines[row].index(" "):]
-            want = f"checkpoint.txt:{row + 1}: matrix B value nan in column 1 is not finite"
-        path.write_text("".join(lines))
+        path = out / f"checkpoint.{name}.npy"
+        A = load_matrix(path)
+        A[0, 0] = float(value)
+        save_matrix(path, A)
         err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
-        assert want in err
+        assert f"checkpoint.{name}.npy: non-finite value {value} at row 1, column 1" in err
+
+    def test_checkpoint_without_its_arrays_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        out, moved = tmp_path / "run", tmp_path / "moved"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("data", "weights"):
+            shutil.copytree(out / name, moved / name)
+        shutil.copy(out / "checkpoint.txt", moved / "checkpoint.txt")
+        err = self._single_error(capsys, ["eval", "--config", cfg, "--out", str(moved)])
+        assert re.search(r"No such file or directory: '.*moved/checkpoint\.\w+\.npy'", err), err
 
     @pytest.mark.parametrize("stage", ["eval", "verify"])
     def test_diverging_network_is_an_error_line(self, tmp_path, capsys, stage):
@@ -462,11 +475,8 @@ class TestErrors:
         cfg = write_cfg(tmp_path, TINY_CFG)
         out = tmp_path / "run"
         assert main(["all", "--config", cfg, "--out", str(out)]) == 0
-        path = out / "checkpoint.txt"
-        lines = path.read_text().splitlines(keepends=True)
-        row = next(i for i, line in enumerate(lines) if line.startswith("gammas"))
-        lines[row] = "gammas" + " 1e200" * (len(lines[row].split()) - 1) + "\n"
-        path.write_text("".join(lines))
+        path = out / "checkpoint.gammas.npy"
+        save_matrix(path, np.full_like(load_matrix(path), 1e200))
         capsys.readouterr()
         err = self._single_error(capsys, [stage, "--config", cfg, "--out", str(out)])
         assert err == "error: diverged: non-finite activation (layer 2)\n"

@@ -232,8 +232,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=1e-30,
             patience_iters=2,
-            n_train=40,
-            n_validation=16,
             batch_size=8,
             max_iters_per_layer=30,
             seed=3,
@@ -253,8 +251,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.02,
             patience_iters=10,
-            n_train=60,
-            n_validation=16,
             batch_size=20,
             max_iters_per_layer=300,
             seed=4,
@@ -271,8 +267,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.01,
             patience_iters=5,
-            n_train=40,
-            n_validation=16,
             batch_size=10,
             max_iters_per_layer=40,
             seed=11,
@@ -298,8 +292,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.05,
             patience_iters=3,
-            n_train=40,
-            n_validation=16,
             batch_size=10,
             max_iters_per_layer=25,
             seed=5,
@@ -313,8 +305,6 @@ class TestLayerwiseTraining:
         cfg1 = TrainConfig(
             learning_rate=0.05,
             patience_iters=3,
-            n_train=40,
-            n_validation=16,
             batch_size=10,
             max_iters_per_layer=25,
             seed=5,
@@ -331,8 +321,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.5,
             patience_iters=3,
-            n_train=40,
-            n_validation=16,
             batch_size=10,
             max_iters_per_layer=30,
             seed=6,
@@ -347,8 +335,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.01,
             patience_iters=2,
-            n_train=40,
-            n_validation=16,
             batch_size=10,
             max_iters_per_layer=20,
             seed=7,
@@ -380,8 +366,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.02,
             patience_iters=4,
-            n_train=60,
-            n_validation=16,
             batch_size=12,
             max_iters_per_layer=60,
             seed=9,
@@ -407,8 +391,6 @@ class TestLayerwiseTraining:
         cfg = TrainConfig(
             learning_rate=0.02,
             patience_iters=4,
-            n_train=60,
-            n_validation=16,
             batch_size=12,
             max_iters_per_layer=60,
             seed=9,
@@ -570,7 +552,7 @@ class TestBlockFrame:
         params = init_from_bista(variant, D, 2, B_analytic=D.data.copy())
         assert training._frame_view(params) is None
         cfg = TrainConfig(
-            learning_rate=0.01, patience_iters=2, n_train=20, n_validation=8,
+            learning_rate=0.01, patience_iters=2,
             batch_size=5, max_iters_per_layer=10, seed=2, eval_every=5,
         )
         layerwise_train(params, data, cfg)
@@ -581,7 +563,7 @@ class TestBlockFrame:
         params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=B_base)
         assert training._frame_view(params) is not None
         cfg = TrainConfig(
-            learning_rate=0.02, patience_iters=4, n_train=60, n_validation=16,
+            learning_rate=0.02, patience_iters=4,
             batch_size=12, max_iters_per_layer=60, seed=9, eval_every=5,
         )
         framed, h_framed = layerwise_train(params, data, cfg)

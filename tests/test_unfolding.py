@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from blockunfold import blockcore, cli, training, unfolding
-from blockunfold.blockcore import kron_factor, kron_lift
+from blockunfold.blockcore import kron_factor, kron_lift, load_matrix, save_matrix
 from blockunfold.operators import _block_norms, eta
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
@@ -447,30 +449,9 @@ class TestCachedStep:
                 forward(params, Y[:, :1], **run)
 
 
-def save_v1_checkpoint(path, params):
-    """A checkpoint in the v1 layout, which stores every matrix dense: a
-    held base as its lift."""
-
-    def write_matrix(f, M, prefix):
-        dense = np.kron(M, np.eye(params.d)) if M.shape[1] == params.n else M
-        blockcore.write_matrix(f, dense, prefix)
-
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("blockunfold-checkpoint v1\n")
-        f.write(f"variant {params.variant.value}\ndepth {params.depth}\n")
-        f.write(f"blocks {params.n} {params.d}\n")
-        f.write("alphas " + " ".join(f"{v:.17g}" for v in params.alphas) + "\n")
-        if params.gammas is not None:
-            f.write("gammas " + " ".join(f"{v:.17g}" for v in params.gammas) + "\n")
-        write_matrix(f, params.dictionary, "matrix D ")
-        for tag, layers in (("S", params.S), ("B", params.B)):
-            if layers is None:
-                continue
-            if params.variant in _UNTIED_VARIANTS:
-                for k, M in enumerate(layers):
-                    write_matrix(f, M, f"matrix {tag}.{k} ")
-            else:
-                write_matrix(f, layers[0], f"matrix {tag} ")
+def checkpoint_files(path):
+    """The manifest ``path`` and the array files beside it, by name."""
+    return {p.name: p.read_bytes() for p in sorted(path.parent.glob(path.stem + ".*"))}
 
 
 def assert_same_network(a, b):
@@ -575,32 +556,11 @@ class TestFactoredProducts:
             assert kron_factor(params.B[2], params.d) is None
             assert_pass_matches_dense(params, Y, X_star)
 
-    def test_v1_checkpoint_loads_to_the_factored_forward(self, tmp_path, rng, monkeypatch):
-        params, _, Y = lifted_network(NetworkVariant.ALBISTA, rng)
-        path = tmp_path / "ckpt.txt"
-        save_v1_checkpoint(path, params)
-        assert path.read_text().startswith("blockunfold-checkpoint v1\n")
-        factors = []
-
-        def recording(M, d):
-            factors.append(kron_factor(M, d))
-            return factors[-1]
-
-        monkeypatch.setattr(unfolding, "kron_factor", recording)
-        loaded = load_checkpoint(path)
-        # D and the shared B, each factored once, at construction
-        assert len(factors) == 2 and all(f is not None for f in factors)
-        assert loaded.dictionary.shape == loaded.B[0].shape == (4, 6)
-        out = forward(loaded, Y).iterates[-1]
-        assert len(factors) == 2
-        np.testing.assert_array_equal(out, forward(params, Y).iterates[-1])
-
     def test_no_pass_searches_for_a_factor(self, tmp_path, rng, monkeypatch):
         def refuse(M, d):
             raise AssertionError("kron_factor called")
 
         monkeypatch.setattr(blockcore, "kron_factor", refuse)
-        monkeypatch.setattr(unfolding, "kron_factor", refuse)
         m, n, d = 4, 6, 3
         D = kron_lift(rng.standard_normal((m, n)), d)
         B_base = rng.standard_normal((m, n))
@@ -616,8 +576,9 @@ class TestFactoredProducts:
         assert history.layers[-1] == 2
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, trained)
-        assert "matrix D lift 4 6\n" in path.read_text()
-        assert "matrix B lift 4 6\n" in path.read_text()
+        for name in ("D", "B"):
+            assert load_matrix(tmp_path / f"ckpt.{name}.npy").shape == (m, n)
+        assert_same_network(load_checkpoint(path), trained)
 
 
 class TestInit:
@@ -747,42 +708,59 @@ class TestCheckpoint:
         params = perturbed_init(variant, D, 3, rng)
         for k, M in enumerate(params.B if variant in _UNTIED_VARIANTS else []):
             M += 0.01 * (k + 1)
-        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        (tmp_path / "first").mkdir()
+        (tmp_path / "second").mkdir()
+        first, second = tmp_path / "first" / "ckpt.txt", tmp_path / "second" / "ckpt.txt"
         save_checkpoint(first, params)
         save_checkpoint(second, load_checkpoint(first))
-        assert second.read_bytes() == first.read_bytes()
+        files = checkpoint_files(first)
+        assert files == checkpoint_files(second)
+        names = {"ckpt.txt", "ckpt.alphas.npy", "ckpt.D.npy"}
+        if params.gammas is not None:
+            names.add("ckpt.gammas.npy")
+        for tag, layers in (("S", params.S), ("B", params.B)):
+            if layers is not None and variant in _UNTIED_VARIANTS:
+                names.update(f"ckpt.{tag}.{k}.npy" for k in range(3))
+            elif layers is not None:
+                names.add(f"ckpt.{tag}.npy")
+        assert set(files) == names
 
     @pytest.mark.parametrize("variant", list(NetworkVariant), ids=lambda v: v.value)
     @pytest.mark.parametrize("lifted", [True, False], ids=["lifts", "dense"])
-    def test_v1_and_v2_load_to_the_saved_arrays(self, tmp_path, variant, lifted, rng):
+    def test_loads_to_the_saved_arrays(self, tmp_path, variant, lifted, rng):
         if lifted:
             params, _, Y = lifted_network(variant, rng)
         else:
             D, _, y = make_problem(rng)
             params, Y = perturbed_init(variant, D, 3, rng), np.stack([y, 0.5 * y])
-        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        save_v1_checkpoint(v1, params)
-        save_checkpoint(v2, params)
-        assert v2.read_text().startswith("blockunfold-checkpoint v2\n")
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        assert_same_network(loaded, params)
         want = forward(params, Y).iterates[-1]
-        for path in (v1, v2):
-            loaded = load_checkpoint(path)
-            assert_same_network(loaded, params)
-            np.testing.assert_array_equal(forward(loaded, Y).iterates[-1], want)
+        np.testing.assert_array_equal(forward(loaded, Y).iterates[-1], want)
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_old_text_checkpoint_asks_for_train(self, tmp_path, version):
+        # the head of a checkpoint in the text format of earlier versions
+        path = tmp_path / "checkpoint.txt"
+        path.write_text(
+            f"blockunfold-checkpoint {version}\nvariant albista\ndepth 1\nblocks 2 1\n"
+            "alphas 0.5\ngammas 0.5\nmatrix D 1 2\n1 0\nmatrix B 1 2\n1 0\n"
+        )
+        with pytest.raises(
+            ValueError,
+            match="checkpoint.txt: checkpoint in the old text format; rerun `blockunfold train`",
+        ):
+            load_checkpoint(path)
 
     def test_lifts_are_stored_as_bases(self, tmp_path, rng):
         params, _, _ = lifted_network(NetworkVariant.ALBISTA, rng)
-        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        save_v1_checkpoint(v1, params)
-        save_checkpoint(v2, params)
-
-        def matrix_bytes(path):
-            text = path.read_text()
-            return len(text[text.index("matrix D") :])
-
-        assert "matrix D lift 4 6\n" in v2.read_text()
-        assert "matrix B lift 4 6\n" in v2.read_text()
-        assert matrix_bytes(v1) >= params.d * matrix_bytes(v2)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        for name in ("D", "B"):
+            assert load_matrix(tmp_path / f"ckpt.{name}.npy").shape == (4, 6)
+        assert path.read_text() == "[checkpoint]\nvariant = albista\ndepth = 3\nn = 6\nd = 3\n"
 
     @pytest.mark.parametrize("case", ["zero_signs", "infinite_base"])
     def test_a_lift_np_kron_cannot_rebuild_is_stored_dense(self, tmp_path, rng, case):
@@ -799,14 +777,12 @@ class TestCheckpoint:
         assert kron_factor(B, 2) is not None
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, params)
-        assert "matrix B 8 12\n" in path.read_text()
         if case == "infinite_base":
             # a checkpoint holds finite values only
-            lines = path.read_text().splitlines()
-            row = lines.index("matrix B 8 12") + 2
-            with pytest.raises(ValueError, match=f"ckpt.txt:{row}: matrix B value inf in column 1"):
+            with pytest.raises(ValueError, match="ckpt.B.npy: non-finite value inf at row 1"):
                 load_checkpoint(path)
             return
+        assert load_matrix(tmp_path / "ckpt.B.npy").shape == (8, 12)
         assert_same_network(load_checkpoint(path), params)
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -820,12 +796,17 @@ class TestCheckpoint:
         params = perturbed_init(NetworkVariant.ALBISTA, D, 2, rng)
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, params)
-        full = path.read_bytes()
-        cut_path = tmp_path / "cut.txt"
-        for size in range(len(full)):
-            cut_path.write_bytes(full[:size])
-            with pytest.raises(ValueError, match="cut.txt"):
-                load_checkpoint(cut_path)
+        files = checkpoint_files(path)
+        assert len(files) == 5
+        for name, full in files.items():
+            # only the final newline gone included: a manifest cut inside its
+            # last line may still parse, to other values ("d = 12" to "d = 1")
+            for size in range(len(full)):
+                (tmp_path / name).write_bytes(full[:size])
+                with pytest.raises(ValueError, match=re.escape(name)):
+                    load_checkpoint(path)
+            (tmp_path / name).write_bytes(full)
+        assert_same_network(load_checkpoint(path), params)
 
     @staticmethod
     def _saved_albista(tmp_path, rng):
@@ -834,57 +815,56 @@ class TestCheckpoint:
         save_checkpoint(path, perturbed_init(NetworkVariant.ALBISTA, D, 3, rng))
         return path
 
-    def test_short_matrix_row_names_the_line(self, tmp_path, rng):
-        path = self._saved_albista(tmp_path, rng)
-        lines = path.read_text().splitlines(keepends=True)
-        row = next(i for i, line in enumerate(lines) if line.startswith("matrix D")) + 1
-        lines[row] = " ".join(lines[row].split()[:-1]) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=rf"ckpt.txt:{row + 1}: matrix D row has"):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("matrix B", "nan", "matrix B value nan in column 1 is not finite"),
-            ("matrix D", "-inf", "matrix D value -inf in column 1 is not finite"),
-            ("alphas", "inf", "bad alphas field 'inf .*': non-finite value"),
-            ("gammas", "nan", "bad gammas field 'nan .*': non-finite value"),
-        ],
+        "name, value",
+        [("B", "nan"), ("D", "-inf"), ("alphas", "inf"), ("gammas", "nan")],
         ids=["nan_B", "inf_D", "inf_alpha", "nan_gamma"],
     )
-    def test_non_finite_value_names_the_line(self, tmp_path, rng, field, value, message):
+    def test_non_finite_value_names_the_line(self, tmp_path, rng, name, value):
         path = self._saved_albista(tmp_path, rng)
-        lines = path.read_text().splitlines(keepends=True)
-        row = next(i for i, line in enumerate(lines) if line.startswith(field + " "))
-        if field.startswith("matrix"):
-            row += 1  # the matrix's first row
-            lines[row] = value + lines[row][lines[row].index(" "):]
-        else:
-            words = lines[row].split(" ")
-            lines[row] = " ".join([words[0], value, *words[2:]])
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=f"ckpt.txt:{row + 1}: {message}"):
+        array = tmp_path / f"ckpt.{name}.npy"
+        A = load_matrix(array)
+        A[1, 0] = float(value)
+        save_matrix(array, A)
+        message = f"ckpt.{name}.npy: non-finite value {value} at row 2, column 1"
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name", ["variant", "depth", "blocks", "alphas"])
+    @pytest.mark.parametrize("name", ["variant", "depth", "n", "d"])
     def test_missing_header_field_is_named(self, tmp_path, rng, name):
         path = self._saved_albista(tmp_path, rng)
         kept = [line for line in path.read_text().splitlines(keepends=True)
                 if not line.startswith(name + " ")]
         path.write_text("".join(kept))
-        with pytest.raises(ValueError, match=f"ckpt.txt: missing header field '{name}'"):
+        with pytest.raises(ValueError, match=f"ckpt.txt: missing key '{name}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["alphas", "gammas", "D", "B"])
+    def test_missing_array_file_is_named(self, tmp_path, rng, name):
+        path = self._saved_albista(tmp_path, rng)
+        (tmp_path / f"ckpt.{name}.npy").unlink()
+        with pytest.raises(FileNotFoundError, match=f"ckpt.{name}.npy"):
             load_checkpoint(path)
 
     def test_bad_field_value_names_the_line(self, tmp_path, rng):
         path = self._saved_albista(tmp_path, rng)
-        path.write_text(path.read_text().replace("depth 3", "depth three"))
-        with pytest.raises(ValueError, match="ckpt.txt:3: bad depth field"):
+        path.write_text(path.read_text().replace("depth = 3", "depth = three"))
+        with pytest.raises(ValueError, match="ckpt.txt:3: bad depth value 'three'"):
             load_checkpoint(path)
 
     def test_block_size_below_one_names_the_line(self, tmp_path, rng):
         # d = 0 would lift every stored base to an empty matrix
         path = self._saved_albista(tmp_path, rng)
-        path.write_text(path.read_text().replace("blocks 6 2", "blocks 6 0"))
-        with pytest.raises(ValueError, match="ckpt.txt:4: bad blocks field '6 0': block count"):
+        path.write_text(path.read_text().replace("d = 2", "d = 0"))
+        with pytest.raises(ValueError, match="ckpt.txt: block count n and size d must be >= 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("n, d", [(6, 0), (6, -2), (0, 2)])
+    def test_block_size_below_one_is_rejected_at_construction(self, rng, n, d):
+        D, _, _ = make_problem(rng)
+        params = perturbed_init(NetworkVariant.ALBISTA, D, 3, rng)
+        with pytest.raises(ValueError, match=f"n and size d must be >= 1, got n={n}, d={d}"):
+            NetworkParams(
+                variant=params.variant, n=n, d=d, depth=3, dictionary=params.dictionary,
+                alphas=params.alphas, gammas=params.gammas, B=params.B,
+            )
