@@ -6,8 +6,8 @@ Submodules:
   an MMV channel matrix to block-sparse form, matrix files
 * ``operators``  block soft-thresholding and its derivatives
 * ``solvers``    classical baselines (block ISTA, momentum variant, AMP)
-* ``weights``    analytical weight matrices (KKT oracle, closed form, SVD
-  shortcut, Kronecker reduction, circulant FFT, Toeplitz extension)
+* ``weights``    analytical weight matrices (KKT oracle, closed form,
+  Kronecker reduction, circulant FFT)
 * ``unfolding``  the learned network variants, gradients, kernel form
 * ``training``   layer-wise training with Adam and NMSE metrics
 * ``datagen``    synthetic scenarios and signal sampling

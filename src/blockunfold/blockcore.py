@@ -227,9 +227,9 @@ def kron_lift(K: np.ndarray, d: int) -> BlockDictionary:
 
 
 def _kron_eye(W: np.ndarray, d: int) -> np.ndarray:
-    """``np.kron(W, np.eye(d))``, bit for bit (signed zeros included), built
-    in one array that owns its data: ``np.kron`` returns a view of its
-    product, which :func:`_freeze` would have to copy."""
+    """``W (x) I_d``, bit for bit numpy's Kronecker product with ``eye(d)``
+    (signed zeros included), built in one array that owns its data: numpy's
+    returns a view of its product, which :func:`_freeze` would have to copy."""
     m, n = W.shape
     lifted = np.empty((m * d, n * d))
     np.multiply(W[:, None, :, None], np.eye(d)[None, :, None, :], out=lifted.reshape(m, d, n, d))
@@ -341,6 +341,15 @@ def _write_manifest(path: str | Path, section: str, values: dict[str, object]) -
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 (one cut inside
+    a multi-byte character included) raises ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_manifest(path: str | Path, section: str):
     """``field(key, parse)`` of a manifest written by :func:`_write_manifest`.
 
@@ -348,9 +357,10 @@ def _read_manifest(path: str | Path, section: str):
     ``[...]`` header or ``key = value``.  A line of any other form, a
     repeated key, a last line without its newline (the file was cut
     short), a missing key and a value ``parse`` rejects each raise
-    ValueError naming the file and, but for a missing key, the line.
+    ValueError naming the file and, but for a missing key, the line; so
+    does a file that is not UTF-8.
     """
-    *lines, tail = Path(path).read_text(encoding="utf-8").split("\n")
+    *lines, tail = _read_text(path).split("\n")
     if tail:
         raise ValueError(f"{path}:{len(lines) + 1}: file ends mid-line (truncated)")
     if not lines or lines[0].strip() != f"[{section}]":

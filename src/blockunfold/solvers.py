@@ -41,7 +41,6 @@ __all__ = [
     "bista_run",
     "fast_bista_run",
     "alamp_run",
-    "decorrelation_trace",
 ]
 
 # Abort when iterates outgrow the data by this factor.
@@ -223,14 +222,13 @@ def fast_bista_run(
     alpha: float,
     gamma: float,
     iters: int,
-    x0: np.ndarray | None = None,
 ) -> SolverTrace:
     """Momentum block ISTA: Nesterov extrapolation before each threshold step.
 
     With t0 = 1 the first iteration has zero momentum and coincides with
-    the plain method.  Batches as :func:`bista_run` does.
+    the plain method.  Batches as :func:`bista_run` does, from zero.
     """
-    Y, X = _check_inputs(D, y, x0, iters)
+    Y, X = _check_inputs(D, y, None, iters)
     A = D.held
     limits = _divergence_limits(Y)
     trace = SolverTrace()
@@ -257,7 +255,6 @@ def alamp_run(
     iters: int,
     y: np.ndarray,
     onsager: bool = True,
-    x0: np.ndarray | None = None,
 ) -> SolverTrace:
     """AMP-style iteration with weight matrix B and Onsager memory term.
 
@@ -265,11 +262,11 @@ def alamp_run(
     trace at the previous pre-threshold point divided by n_y (configurable
     off via ``onsager=False``, which reduces the scheme to a plain
     thresholded gradient iteration with matrix B).  Batches as
-    :func:`bista_run` does, with one correction per row.
+    :func:`bista_run` does, from zero, with one correction per row.
     """
     if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
         raise ValueError("B and D must share shape and block structure")
-    Y, X = _check_inputs(D, y, x0, iters)
+    Y, X = _check_inputs(D, y, None, iters)
     limits = _divergence_limits(Y)
     trace = SolverTrace()
     trace.append(X, lasso_objective(D, Y, X, alpha))
@@ -285,14 +282,3 @@ def alamp_run(
         V_prev = V
         trace.append(X, lasso_objective(D, Y, X, alpha))
     return trace
-
-
-def decorrelation_trace(B: BlockDictionary, D: BlockDictionary) -> float:
-    """tr(I - B^T D) over the signal space; zero for feasible weights.
-
-    Feasibility B[i]^T D[i] = I_d forces the diagonal blocks of B^T D to
-    identity, so the trace vanishes exactly.
-    """
-    if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
-        raise ValueError("B and D must share shape and block structure")
-    return float(D.n_x - np.trace(B.data.T @ D.data))

@@ -61,7 +61,6 @@ __all__ = [
     "backward",
     "init_from_bista",
     "stage_arrays",
-    "param_count",
     "circ_conv",
     "adjoint_kernel",
     "ConvLayerStep",
@@ -208,14 +207,6 @@ def stage_arrays(p: "NetworkParams | Gradients", layer: int) -> dict[str, np.nda
     if v is not NetworkVariant.ALBISTA:
         arrays["B"] = p.B[layer]
     return arrays
-
-
-def param_count(params: NetworkParams) -> int:
-    """Number of trainable scalars, matrix entries included."""
-    arrays = [a for k in range(params.depth) for a in stage_arrays(params, k).values()]
-    # a shared matrix is one object in every stage and counts once; the
-    # scalar views are distinct objects, kept alive by ``arrays``
-    return sum(a.size for a in {id(a): a for a in arrays}.values())
 
 
 # ---------------------------------------------------------------------------

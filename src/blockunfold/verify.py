@@ -49,7 +49,6 @@ __all__ = [
     "estimate_kappa",
     "step_size_limit",
     "error_bound_curve",
-    "lower_rate_constant",
     "calibrated_network",
     "write_verify_csv",
 ]
@@ -74,9 +73,14 @@ class BoundConstants:
 
 @dataclass(frozen=True)
 class KappaEstimate:
+    """Per-layer ratios of :func:`estimate_kappa`, their max ``kappa`` and
+    min ``min_ratio``, and ``thresholds_ok``: whether every threshold meets
+    its condition, decided on the condition itself, not on the ratio."""
+
     kappa: float
     min_ratio: float
     ratios: np.ndarray
+    thresholds_ok: bool
 
 
 def max_weight_block_norm(B: BlockDictionary) -> float:
@@ -192,7 +196,11 @@ def estimate_kappa(params: NetworkParams, constants: BoundConstants) -> KappaEst
     ratios (a{k} - C sigma) / (g{k} mu C_X{k}), max over layers.
 
     The min ratio must be >= 1 for the guarantees to apply; one can always
-    extract such a kappa from compliant trained parameters.
+    extract such a kappa from compliant trained parameters.  When
+    g{k} mu C_X{k} is far below C sigma the numerator cancels, and a
+    threshold at the edge can read a ratio on either side of 1, so
+    ``thresholds_ok`` compares a{k} with g{k} mu C_X{k} + C sigma directly,
+    with a relative slack of 1e-12 for rounding.
     """
     K = len(params.alphas)
     denom = params.gammas[:K] * constants.mu * constants.C_X[:K]
@@ -203,10 +211,10 @@ def estimate_kappa(params: NetworkParams, constants: BoundConstants) -> KappaEst
             f"gamma={params.gammas[bad]:.3g}, mu={constants.mu:.3g}, "
             f"C_X={constants.C_X[bad]:.3g}"
         )
-    ratios = (params.alphas[:K] - constants.C * constants.sigma) / denom
-    return KappaEstimate(
-        kappa=float(ratios.max()), min_ratio=float(ratios.min()), ratios=ratios
-    )
+    noise = constants.C * constants.sigma
+    ratios = (params.alphas[:K] - noise) / denom
+    ok = bool(np.all(params.alphas[:K] >= (denom + noise) * (1.0 - 1e-12)))
+    return KappaEstimate(float(ratios.max()), float(ratios.min()), ratios, ok)
 
 
 def step_size_limit(mu: float, s: int) -> float:
@@ -251,33 +259,6 @@ def error_bound_curve(
         )
         bound[k] = signal + C * sigma * noise
     return bound
-
-
-def lower_rate_constant(
-    B_layers: Sequence[BlockDictionary],
-    D: BlockDictionary,
-    support: Sequence[int],
-) -> float:
-    """Escape-rate constant c = log 3 - log sigma_min_bar of the lower bound.
-
-    sigma_min_bar is the smallest singular value of I - B[S]^T D[S] over
-    the supplied layers, restricted to the support blocks; a singular
-    restriction reports +inf (the bound degenerates).
-    """
-    support = sorted(set(int(i) for i in support))
-    if len(support) < 2:
-        raise ValueError("support must contain at least 2 blocks")
-    d = D.d
-    cols = np.concatenate([np.arange(i * d, (i + 1) * d) for i in support])
-    DS = D.data[:, cols]
-    eye = np.eye(len(cols))
-    sigma_min = np.inf
-    for B in B_layers:
-        sv = np.linalg.svd(eye - B.data[:, cols].T @ DS, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(float(sv[0]), 1.0):
-            return float("inf")
-        sigma_min = min(sigma_min, float(sv[-1]))
-    return float(np.log(3.0) - np.log(sigma_min))
 
 
 # ---------------------------------------------------------------------------

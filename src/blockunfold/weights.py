@@ -13,13 +13,11 @@ solved in minimum norm by the Moore-Penrose inverse.  This module provides:
 
 * the KKT pseudo-inverse oracle (reference route),
 * the explicit block-partitioned closed form of that minimum-norm solution,
-* a pseudo-inverse shortcut for d = 1,
 * the Kronecker reduction: for D = K (x) I_d it suffices to solve at the
   d = 1 level and lift the result,
 * an FFT solution for circulant K, where the dual spectrum is the
   conjugate reciprocal of the kernel spectrum (zeroed bins dropped, and the
-  kernel rescaled by n/rank so the diagonal constraint still holds),
-* a Toeplitz construction by circular extension of the kernel.
+  kernel rescaled by n/rank so the diagonal constraint still holds).
 
 The closed form is implemented exactly as the block-partitioned formula
 states, even though algebraic simplifications exist, so the KKT oracle stays
@@ -34,21 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcore import FEASIBILITY_TOL, BlockDictionary, cross_block_coherence, kron_lift
-from .blockcore import _block_gram_residuals, _pairwise_block_spectral_max
+from .blockcore import _block_gram_residuals, _kron_eye
 
 __all__ = [
     "AnalyticWeights",
-    "UpperBoundReport",
     "solve_kkt_oracle",
     "kkt_weights",
     "closed_form_weights",
-    "svd_weights_d1",
     "kron_weights",
     "circulant",
     "circulant_dual_kernel",
     "circulant_weights_fft",
-    "toeplitz_weights_extend",
-    "upper_bound_objective",
 ]
 
 # Singular values below PINV_RTOL * sigma_max are truncated everywhere.
@@ -65,8 +59,7 @@ class AnalyticWeights:
     ``feasibility_residual`` is ``max_i ||B[i]^T D[i] - I_d||_F`` against the
     dictionary the weights were computed for, and ``cross_coherence`` the
     achieved cross block coherence.  ``kernel``/``rank`` are set by the
-    circulant and Toeplitz routes; ``paired_dictionary`` is the dictionary
-    matrix the Toeplitz construction manufactures alongside B.
+    circulant route.
     """
 
     B: BlockDictionary
@@ -74,7 +67,6 @@ class AnalyticWeights:
     cross_coherence: float
     kernel: np.ndarray | None = None
     rank: int | None = None
-    paired_dictionary: np.ndarray | None = None
 
 
 def _pinv(A: np.ndarray) -> np.ndarray:
@@ -86,7 +78,6 @@ def _assemble(
     D: BlockDictionary,
     kernel: np.ndarray | None = None,
     rank: int | None = None,
-    paired_dictionary: np.ndarray | None = None,
 ) -> AnalyticWeights:
     resid = float(_block_gram_residuals(Bmat, D.data, D.n, D.d).max())
     if resid > FEASIBILITY_TOL:
@@ -96,12 +87,7 @@ def _assemble(
     B = BlockDictionary(Bmat, n=D.n, d=D.d)
     coherence = cross_block_coherence(B, D) if D.n >= 2 else 0.0
     return AnalyticWeights(
-        B=B,
-        feasibility_residual=resid,
-        cross_coherence=coherence,
-        kernel=kernel,
-        rank=rank,
-        paired_dictionary=paired_dictionary,
+        B=B, feasibility_residual=resid, cross_coherence=coherence, kernel=kernel, rank=rank
     )
 
 
@@ -186,26 +172,7 @@ def closed_form_weights(D: BlockDictionary) -> AnalyticWeights:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 shortcut and Kronecker reduction
-
-
-def svd_weights_d1(D: np.ndarray) -> AnalyticWeights:
-    """Pseudo-inverse shortcut for d = 1: transpose of D^+ with columns
-    rescaled so that diag(B^T D) = 1."""
-    D = np.asarray(D, dtype=np.float64)
-    if D.ndim != 2:
-        raise ValueError(f"D must be 2-d, got shape {D.shape}")
-    B0 = _pinv(D).T
-    diag = np.einsum("ij,ij->j", B0, D)
-    small = np.abs(diag) < 1e-12
-    if np.any(small):
-        bad = int(np.flatnonzero(small)[0])
-        raise ValueError(
-            f"cannot normalize: diagonal entry {bad} of B^T D is {diag[bad]:.3e}"
-        )
-    Bmat = B0 / diag
-    Dd = BlockDictionary(D, n=D.shape[1], d=1)
-    return _assemble(Bmat, Dd)
+# Kronecker reduction
 
 
 def kron_weights(K: np.ndarray, d: int, base: AnalyticWeights) -> AnalyticWeights:
@@ -229,12 +196,11 @@ def kron_weights(K: np.ndarray, d: int, base: AnalyticWeights) -> AnalyticWeight
         )
     if d == 1:
         return base
-    Bmat = np.kron(base.B.data, np.eye(d))
-    return _assemble(Bmat, D)
+    return _assemble(_kron_eye(base.B.data, d), D)
 
 
 # ---------------------------------------------------------------------------
-# circulant and Toeplitz constructions
+# circulant construction
 
 
 def circulant(v: np.ndarray) -> np.ndarray:
@@ -279,77 +245,3 @@ def circulant_weights_fft(k: np.ndarray) -> AnalyticWeights:
     K = circulant(k)
     D = BlockDictionary(K, n=n, d=1)
     return _assemble(circulant(b), D, kernel=b, rank=rank)
-
-
-def toeplitz_weights_extend(
-    k: np.ndarray, n: int, mode: str = "same"
-) -> AnalyticWeights:
-    """Weights for a banded convolution dictionary via circular extension.
-
-    The kernel (length m_tilde < n) is zero-padded to length m and its
-    circulant dual solved by FFT; columns of both the dictionary and the
-    weights are cyclic shifts of the respective kernels, truncated to the
-    m x n leading submatrix.  ``mode="same"`` uses m = n (the extension is
-    then the full circulant); ``mode="full"`` uses m = n + m_tilde - 1,
-    whose columns reproduce the linear-convolution Toeplitz matrix exactly.
-
-    The extended circulant must have full rank; otherwise the cyclic-shift
-    feasibility argument breaks down and the caller should adjust the grid
-    or the kernel.
-    """
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 1:
-        raise ValueError("kernel must be a 1-d vector")
-    m_tilde = k.size
-    if not 1 <= m_tilde < n:
-        raise ValueError(f"need 1 <= len(k) < n, got len(k)={m_tilde}, n={n}")
-    if mode == "same":
-        m = n
-    elif mode == "full":
-        m = n + m_tilde - 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'same' or 'full'")
-    padded = np.zeros(m)
-    padded[:m_tilde] = k
-    b, rank = circulant_dual_kernel(padded)
-    if rank < m:
-        raise ValueError(
-            f"extended circulant is rank deficient ({rank}/{m} bins); "
-            "adjust the sampling grid or kernel so its spectrum has no zeros"
-        )
-    K = circulant(padded)[:, :n]
-    B = circulant(b)[:, :n]
-    D = BlockDictionary(K, n=n, d=1)
-    return _assemble(B, D, kernel=b, rank=rank, paired_dictionary=K)
-
-
-# ---------------------------------------------------------------------------
-# surrogate objective diagnostics
-
-
-@dataclass(frozen=True)
-class UpperBoundReport:
-    """Value of the Frobenius surrogate with its majorization chain.
-
-    ``max_spectral_sq <= max_frob_sq <= value`` always holds: the squared
-    spectral norm of any off-diagonal block is at most its squared Frobenius
-    norm, which is at most the full sum over all blocks.
-    """
-
-    value: float
-    max_spectral_sq: float
-    max_frob_sq: float
-
-
-def upper_bound_objective(B: BlockDictionary, D: BlockDictionary) -> UpperBoundReport:
-    """(1/d) ||B^T D||_F^2 and the off-diagonal block norms it dominates."""
-    if (B.n, B.d, B.n_y) != (D.n, D.d, D.n_y):
-        raise ValueError("B and D must share shape and block structure")
-    n, d = D.n, D.d
-    G = B.data.T @ D.data
-    value = float(np.linalg.norm(G) ** 2) / d
-    frob_sq = (G.reshape(n, d, n, d) ** 2).sum(axis=(1, 3))
-    np.fill_diagonal(frob_sq, 0.0)
-    max_spec = _pairwise_block_spectral_max(G, n, d) ** 2 / d
-    max_frob = float(frob_sq.max()) / d
-    return UpperBoundReport(value=value, max_spectral_sq=max_spec, max_frob_sq=max_frob)

@@ -433,6 +433,23 @@ class TestManifest:
         with pytest.raises(ValueError, match="m.txt:2: bad count value 'three': invalid literal"):
             field("count", int)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"[run]\nname = \xff\n", r"m.txt: not UTF-8 text \(invalid start byte at byte 13\)"),
+            (
+                "[run]\nname = \u00e9\n".encode()[:-2],
+                r"m.txt: not UTF-8 text \(unexpected end of data at byte 13\)",
+            ),
+        ],
+        ids=["invalid_byte", "cut_character"],
+    )
+    def test_non_utf8_file_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            _read_manifest(path, "run")
+
 
 class TestValidation:
     def test_orthonormal_flag_enforced(self, rng):

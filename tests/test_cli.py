@@ -487,8 +487,12 @@ class TestErrors:
             ("learning_rate", "learning_rat", "unknown key 'learning_rat' in [training]"),
             ("[eval]", "[evaluation]", "unknown key 'bista_alpha' in [evaluation]"),
             ("[scenario]", "scenario", "File contains no section headers."),
+            ("m = 6", "m = abc", "bad m value 'abc' in [scenario]: invalid literal for int()"),
+            ("variant = albista", "variant = albistaa", "bad variant value 'albistaa' in [network]"),
+            ("patience = 5", "patience = 0", "patience_iters must be >= 1, got 0"),
         ],
-        ids=["misspelled_key", "misspelled_section", "no_section_header"],
+        ids=["misspelled_key", "misspelled_section", "no_section_header", "not_an_int",
+             "unknown_variant", "patience_zero"],
     )
     def test_bad_config_is_an_error_line(self, tmp_path, capsys, old, new, message):
         cfg = write_cfg(tmp_path, (TINY_CFG + "\n[eval]\nbista_alpha = 1.0\n").replace(old, new))
@@ -496,7 +500,19 @@ class TestErrors:
             read_config(cfg)
         assert message in str(info.value)
         err = self._single_error(capsys, ["gen", "--config", cfg, "--out", str(tmp_path)])
-        assert message in err
+        assert err.startswith(f"error: {cfg}: ") and message in err, err
+
+    def test_bad_depth_flag_names_no_file(self, tmp_path, capsys):
+        # the value comes from the command line, not from the config file
+        cfg = write_cfg(tmp_path, TINY_CFG)
+        argv = ["gen", "--config", cfg, "--out", str(tmp_path), "--depth", "0"]
+        assert self._single_error(capsys, argv) == "error: depth must be >= 1, got 0\n"
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(TINY_CFG.encode().replace(b"closed_form", b"closed_form\xff"))
+        err = self._single_error(capsys, ["gen", "--config", str(path), "--out", str(tmp_path)])
+        assert err.startswith(f"error: {path}: not UTF-8 text (invalid start byte at byte "), err
 
 
 class TestSplitLoading:

@@ -9,7 +9,6 @@ from blockunfold.solvers import (
     DivergenceError,
     alamp_run,
     bista_run,
-    decorrelation_trace,
     default_step_size,
     fast_bista_run,
     lasso_objective,
@@ -212,23 +211,6 @@ class TestAlamp:
         with_ons = alamp_run(D, D, 0.05, gamma, 10, y[None], onsager=True)
         without = alamp_run(D, D, 0.05, gamma, 10, y[None], onsager=False)
         assert np.abs(with_ons.iterates[-1] - without.iterates[-1]).max() > 1e-8
-
-
-class TestDecorrelation:
-    def test_analytic_weights_are_decorrelated(self, rng):
-        # the feasibility constraint forces tr(I - B^T D) to vanish
-        K = unit_column_matrix(6, 10, rng)
-        Kd = BlockDictionary(K, n=10, d=1)
-        w = closed_form_weights(Kd)
-        assert abs(decorrelation_trace(w.B, Kd)) < 1e-8
-
-    def test_lifted_weights_stay_decorrelated(self, rng):
-        K = unit_column_matrix(6, 10, rng)
-        w = closed_form_weights(BlockDictionary(K, n=10, d=1))
-        d = 3
-        D = kron_lift(K, d)
-        B = BlockDictionary(np.kron(w.B.data, np.eye(d)), n=10, d=d)
-        assert abs(decorrelation_trace(B, D)) < 1e-8
 
 
 def _mean_db(nmse_rows):

@@ -20,7 +20,6 @@ from blockunfold.unfolding import (
     forward,
     init_from_bista,
     load_checkpoint,
-    param_count,
     save_checkpoint,
     stage_arrays,
 )
@@ -231,30 +230,11 @@ class TestForward:
 
 
 class TestParamAccounting:
-    def test_tied_count_formula(self, rng):
-        D, _, _ = make_problem(rng, m=4, n=6, d=2)
-        K = 5
-        n_x, n_y = 12, 8
-        params = init_from_bista(NetworkVariant.TIED_LBISTA, D, K)
-        assert param_count(params) == n_x**2 + n_y * n_x + K
-
-    def test_albista_count(self, rng):
-        D, _, _ = make_problem(rng)
-        params = init_from_bista(NetworkVariant.ALBISTA, D, 7, B_analytic=D.data.copy())
-        assert param_count(params) == 2 * 7
-
-    def test_untied_count(self, rng):
-        D, _, _ = make_problem(rng, m=4, n=6, d=2)
-        K = 3
-        params = init_from_bista(NetworkVariant.UNTIED_LBISTA, D, K)
-        assert param_count(params) == K * (12**2) + K * (8 * 12) + K
-
     def test_untied_cp_gamma_not_trainable(self, rng):
         D, _, _ = make_problem(rng)
         params = init_from_bista(NetworkVariant.UNTIED_LBISTA_CP, D, 3)
         for k in range(3):
             assert set(stage_arrays(params, k)) == {"alphas", "B"}
-        assert param_count(params) == 3 * (8 * 12) + 3
 
     def test_stage_arrays_restriction(self, rng):
         D, _, _ = make_problem(rng)

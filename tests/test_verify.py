@@ -21,7 +21,6 @@ from blockunfold.verify import (
     calibrated_network,
     error_bound_curve,
     estimate_kappa,
-    lower_rate_constant,
     max_weight_block_norm,
     measure_constants,
     step_size_limit,
@@ -30,7 +29,7 @@ from blockunfold.verify import (
 )
 from blockunfold.weights import closed_form_weights, kron_weights
 
-from conftest import first_escape, random_orthonormal_block_dictionary
+from conftest import first_escape
 
 
 def compliant_instance(m=28, n=32, d=2, s=2, seed=0, count=200):
@@ -165,6 +164,25 @@ class TestKappa:
         with pytest.raises(ValueError, match="denominator"):
             estimate_kappa(self._params([0.1], [1.0]), constants)
 
+    def test_edge_thresholds_comply_where_the_ratio_cancels(self):
+        # an orthogonal square dictionary leaves mu at rounding level, so
+        # g mu C_X is far below C sigma and the ratio's numerator a - C sigma
+        # cancels: it reads on either side of 1 at thresholds on the edge
+        rng = np.random.default_rng(0)
+        n, d = 8, 2
+        Q, _ = np.linalg.qr(rng.standard_normal((n * d, n * d)))
+        D = BlockDictionary(Q, n=n, d=d)
+        X = np.zeros((20, n * d))
+        for row in X:
+            for j in rng.choice(n, 2, replace=False):
+                row[j * d : (j + 1) * d] = rng.standard_normal(d)
+        B = closed_form_weights(D).B
+        params, constants = calibrated_network(D, B, 0.9, 6, X, X @ Q.T, sigma=0.5)
+        assert 0.0 < constants.mu < 1e-14
+        assert estimate_kappa(params, constants).thresholds_ok
+        params.alphas[3] *= 1.0 - 1e-9
+        assert not estimate_kappa(params, constants).thresholds_ok
+
     def test_trained_run_ratio_reported(self):
         D, B, X, Y = compliant_instance()
         params, constants = calibrated_network(D, B, 1.0, 8, X, Y, s=2)
@@ -224,46 +242,6 @@ class TestErrorBound:
         assert np.all(emp <= bound + 1e-9 * np.maximum(1.0, bound))
         # the bound decays, so the run must actually converge
         assert emp[-1] < 0.05 * emp[0]
-
-
-class TestLowerRateConstant:
-    def test_zero_coupling_gives_log3(self, rng):
-        D = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        B = BlockDictionary(np.zeros((8, 8)), n=4, d=2)
-        assert lower_rate_constant([B], D, [0, 1]) == pytest.approx(np.log(3.0))
-
-    def test_formula_zero_point(self, rng):
-        # sigma_min_bar = 3 makes the rate constant vanish
-        D = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        d = D.d
-        cols = np.arange(2 * d)
-        B = np.zeros((8, 8))
-        # build B[S] with I - B[S]^T D[S] = -2 I, whose singular values are 2...
-        # instead solve directly: B[S]^T D[S] = -2 I  =>  sigma_min = 3
-        DS = D.data[:, cols]
-        B[:, cols] = -2.0 * DS @ np.linalg.inv(DS.T @ DS)
-        c = lower_rate_constant([BlockDictionary(B, n=4, d=2)], D, [0, 1])
-        assert c == pytest.approx(np.log(3.0) - np.log(3.0), abs=1e-10)
-
-    def test_singular_restriction_sentinel(self, rng):
-        # B[S]^T D[S] = I makes the restriction singular: sentinel +inf
-        D = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        cols = np.arange(4)
-        DS = D.data[:, cols]
-        B = np.zeros((8, 8))
-        B[:, cols] = DS @ np.linalg.inv(DS.T @ DS)
-        c = lower_rate_constant([BlockDictionary(B, n=4, d=2)], D, [0, 1])
-        assert c == np.inf
-
-    def test_analytic_weights_give_positive_constant(self):
-        D, B, X, Y = compliant_instance()
-        c = lower_rate_constant([B], D, [0, 1])
-        assert np.isfinite(c) and c > 0
-
-    def test_needs_two_blocks(self, rng):
-        D = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        with pytest.raises(ValueError):
-            lower_rate_constant([D], D, [0])
 
 
 class TestConstantsAndReport:

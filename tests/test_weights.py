@@ -16,9 +16,6 @@ from blockunfold.weights import (
     kkt_weights,
     kron_weights,
     solve_kkt_oracle,
-    svd_weights_d1,
-    toeplitz_weights_extend,
-    upper_bound_objective,
 )
 
 from conftest import random_orthonormal_block_dictionary, unit_column_matrix
@@ -130,43 +127,6 @@ class TestClosedForm:
             assert w.cross_coherence <= block_coherence(D) + 1e-8
 
 
-class TestSvdShortcut:
-    def test_orthogonal_square_returns_dictionary(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        w = svd_weights_d1(Q)
-        np.testing.assert_allclose(w.B.data, Q, atol=1e-9)
-
-    def test_matches_closed_form_objective(self, rng):
-        K = unit_column_matrix(8, 16, rng)
-        ws = svd_weights_d1(K)
-        wc = closed_form_weights(BlockDictionary(K, n=16, d=1))
-        vs = np.linalg.norm(ws.B.data.T @ K) ** 2
-        vc = np.linalg.norm(wc.B.data.T @ K) ** 2
-        assert abs(vs - vc) / vc < 1e-6
-
-    def test_surrogate_objective_beats_dictionary_50_seeds(self):
-        # the minimizer beats the feasible point D on the Frobenius
-        # surrogate; its worst-case cross coherence can exceed mu(D) on
-        # individual draws (the surrogate minimizes the sum, not the max),
-        # so the infimum estimate below keeps D as a candidate
-        for seed in range(50):
-            r = np.random.default_rng(seed)
-            K = unit_column_matrix(8, 16, r)
-            w = svd_weights_d1(K)
-            assert (
-                np.linalg.norm(w.B.data.T @ K) ** 2
-                <= np.linalg.norm(K.T @ K) ** 2 + 1e-9
-            )
-            mu_tilde_upper = min(w.cross_coherence, mutual_coherence(K))
-            assert 0.0 <= mu_tilde_upper <= mutual_coherence(K) + 1e-12
-
-    def test_degenerate_diagonal_rejected(self):
-        # second column orthogonal to the row space projection direction
-        D = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises((ValueError, np.linalg.LinAlgError)):
-            svd_weights_d1(D)
-
-
 class TestKroneckerReduction:
     def test_d1_returns_base(self, rng):
         K = unit_column_matrix(6, 10, rng)
@@ -245,102 +205,15 @@ class TestCirculant:
         assert rel < 1e-6
 
 
-class TestToeplitz:
-    def test_scalar_kernel(self):
-        w = toeplitz_weights_extend(np.array([2.0]), 6, mode="same")
-        np.testing.assert_allclose(w.B.data, 0.5 * np.eye(6), atol=1e-12)
-        np.testing.assert_allclose(w.paired_dictionary, 2.0 * np.eye(6), atol=1e-12)
-
-    def test_feasibility_both_modes(self, rng):
-        k = rng.standard_normal(4)
-        for mode in ("same", "full"):
-            w = toeplitz_weights_extend(k, 16, mode=mode)
-            K = w.paired_dictionary
-            diag = np.einsum("ij,ij->j", w.B.data, K)
-            np.testing.assert_allclose(diag, 1.0, atol=1e-8)
-
-    def test_full_mode_is_linear_convolution_matrix(self, rng):
-        k = rng.standard_normal(4)
-        n = 10
-        w = toeplitz_weights_extend(k, n, mode="full")
-        K = w.paired_dictionary
-        assert K.shape == (n + 3, n)
-        x = rng.standard_normal(n)
-        np.testing.assert_allclose(K @ x, np.convolve(k, x), atol=1e-12)
-
-    def test_cross_products_vanish_for_full_spectrum(self, rng):
-        # the circulant extension satisfies B~^T K~ = I, so all off-diagonal
-        # inner products of the truncated construction vanish as well
-        for seed in range(5):
-            r = np.random.default_rng(seed)
-            k = r.standard_normal(4)
-            w = toeplitz_weights_extend(k, 16, mode="full")
-            K = w.paired_dictionary
-            G = np.abs(w.B.data.T @ K)
-            np.fill_diagonal(G, 0.0)
-            ext = circulant(np.concatenate([k, np.zeros(K.shape[0] - 4)]))
-            Gext = np.abs(circulant(w.kernel).T @ ext)
-            np.fill_diagonal(Gext, 0.0)
-            assert G.max() <= Gext.max() + 1e-10
-            assert Gext.max() < 1e-8
-
-    def test_rank_deficient_extension_rejected(self):
-        # symmetric kernel [1, 0, ..., 0, 1] has spectrum zeros at odd bins
-        k = np.array([1.0, 1.0])
-        with pytest.raises(ValueError, match="rank deficient"):
-            toeplitz_weights_extend(k, 3, mode="full")
-
-    def test_kernel_length_validation(self):
-        with pytest.raises(ValueError):
-            toeplitz_weights_extend(np.ones(8), 8)
-
-
-def upper_bound_reference(B, D):
-    """The off-diagonal maxima of :func:`upper_bound_objective`, one block
-    pair at a time: (max squared spectral norm, max squared Frobenius
-    norm), each divided by d."""
-    d = D.d
-    G = B.data.T @ D.data
-    max_spec = max_frob = 0.0
-    for i in range(D.n):
-        for j in range(D.n):
-            if i != j:
-                sub = G[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                max_spec = max(max_spec, float(np.linalg.norm(sub, 2) ** 2) / d)
-                max_frob = max(max_frob, float(np.linalg.norm(sub) ** 2) / d)
-    return max_spec, max_frob
-
-
 class TestUpperBoundObjective:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_pairwise_reference(self, rng, d):
-        for n_y, n in ((7, 5), (12, 9), (4, 2)):
-            B = BlockDictionary(rng.standard_normal((n_y, n * d)), n=n, d=d)
-            D = BlockDictionary(rng.standard_normal((n_y, n * d)), n=n, d=d)
-            rep = upper_bound_objective(B, D)
-            np.testing.assert_allclose(
-                (rep.max_spectral_sq, rep.max_frob_sq), upper_bound_reference(B, D), rtol=1e-12
-            )
-
-    def test_orthogonal_square(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        D = BlockDictionary(Q, n=5, d=1, orthonormal_blocks=True)
-        rep = upper_bound_objective(D, D)
-        assert rep.value == pytest.approx(5.0, rel=1e-12)
-
-    def test_majorization_chain(self, rng):
-        B = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        D = random_orthonormal_block_dictionary(8, 4, 2, rng)
-        rep = upper_bound_objective(B, D)
-        assert rep.max_spectral_sq <= rep.max_frob_sq + 1e-12
-        assert rep.max_frob_sq <= rep.value + 1e-12
-
     def test_closed_form_no_worse_than_dictionary(self, rng):
+        # the surrogate (1/d) ||B^T D||_F^2 the weights minimize, against
+        # the feasible point B = D
         D = random_orthonormal_block_dictionary(12, 6, 2, rng)
         w = closed_form_weights(D)
         assert (
-            upper_bound_objective(w.B, D).value
-            <= upper_bound_objective(D, D).value + 1e-9
+            np.linalg.norm(w.B.data.T @ D.data) ** 2
+            <= np.linalg.norm(D.data.T @ D.data) ** 2 + 1e-9
         )
 
 
@@ -351,7 +224,7 @@ class TestWeightInvariants:
         K = unit_column_matrix(8, 12, rng)
         Kd = BlockDictionary(K, n=12, d=1)
         mu_d = block_coherence(Kd)
-        for w in (closed_form_weights(Kd), kkt_weights(Kd), svd_weights_d1(K)):
+        for w in (closed_form_weights(Kd), kkt_weights(Kd)):
             assert w.feasibility_residual <= 1e-8
             mu_tilde = min(w.cross_coherence, mu_d)
             assert 0.0 <= mu_tilde <= mu_d <= mutual_coherence(K) + 1e-12 <= 1.0 + 1e-12
