@@ -142,6 +142,13 @@ def _block_gram_residuals(X: np.ndarray, Y: np.ndarray, n: int, d: int) -> np.nd
 # coherence measures
 
 
+def _max_off_diagonal(G: np.ndarray) -> float:
+    """max over i != j of |G_ij|."""
+    off = np.abs(G)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
+
+
 def _pairwise_block_spectral_max(G: np.ndarray, n: int, d: int) -> float:
     """max over i != j of ||G[i*d:(i+1)*d, j*d:(j+1)*d]||_2.
 
@@ -150,9 +157,7 @@ def _pairwise_block_spectral_max(G: np.ndarray, n: int, d: int) -> float:
     block row keeps the working set to that row's ``(n, d, d)`` stack.
     """
     if d == 1:
-        off = np.abs(G).copy()
-        np.fill_diagonal(off, 0.0)
-        return float(off.max())
+        return _max_off_diagonal(G)
     best = 0.0
     for i in range(n):
         row = G[i * d : (i + 1) * d].reshape(d, n, d).transpose(1, 0, 2)
@@ -174,18 +179,29 @@ def cross_block_coherence(B: BlockDictionary, D: BlockDictionary) -> float:
     """max over i != j of (1/d) ||B[i]^T D[j]||_2, for feasible B.
 
     Feasibility means ``B[i]^T D[i] = I_d`` within ``FEASIBILITY_TOL``
-    (Frobenius); a violating block raises with its index.
+    (Frobenius); a violating block raises with its index.  When both are
+    lifts, ``B = W (x) I_d`` and ``D = K (x) I_d``, the product is
+    ``B^T D = (W^T K) (x) I_d``: with ``G = W^T K`` the block residual is
+    ``sqrt(d) |G_ii - 1|`` and the coherence the largest off-diagonal
+    ``|G_ij|`` over d, so the ``(n*d)^2`` product is never formed.
     """
     if B.n != D.n or B.d != D.d or B.n_y != D.n_y:
         raise ValueError("B and D must share shape and block structure")
     if D.n < 2:
         raise ValueError("cross block coherence needs at least 2 blocks")
-    resid = _block_gram_residuals(B.data, D.data, D.n, D.d)
+    lifts = B.kron_base is not None and D.kron_base is not None
+    if lifts:
+        G = B.kron_base.T @ D.kron_base
+        resid = np.sqrt(D.d) * np.abs(np.diagonal(G) - 1.0)
+    else:
+        resid = _block_gram_residuals(B.data, D.data, D.n, D.d)
     bad = np.flatnonzero(resid > FEASIBILITY_TOL)
     if bad.size:
         raise ValueError(
             f"B is infeasible at block {bad[0]}: ||B[i]^T D[i] - I||_F = {resid[bad[0]]:.3e}"
         )
+    if lifts:
+        return _max_off_diagonal(G) / D.d
     return _pairwise_block_spectral_max(B.data.T @ D.data, D.n, D.d) / D.d
 
 
@@ -194,9 +210,7 @@ def mutual_coherence(A: np.ndarray) -> float:
     A = np.asarray(A, dtype=np.float64)
     if A.shape[1] < 2:
         raise ValueError("mutual coherence needs at least 2 columns")
-    G = np.abs(A.T @ A)
-    np.fill_diagonal(G, 0.0)
-    return float(G.max())
+    return _max_off_diagonal(A.T @ A)
 
 
 # ---------------------------------------------------------------------------

@@ -423,12 +423,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         )
         s_obs = max(int(block_counts.max()), 1)
         B = kron_lift(base_B, d)
-        # measured once: the step size and the calibration both use it
-        mu_tilde = cross_block_coherence(B, D)
-        gamma = min(1.0, 0.9 * step_size_limit(d * mu_tilde, s_obs))
-        params, constants = calibrated_network(
-            D, B, gamma, cfg.depth, X_test, Y_test, sigma, mu_tilde=mu_tilde
-        )
+        gamma = min(1.0, 0.9 * step_size_limit(d * cross_block_coherence(B, D), s_obs))
+        params, constants = calibrated_network(D, B, gamma, cfg.depth, X_test, Y_test, sigma)
         notes.append("source = edge-calibrated network (no checkpoint found)")
 
     fp = forward(params, Y_test)

@@ -74,8 +74,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.m, self.n, self.d) < 1:
-            raise ValueError("dimensions must be >= 1")
+        for name in ("m", "n", "d"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.pnz <= 1.0:
             raise ValueError(f"pnz must lie in [0, 1], got {self.pnz}")
         if self.scenario is Scenario.CIRCULANT:

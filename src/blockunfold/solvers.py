@@ -91,7 +91,8 @@ def spectral_norm(A: np.ndarray) -> float:
 
 
 def _dictionary_norm(D: BlockDictionary) -> float:
-    """||D||_2, computed once per dictionary and kept on it.
+    """||D||_2, computed once per dictionary and kept on it; for a lift
+    ``K (x) I_d`` it is ``||K||_2``, taken on the base.
 
     A dictionary's data is read-only, so the norm cannot go stale; this
     keeps repeated solver runs on one dictionary from repeating the power
@@ -99,7 +100,7 @@ def _dictionary_norm(D: BlockDictionary) -> float:
     """
     norm = D.__dict__.get("_spectral_norm")
     if norm is None:
-        norm = spectral_norm(D.data)
+        norm = spectral_norm(D.held)
         object.__setattr__(D, "_spectral_norm", norm)
     return norm
 

@@ -69,7 +69,7 @@ class TrainConfig:
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.patience_iters < 1:
-            raise ValueError(f"patience_iters must be >= 1, got {self.patience_iters}")
+            raise ValueError(f"patience must be >= 1, got {self.patience_iters}")
 
 
 @dataclass

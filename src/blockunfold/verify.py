@@ -84,7 +84,10 @@ class KappaEstimate:
 
 
 def max_weight_block_norm(B: BlockDictionary) -> float:
-    """max_j ||B[j]||_2 over the weight blocks."""
+    """max_j ||B[j]||_2 over the weight blocks; for a lift ``W (x) I_d`` the
+    largest column norm of ``W``, as ``||w_j (x) I_d||_2 = ||w_j||``."""
+    if B.kron_base is not None:
+        return float(np.linalg.norm(B.kron_base, axis=0).max())
     return max(float(np.linalg.norm(B.block(j), 2)) for j in range(B.n))
 
 
@@ -104,15 +107,12 @@ def measure_constants(
     X_star: np.ndarray,
     sigma: float = 0.0,
     s: int | None = None,
-    mu_tilde: float | None = None,
 ) -> BoundConstants:
     """Measure mu, C and the per-layer error suprema on a finite test set.
 
     ``fp`` must be a forward pass of ``params`` on the measurements of
     ``X_star``.  mu and C are maxima over the distinct weight matrices of
-    the executed layers; an infeasible one raises naming its layer.  A
-    caller that has already measured the cross coherence of those matrices
-    passes it as ``mu_tilde``, which skips the block-SVD loop.  The
+    the executed layers; an infeasible one raises naming its layer.  The
     sparsity level defaults to the largest block support observed in the
     set.
     """
@@ -128,17 +128,13 @@ def measure_constants(
     D = _dictionary(params.dictionary, n, d)
     # the tied variants share one matrix across layers
     distinct = fp.depth if params.variant is NetworkVariant.UNTIED_LBISTA_CP else 1
-    measure = mu_tilde is None
-    if measure:
-        mu_tilde = 0.0
-    B_norm = 0.0
+    mu_tilde = B_norm = 0.0
     for k, Bk in enumerate(params.B[:distinct], start=1):
         B = _dictionary(Bk, n, d)
-        if measure:
-            try:
-                mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
-            except ValueError as exc:
-                raise ValueError(f"layer {k}: {exc}") from exc
+        try:
+            mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
+        except ValueError as exc:
+            raise ValueError(f"layer {k}: {exc}") from exc
         B_norm = max(B_norm, max_weight_block_norm(B))
     C = float(np.max(np.abs(params.gammas[: fp.depth]))) * B_norm
     X_star = _as_batch(X_star, params.n_x, "X_star")
@@ -274,7 +270,6 @@ def calibrated_network(
     Y: np.ndarray,
     sigma: float = 0.0,
     s: int | None = None,
-    mu_tilde: float | None = None,
 ) -> tuple[NetworkParams, BoundConstants]:
     """Fixed-weight network with thresholds at the compliant lower edge.
 
@@ -283,13 +278,10 @@ def calibrated_network(
     realizes the threshold condition with kappa = 1 on that set.  Returns
     the network and its :func:`measure_constants` on those signals, taken
     on the calibration's own layer-by-layer pass, which computes the
-    iterates of one full forward pass.  ``mu_tilde`` is the cross coherence
-    of ``(B, D)`` when the caller has measured it; it is measured otherwise.
+    iterates of one full forward pass.
     """
     n, d = D.n, D.d
-    if mu_tilde is None:
-        mu_tilde = cross_block_coherence(B, D)
-    mu = d * mu_tilde
+    mu = d * cross_block_coherence(B, D)
     C = abs(gamma) * max_weight_block_norm(B)
     X_star = _as_batch(X_star, D.n_x, "X_star")
     params = NetworkParams(
@@ -311,7 +303,7 @@ def calibrated_network(
         iterates.append(X)
         prethresh += layer.prethresh
     fp = ForwardPass(Y=layer.Y, iterates=iterates, prethresh=prethresh)
-    return params, measure_constants(params, fp, X_star, sigma, s, mu_tilde=mu_tilde)
+    return params, measure_constants(params, fp, X_star, sigma, s)
 
 
 def write_verify_csv(

@@ -12,17 +12,18 @@ problems whose KKT system is
 solved in minimum norm by the Moore-Penrose inverse.  This module provides:
 
 * the KKT pseudo-inverse oracle (reference route),
-* the explicit block-partitioned closed form of that minimum-norm solution,
+* the closed form of that minimum-norm solution in terms of the Gram
+  matrix ``G = D D^T``: one pseudo-inverse of G and a batch of ``d x d``
+  solves,
 * the Kronecker reduction: for D = K (x) I_d it suffices to solve at the
   d = 1 level and lift the result,
 * an FFT solution for circulant K, where the dual spectrum is the
   conjugate reciprocal of the kernel spectrum (zeroed bins dropped, and the
   kernel rescaled by n/rank so the diagonal constraint still holds).
 
-The closed form is implemented exactly as the block-partitioned formula
-states, even though algebraic simplifications exist, so the KKT oracle stays
-an independent correctness check rather than a shared code path.  Per-block
-solves are independent and may run data-parallel.
+The KKT oracle inverts the full ``(n_y + d)``-square KKT matrix once per
+block and shares no code path with the closed form, so it stays an
+independent correctness check.
 """
 
 from __future__ import annotations
@@ -132,43 +133,24 @@ def kkt_weights(D: BlockDictionary) -> AnalyticWeights:
 
 
 def closed_form_weights(D: BlockDictionary) -> AnalyticWeights:
-    """Explicit block-partitioned form of the minimum-norm KKT solution.
+    """Closed form of the minimum-norm KKT solution, for all blocks at once.
 
-    With A = 2 D D^T the weight block is ``B[i] = K_i^+ (D[i] - E_i H_i)``
-    where
+    With the Gram matrix G = D D^T the weight block is
 
-        K_i = A^2 + D[i] D[i]^T,              E_i = A D[i],
-        R_i = D[i] - A K_i^+ E_i,             S_i = -D[i]^T K_i^+ E_i,
-        L_i = R_i^T R_i + S_i^T S_i,          M_i = K_i^+ E_i (I - L_i^+ L_i),
-        H_i = L_i^+ S_i^T + (I - L_i^+ L_i) (I + M_i^T M_i)^{-1}
-                (K_i^+ E_i)^T K_i^+ (D[i] - E_i L_i^+ S_i^T).
+        B[i] = G^+ D[i] (D[i]^T G^+ D[i])^{-1},
 
-    All pseudo-inverses truncate singular values below 1e-10 relative to
-    the largest.
+    one pseudo-inverse (singular values below 1e-10 relative to the largest
+    truncated) and ``n`` batched ``d x d`` solves.  For a rank-deficient G
+    every D[i] lies in its range, so the G^+ keeps B[i] there too: the
+    minimum-norm solution, as the KKT oracle's pseudo-inverse gives it.
     """
     _require_orthonormal_blocks(D)
-    d = D.d
-    A = 2.0 * D.data @ D.data.T
-    A2 = A @ A
-    eye_d = np.eye(d)
-    cols = []
-    for i in range(D.n):
-        Di = D.block(i)
-        Ki = A2 + Di @ Di.T
-        Kp = _pinv(Ki)
-        Ei = A @ Di
-        KpEi = Kp @ Ei
-        Ri = Di - A @ KpEi
-        Si = -Di.T @ KpEi
-        Li = Ri.T @ Ri + Si.T @ Si
-        Lp = _pinv(Li)
-        P = eye_d - Lp @ Li
-        Mi = KpEi @ P
-        Hi = Lp @ Si.T + P @ np.linalg.inv(eye_d + Mi.T @ Mi) @ KpEi.T @ Kp @ (
-            Di - Ei @ Lp @ Si.T
-        )
-        cols.append(Kp @ (Di - Ei @ Hi))
-    return _assemble(np.hstack(cols), D)
+    n_y, n, d = D.n_y, D.n, D.d
+    P = (_pinv(D.data @ D.data.T) @ D.data).reshape(n_y, n, d).transpose(1, 0, 2)
+    Db = D.data.reshape(n_y, n, d).transpose(1, 2, 0)
+    # B[i]^T = (D[i]^T G^+ D[i])^{-T} (G^+ D[i])^T, batched over the blocks
+    Bt = np.linalg.solve(np.matmul(Db, P).transpose(0, 2, 1), P.transpose(0, 2, 1))
+    return _assemble(Bt.transpose(2, 0, 1).reshape(n_y, n * d), D)
 
 
 # ---------------------------------------------------------------------------

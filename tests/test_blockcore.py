@@ -133,6 +133,32 @@ class TestCoherence:
         with pytest.raises(ValueError, match="block 2: .* = 1.414e\\+00"):
             cross_block_coherence(BlockDictionary(only_third, n=4, d=2), D)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_lift_pair_coherence_matches_the_dense_route(self, rng, d):
+        # the same matrices without kron_base take the dense route
+        K = unit_column_matrix(10, 14, rng)
+        R = rng.standard_normal((10, 14))
+        W = R / np.einsum("ij,ij->j", R, K)  # feasible: w_i^T k_i = 1
+        B, D = kron_lift(W, d), kron_lift(K, d)
+        dense = [BlockDictionary(M.data, n=14, d=d) for M in (B, D)]
+        assert cross_block_coherence(B, D) == pytest.approx(
+            cross_block_coherence(*dense), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_infeasible_lift_pair_names_the_dense_route_block(self, rng, d):
+        K = unit_column_matrix(6, 5, rng)
+        W = K.copy()
+        W[:, 3] *= 1.5
+        W[:, 1] *= 0.5
+        B, D = kron_lift(W, d), kron_lift(K, d)
+        messages = []
+        for pair in ((B, D), [BlockDictionary(M.data, n=5, d=d) for M in (B, D)]):
+            with pytest.raises(ValueError, match="infeasible at block 1: ") as info:
+                cross_block_coherence(*pair)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_block_gram_residuals_match_per_block_loop(self, rng, d):
         X, Y = rng.standard_normal((2, 7, 4 * d))

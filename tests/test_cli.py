@@ -178,8 +178,8 @@ class TestPipeline:
 
         monkeypatch.setattr(solvers, "spectral_norm", counting_norm)
         assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
-        # one dictionary (the lifted D), 25 test signals
-        assert calls == [(12, 24)]
+        # one dictionary, taken on the base K of its lift, 25 test signals
+        assert calls == [(6, 12)]
 
     def test_circulant_pipeline_and_rank_field(self, tmp_path):
         cfg = write_cfg(tmp_path, CIRCULANT_CFG)
@@ -296,19 +296,16 @@ class TestVerifyCommand:
         assert "# kappa estimation failed: nonpositive threshold-condition denominator" in report
         assert "kappa_ok=False" in report and "assertions disabled" in report
 
-    def test_calibrated_route_measures_coherence_once_and_runs_one_full_pass(
-        self, tmp_path, monkeypatch
-    ):
+    def test_calibrated_route_runs_one_full_pass(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, COMPLIANT_CFG)
         out, ref = tmp_path / "run", tmp_path / "ref"
         for run in (out, ref):
             for command in ("gen", "weights"):
                 assert main([command, "--config", cfg, "--out", str(run)]) == 0
-        # the reference measures its constants as verify did before: a
-        # coherence of its own, on a second full forward pass
+        # the reference measures its constants on a second full forward pass
         calibrate = verify.calibrated_network
 
-        def remeasured(D, B, gamma, depth, X, Y, sigma=0.0, s=None, mu_tilde=None):
+        def remeasured(D, B, gamma, depth, X, Y, sigma=0.0, s=None):
             params, _ = calibrate(D, B, gamma, depth, X, Y, sigma, s)
             fp = unfolding.forward(params, Y)
             return params, verify.measure_constants(params, fp, X, sigma, s)
@@ -316,12 +313,7 @@ class TestVerifyCommand:
         with monkeypatch.context() as mp:
             mp.setattr(cli, "calibrated_network", remeasured)
             assert main(["verify", "--config", cfg, "--out", str(ref)]) == 0
-        coherences, full_passes = [], []
-        coherence, forward = verify.cross_block_coherence, unfolding.forward
-
-        def counting_coherence(B, D):
-            coherences.append(B.data.shape)
-            return coherence(B, D)
+        full_passes, forward = [], unfolding.forward
 
         def counting_forward(params, Y, depth=None, start=0, **kwargs):
             if start == 0 and depth in (None, params.depth):
@@ -329,10 +321,8 @@ class TestVerifyCommand:
             return forward(params, Y, depth, start, **kwargs)
 
         for module in (cli, verify):
-            monkeypatch.setattr(module, "cross_block_coherence", counting_coherence)
             monkeypatch.setattr(module, "forward", counting_forward)
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        assert coherences == [(56, 64)]
         assert full_passes == [(40, 56)]
         assert (out / "verify.csv").read_bytes() == (ref / "verify.csv").read_bytes()
 
@@ -489,10 +479,12 @@ class TestErrors:
             ("[scenario]", "scenario", "File contains no section headers."),
             ("m = 6", "m = abc", "bad m value 'abc' in [scenario]: invalid literal for int()"),
             ("variant = albista", "variant = albistaa", "bad variant value 'albistaa' in [network]"),
-            ("patience = 5", "patience = 0", "patience_iters must be >= 1, got 0"),
+            ("patience = 5", "patience = 0", "patience must be >= 1, got 0"),
+            ("m = 6", "m = 0", "m must be >= 1, got 0"),
+            ("d = 2", "d = -1", "d must be >= 1, got -1"),
         ],
         ids=["misspelled_key", "misspelled_section", "no_section_header", "not_an_int",
-             "unknown_variant", "patience_zero"],
+             "unknown_variant", "patience_zero", "m_zero", "d_negative"],
     )
     def test_bad_config_is_an_error_line(self, tmp_path, capsys, old, new, message):
         cfg = write_cfg(tmp_path, (TINY_CFG + "\n[eval]\nbista_alpha = 1.0\n").replace(old, new))

@@ -9,12 +9,10 @@ from blockunfold.operators import _block_norms, eta
 from blockunfold.solvers import bista_run, default_step_size, spectral_norm
 from blockunfold.training import empirical_risk
 from blockunfold.unfolding import (
-    ConvLayerStep,
     NetworkParams,
     NetworkVariant,
     adjoint_kernel,
     backward,
-    circ_conv,
     conv_layer_form,
     conv_step_fft,
     forward,

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from blockunfold import blockcore
 from blockunfold.blockcore import (
     BlockDictionary,
     cross_block_coherence,
     kron_adjoint,
     kron_apply,
     kron_factor,
+    kron_lift,
 )
 from blockunfold.datagen import (
     Scenario,
@@ -15,7 +17,14 @@ from blockunfold.datagen import (
     sample_signal_class,
 )
 from blockunfold.operators import eta
-from blockunfold.unfolding import NetworkVariant, NetworkParams, forward, init_from_bista
+from blockunfold.unfolding import (
+    NetworkParams,
+    NetworkVariant,
+    forward,
+    init_from_bista,
+    load_checkpoint,
+    save_checkpoint,
+)
 from blockunfold.verify import (
     BoundConstants,
     calibrated_network,
@@ -299,3 +308,34 @@ class TestConstantsAndReport:
         assert lines[1] == "# check"
         assert lines[2] == "layer,empirical_max_err,bound_rhs,alpha,gamma,kappa_ratio"
         assert len(lines) == 3 + 4
+
+
+class TestLiftRoute:
+    """A lift ``W (x) I_d`` is measured on its base ``W``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_block_norm_of_a_lift_matches_the_dense_route(self, rng, d):
+        lift = kron_lift(rng.standard_normal((5, 7)), d)
+        assert max_weight_block_norm(lift) == pytest.approx(
+            max_weight_block_norm(BlockDictionary(lift.data, n=7, d=d)), rel=1e-12
+        )
+
+    def test_albista_constants_skip_the_block_svd(self, tmp_path, monkeypatch):
+        D, B, X, Y = compliant_instance(count=20)
+        base = kron_factor(B.data, D.d)
+        albista = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=base)
+        # a trained matrix is held dense, so a tied_cp checkpoint has no base
+        save_checkpoint(tmp_path / "checkpoint.txt", init_from_bista(
+            NetworkVariant.TIED_LBISTA_CP, D, 3, B_analytic=base
+        ))
+        tied_cp = load_checkpoint(tmp_path / "checkpoint.txt")
+        dense_mu = cross_block_coherence(B, D)
+
+        def refuse(G, n, d):
+            raise AssertionError(f"block SVD of a {G.shape} product")
+
+        monkeypatch.setattr(blockcore, "_pairwise_block_spectral_max", refuse)
+        constants = measure_constants(albista, forward(albista, Y), X)
+        assert constants.mu_tilde_b == pytest.approx(dense_mu, rel=1e-12)
+        with pytest.raises(AssertionError, match=r"block SVD of a \(64, 64\) product"):
+            measure_constants(tied_cp, forward(tied_cp, Y), X)

@@ -4,10 +4,11 @@ import pytest
 from blockunfold.blockcore import (
     BlockDictionary,
     block_coherence,
-    cross_block_coherence,
     kron_lift,
     mutual_coherence,
 )
+from blockunfold.cli import read_config
+from blockunfold.datagen import build_problem
 from blockunfold.weights import (
     circulant,
     circulant_dual_kernel,
@@ -18,7 +19,7 @@ from blockunfold.weights import (
     solve_kkt_oracle,
 )
 
-from conftest import random_orthonormal_block_dictionary, unit_column_matrix
+from conftest import REPO, random_orthonormal_block_dictionary, unit_column_matrix
 
 
 def conditioned_dictionary(n_y, n, d, rng, cond_cap=50.0):
@@ -87,6 +88,27 @@ class TestClosedForm:
             Bk = np.hstack([solve_kkt_oracle(D, i) for i in range(6)])
             rel = np.linalg.norm(Bc - Bk) / np.linalg.norm(Bk)
             assert rel < 1e-8
+
+    def test_matches_kkt_oracle_on_the_circulant_cfg_kernel(self):
+        # the rank-24 circulant K of scripts/circulant.cfg: the Gram form
+        # keeps B in the range of D D^T, where the KKT oracle's minimum-norm
+        # solution lies
+        K = build_problem(read_config(REPO / "scripts" / "circulant.cfg").scenario).K
+        D = BlockDictionary(K, n=K.shape[1], d=1)
+        Bc, Bk = closed_form_weights(D).B.data, kkt_weights(D).B.data
+        assert np.linalg.norm(Bc - Bk) <= 1e-13 * np.linalg.norm(Bk)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_conditioned_dictionary_stays_feasible(self, seed):
+        # 20 x 40 unit columns, singular values over three decades
+        # (cond(D) near 700, so cond(D D^T) near 5e5)
+        r = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(r.standard_normal((20, 20)))
+        V, _ = np.linalg.qr(r.standard_normal((40, 20)))
+        K = U @ np.diag(np.logspace(0, -3, 20)) @ V.T
+        D = BlockDictionary(K / np.linalg.norm(K, axis=0), n=40, d=1)
+        Bc, Bk = closed_form_weights(D).B.data, kkt_weights(D).B.data
+        assert np.linalg.norm(Bc - Bk) <= 1e-10 * np.linalg.norm(Bk)
 
     def test_feasibility(self, rng):
         D = conditioned_dictionary(12, 6, 2, rng)
