@@ -287,7 +287,8 @@ def _through_base(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     d = X.shape[1] // W.shape[1]
     if d == 1:
         return X @ W.T
-    return np.matmul(np.asfortranarray(W), X.reshape(batch, W.shape[1], d)).reshape(batch, -1)
+    out = np.matmul(np.asfortranarray(W), X.reshape(batch, W.shape[1], d))
+    return out.reshape(batch, W.shape[0] * d)
 
 
 def kron_apply(X: np.ndarray, M: np.ndarray) -> np.ndarray:

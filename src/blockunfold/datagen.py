@@ -12,7 +12,10 @@ with an infinite SNR meaning exact measurements.
 
 Generation is deterministic and counter-based: sample i of a dataset only
 depends on (seed, i), so parallel generation and partial reads agree with
-the sequential order.
+the sequential order.  Each row's signal and noise are drawn from that
+row's own generator; the measurements ``Y`` of a whole split then come from
+one batched product through the ``m x n`` base of the lifted dictionary,
+not from one dense lifted matvec per sample.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .blockcore import (
     BlockDictionary,
     _read_manifest,
     _write_manifest,
+    kron_apply,
     kron_lift,
     load_matrix,
     save_matrix,
@@ -192,6 +196,25 @@ def _draw_signal(rng, cfg: ScenarioConfig) -> np.ndarray:
     return values.reshape(-1)
 
 
+def _measure(
+    cfg: ScenarioConfig, D: BlockDictionary, count: int, draw
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (X, Y) of ``count`` rows: ``draw(row)`` returns row ``row``'s
+    signal and the generator it was drawn from, which then draws that row's
+    noise.  ``Y`` is one product of all rows through ``D``'s base."""
+    sigma = noise_sigma(cfg)
+    X = np.empty((count, cfg.n_x))
+    E = np.empty((count, cfg.n_y)) if sigma > 0.0 else None
+    for row in range(count):
+        X[row], rng = draw(row)
+        if E is not None:
+            E[row] = rng.standard_normal(cfg.n_y)
+    Y = kron_apply(X, D.held)
+    if E is not None:
+        Y += sigma * E
+    return X, Y
+
+
 def gen_signal_batch(
     cfg: ScenarioConfig, D: BlockDictionary, count: int, start_index: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,18 +223,12 @@ def gen_signal_batch(
     Sample i is a pure function of (cfg.seed, i); splits are carved out of
     one index space via ``start_index``.
     """
-    sigma = noise_sigma(cfg)
-    X = np.empty((count, cfg.n_x))
-    Y = np.empty((count, cfg.n_y))
-    for row in range(count):
+
+    def draw(row):
         rng = np.random.default_rng([cfg.seed, _STREAM_SIGNAL, start_index + row])
-        x = _draw_signal(rng, cfg)
-        y = D.data @ x
-        if sigma > 0.0:
-            y = y + sigma * rng.standard_normal(cfg.n_y)
-        X[row] = x
-        Y[row] = y
-    return X, Y
+        return _draw_signal(rng, cfg), rng
+
+    return _measure(cfg, D, count, draw)
 
 
 def sample_signal_class(
@@ -226,26 +243,19 @@ def sample_signal_class(
     a bounded sparsity class; resampling caps at ``_REJECTION_CAP``
     attempts per sample.
     """
-    sigma = noise_sigma(cfg)
-    X = np.empty((count, cfg.n_x))
-    Y = np.empty((count, cfg.n_y))
-    for row in range(count):
+
+    def draw(row):
         for attempt in range(_REJECTION_CAP):
             rng = np.random.default_rng([cfg.seed, _STREAM_SIGNAL, row, attempt])
             x = _draw_signal(rng, cfg)
             if np.count_nonzero(np.linalg.norm(x.reshape(cfg.n, cfg.d), axis=1)) <= s:
-                break
-        else:
-            raise RuntimeError(
-                f"rejection sampling failed after {_REJECTION_CAP} attempts "
-                f"(sample {row}, s={s})"
-            )
-        y = D.data @ x
-        if sigma > 0.0:
-            y = y + sigma * rng.standard_normal(cfg.n_y)
-        X[row] = x
-        Y[row] = y
-    return X, Y
+                return x, rng
+        raise RuntimeError(
+            f"rejection sampling failed after {_REJECTION_CAP} attempts "
+            f"(sample {row}, s={s})"
+        )
+
+    return _measure(cfg, D, count, draw)
 
 
 # ---------------------------------------------------------------------------

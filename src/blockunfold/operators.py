@@ -99,12 +99,15 @@ def eta_jvp(
         # the identity on every nonzero block, as eta keeps them all
         return np.where(_scaled_block_norms(Zb) > 0, Vb, 0.0).reshape(Z.shape)
     r = _block_norms(Zb) if norms is None else norms
-    active = r > alpha
-    safe = np.where(active, r, 1.0)
-    ratio = alpha / safe
-    radial = np.einsum("...i,...i->...", Zb, Vb)[..., None] / safe
-    s = np.where(active, 1.0 - ratio, 0.0)
-    c = np.where(active, ratio * radial / safe, 0.0)
+    # m = r on active blocks; on the others m = alpha, so s = 1 - alpha/alpha
+    # is exactly 0, and m >= alpha > 0 never divides by zero.  The mask goes
+    # on before the divisions: over a tiny alpha, c of an inactive block
+    # would overflow to inf, and inf * 0 is nan
+    m = np.maximum(r, alpha)
+    ratio = alpha / m
+    s = 1.0 - ratio
+    radial = np.einsum("...i,...i->...", Zb, Vb)[..., None] * (r > alpha) / m
+    c = ratio * radial / m
     return (s * Vb + c * Zb).reshape(Z.shape)
 
 
@@ -117,14 +120,16 @@ def eta_dalpha(
     (one-sided derivative at the kink).  ``norms`` as in :func:`eta_jvp`.
     """
     Zb = _block_view(Z, n, d)
-    # at alpha = 0 every nonzero block is active, also one whose squared
-    # norm underflows
     if alpha == 0.0:
+        # every nonzero block is active, also one whose squared norm underflows
         r = _scaled_block_norms(Zb)
+        active = r > alpha
+        coef = np.where(active, -1.0 / np.where(active, r, 1.0), 0.0)
     else:
         r = _block_norms(Zb) if norms is None else norms
-    active = r > alpha
-    coef = np.where(active, -1.0 / np.where(active, r, 1.0), 0.0)
+        # -1/r on active blocks; 0/-alpha on the others, never -1/alpha * 0,
+        # which is nan where 1/alpha overflows
+        coef = (r > alpha) / -np.maximum(r, alpha)
     return (coef * Zb).reshape(Z.shape)
 
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockunfold.blockcore import kron_lift, load_matrix
+from blockunfold.blockcore import BlockDictionary, kron_lift, load_matrix
 from blockunfold.datagen import (
+    _REJECTION_CAP,
+    _STREAM_SIGNAL,
     Scenario,
     ScenarioConfig,
+    _draw_signal,
     build_problem,
     gen_circulant_K,
     gen_gaussian_K,
@@ -77,6 +80,59 @@ class TestCirculantMatrix:
         assert int((sv > 1e-10 * sv[0]).sum()) == rank
 
 
+def reference_rows(cfg, D, draws):
+    """The per-row generator the batched one replaced: ``draws`` holds each
+    row's signal and the generator it came from, which then draws that
+    row's noise, and ``y = D.data @ x (+ sigma e)`` one row at a time."""
+    sigma = noise_sigma(cfg)
+    X, Y = np.empty((len(draws), cfg.n_x)), np.empty((len(draws), cfg.n_y))
+    for row, (x, rng) in enumerate(draws):
+        y = D.data @ x
+        if sigma > 0.0:
+            y = y + sigma * rng.standard_normal(cfg.n_y)
+        X[row], Y[row] = x, y
+    return X, Y
+
+
+def reference_batch(cfg, D, count, start_index=0):
+    rngs = (
+        np.random.default_rng([cfg.seed, _STREAM_SIGNAL, start_index + row])
+        for row in range(count)
+    )
+    return reference_rows(cfg, D, [(_draw_signal(rng, cfg), rng) for rng in rngs])
+
+
+def reference_class(cfg, D, s, count):
+    def accepted(row):
+        for attempt in range(_REJECTION_CAP):
+            rng = np.random.default_rng([cfg.seed, _STREAM_SIGNAL, row, attempt])
+            x = _draw_signal(rng, cfg)
+            if np.count_nonzero(np.linalg.norm(x.reshape(cfg.n, cfg.d), axis=1)) <= s:
+                return x, rng
+        raise AssertionError("reference rejection sampling failed")
+
+    return reference_rows(cfg, D, [accepted(row) for row in range(count)])
+
+
+def assert_matches_reference(got, want):
+    """X bit-identical; every row of Y within 1e-14 of the reference's norm."""
+    (X, Y), (X_ref, Y_ref) = got, want
+    np.testing.assert_array_equal(X, X_ref)
+    assert Y.shape == Y_ref.shape
+    err = np.linalg.norm(Y - Y_ref, axis=1)
+    assert np.all(err <= 1e-14 * np.linalg.norm(Y_ref, axis=1))
+
+
+BASE_PRODUCT_CASES = {
+    "gaussian_snr30": gaussian_cfg(m=6, n=20, d=3, pnz=0.3, snr_db=30.0, seed=4),
+    "gaussian_exact": gaussian_cfg(m=6, n=20, d=3, pnz=0.3, seed=4),
+    "circulant": ScenarioConfig(
+        scenario=Scenario.CIRCULANT, m=16, n=16, d=4, pnz=0.3, snr_db=20.0, rank=8, seed=5
+    ),
+    "d1": gaussian_cfg(m=6, n=20, d=1, pnz=0.3, snr_db=30.0, seed=6),
+}
+
+
 class TestSignals:
     def test_pnz_zero_gives_zero_signal(self):
         # the noise variance is proportional to pnz, so y is pure (zero
@@ -116,12 +172,14 @@ class TestSignals:
         assert abs(noise.var() - sigma**2) / sigma**2 < 0.03
 
     def test_counter_based_determinism(self):
-        cfg = gaussian_cfg()
-        problem = build_problem(cfg)
-        X1, Y1 = gen_signal_batch(cfg, problem.D, 6)
-        X2, Y2 = gen_signal_batch(cfg, problem.D, 3, start_index=3)
-        np.testing.assert_array_equal(X1[3:], X2)
-        np.testing.assert_array_equal(Y1[3:], Y2)
+        # rows drawn from start_index > 0 equal the same rows of a longer
+        # batch, also where Y is one product of the whole batch
+        for cfg in (gaussian_cfg(), *BASE_PRODUCT_CASES.values()):
+            problem = build_problem(cfg)
+            X1, Y1 = gen_signal_batch(cfg, problem.D, 30)
+            X2, Y2 = gen_signal_batch(cfg, problem.D, 12, start_index=18)
+            np.testing.assert_array_equal(X1[18:], X2)
+            np.testing.assert_array_equal(Y1[18:], Y2)
 
     def test_rejection_sampler_bounds_support(self):
         cfg = gaussian_cfg(pnz=0.3)
@@ -130,6 +188,39 @@ class TestSignals:
         norms = np.linalg.norm(X.reshape(-1, cfg.n, cfg.d), axis=2)
         assert np.all((norms > 0).sum(axis=1) <= 2)
         np.testing.assert_allclose(Y, X @ problem.D.data.T, atol=0)
+
+
+class TestBaseProduct:
+    """The measurements of a batch are one product through the base, and
+    match the per-row dense products they replaced."""
+
+    @pytest.mark.parametrize("case", sorted(BASE_PRODUCT_CASES))
+    def test_batch_matches_per_row_lift(self, case):
+        cfg = BASE_PRODUCT_CASES[case]
+        D = build_problem(cfg).D
+        assert D.kron_base is not None
+        assert_matches_reference(gen_signal_batch(cfg, D, 40, 7), reference_batch(cfg, D, 40, 7))
+
+    @pytest.mark.parametrize("snr_db", [30.0, np.inf])
+    def test_dense_dictionary_without_base(self, rng, snr_db):
+        cfg = gaussian_cfg(m=6, n=10, d=3, pnz=0.4, snr_db=snr_db, seed=8)
+        D = BlockDictionary(rng.standard_normal((cfg.n_y, cfg.n_x)), n=cfg.n, d=cfg.d)
+        assert_matches_reference(gen_signal_batch(cfg, D, 25), reference_batch(cfg, D, 25))
+
+    @pytest.mark.parametrize("case", ["gaussian_snr30", "d1"])
+    def test_empty_batch(self, case):
+        cfg = BASE_PRODUCT_CASES[case]
+        D = build_problem(cfg).D
+        for X, Y in (gen_signal_batch(cfg, D, 0, 3), sample_signal_class(cfg, D, 2, 0)):
+            assert X.shape == (0, cfg.n_x) and Y.shape == (0, cfg.n_y)
+
+    @pytest.mark.parametrize("case", sorted(BASE_PRODUCT_CASES))
+    def test_signal_class_matches_per_row_lift(self, case):
+        cfg = BASE_PRODUCT_CASES[case]
+        D = build_problem(cfg).D
+        assert_matches_reference(
+            sample_signal_class(cfg, D, 3, 30), reference_class(cfg, D, 3, 30)
+        )
 
 
 class TestDatasetFiles:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockunfold import training
@@ -440,6 +440,31 @@ def frame_case(rng, case: str, d: int):
     return x, s, t
 
 
+def stage_reference(X, S, T, alpha, gamma, n, d):
+    """:func:`one_stage` of an albista layer written out in extended precision,
+    without the library: the values, and for each the sum of the absolute
+    values of its terms, the scale of a float64 sum's rounding error."""
+    L = np.longdouble
+    rows = X.shape[0]
+    Xb, Sb, Tb = (A.astype(L).reshape(rows, n, d) for A in (X, S, T))
+    Zb = Xb - L(gamma) * Sb
+    r = np.sqrt((Zb * Zb).sum(axis=2, keepdims=True))
+    active = r > alpha
+    safe = np.where(active, r, 1)
+    u, ratio = Zb / safe, np.where(active, L(alpha) / safe, 1)
+    E = (1 - ratio) * Zb - Tb
+    sq = (E * E).sum(axis=(1, 2))
+    G = E / rows
+    dZ = active * ((1 - ratio) * G + ratio * (u * G).sum(axis=2, keepdims=True) * u)
+    dalpha_terms = -(active * u * G)
+    dgamma_terms = -dZ * Sb
+    tt = (Tb * Tb).sum(axis=(1, 2))
+    nmse = sq[tt > 0] / tt[tt > 0]  # batch_nmse_ratios skips zero targets
+    values = (sq.mean() / 2, dalpha_terms.sum(), dgamma_terms.sum(), nmse)
+    scales = (sq.mean() / 2, np.abs(dalpha_terms).sum(), np.abs(dgamma_terms).sum(), nmse)
+    return values, scales
+
+
 def one_stage(params, Y, X, S, T):
     """Loss, alpha and gamma gradients and per-row NMSE of one cached albista
     layer run from states ``X`` with gradient terms ``S`` against ``T``."""
@@ -474,6 +499,13 @@ class TestBlockFrame:
         gamma=st.floats(0.05, 2.0),
         active=st.floats(0.1, 0.9),
     )
+    # dgamma is a sum that cancels from 7.4 to 5.8e-5: the two paths differ
+    # by 1.8e-15, and each lies within float64 rounding (8e-16 and 1e-15)
+    # of the extended-precision sum
+    @example(
+        d=5, cases=["s_nearly_parallel_x"] * 4 + ["s_parallel_x"],
+        first_layer=True, seed=3, gamma=0.1, active=0.125,
+    )
     def test_stage_matches_full_block_size(self, d, cases, first_layer, seed, gamma, active):
         rng = np.random.default_rng(seed)
         n, rows = len(cases), 3
@@ -489,13 +521,20 @@ class TestBlockFrame:
         alpha = float(norms[i] + norms[i + 1]) / 2
         params = self._network(rng, n, d, alpha, gamma)
         Y = np.zeros((rows, params.n_y))
-        want = one_stage(params, Y, X, S, T)
+        full = one_stage(params, Y, X, S, T)
         view = training._frame_view(params)
-        got = one_stage(view, Y, *training._block_frame(X, S, T, n, d))
-        for name, a, b in zip(("loss", "dalpha", "dgamma", "nmse"), got, want):
-            np.testing.assert_allclose(
-                a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)), err_msg=name
-            )
+        framed = one_stage(view, Y, *training._block_frame(X, S, T, n, d))
+        # each path against an extended-precision reference, to 1e-12
+        # relative, with a floor of 1e-14 times the sum of the absolute terms
+        # (about 45 ulps of it): a sum that cancels keeps only the digits its
+        # float64 rounding leaves
+        refs, scales = stage_reference(X, S, T, alpha, gamma, n, d)
+        names = ("loss", "dalpha", "dgamma", "nmse")
+        for path, values in (("full", full), ("framed", framed)):
+            for name, value, ref, scale in zip(names, values, refs, scales):
+                assert np.shape(value) == np.shape(ref), (path, name)
+                err = np.abs(np.asarray(value, dtype=np.longdouble) - ref)
+                assert np.all(err <= 1e-12 * np.abs(ref) + 1e-14 * scale), (path, name)
 
     @pytest.mark.parametrize("d", [4, 5, 8])
     def test_targets_keep_their_block_norms(self, rng, d):
