@@ -11,11 +11,13 @@ noise is calibrated so that
 with an infinite SNR meaning exact measurements.
 
 Generation is deterministic and counter-based: sample i of a dataset only
-depends on (seed, i), so parallel generation and partial reads agree with
-the sequential order.  Each row's signal and noise are drawn from that
+depends on (seed, i).  Each row's signal and noise are drawn from that
 row's own generator; the measurements ``Y`` of a whole split then come from
 one batched product through the ``m x n`` base of the lifted dictionary,
-not from one dense lifted matvec per sample.
+not from one dense lifted matvec per sample.  So parallel generation and
+partial reads give the same ``X`` bits as the sequential order, and the
+same ``Y`` up to the rounding of one product: the BLAS kernel that computes
+a row may depend on how many rows the batch has.
 """
 
 from __future__ import annotations

@@ -123,10 +123,8 @@ def batch_nmse_ratios(X_hat: np.ndarray, X_star: np.ndarray) -> np.ndarray:
     keep = denom > 0
     if not np.any(keep):
         raise ValueError("NMSE is undefined: every reference signal is zero")
-    if not np.all(keep):
-        X_hat, X_star, denom = X_hat[keep], X_star[keep], denom[keep]
     diff = X_hat - X_star
-    return np.einsum("ij,ij->i", diff, diff) / denom
+    return np.einsum("ij,ij->i", diff, diff)[keep] / denom[keep]
 
 
 def mean_nmse_db(X_hat: np.ndarray, X_star: np.ndarray) -> float:
