@@ -13,6 +13,16 @@ as the Onsager correction in approximate message passing.
 Everything operates on raw arrays whose last axis has length ``n*d``, with
 the block structure ``(n, d)`` passed alongside, so batched evaluation is a
 reshape away.  All functions are pure.
+
+Per block the kernels need an inner product and a scaling by the block's
+own factor.  For blocks of at most ``_PLANE_MAX_D`` entries (albista's
+training frame has 2) both run over the d strided coordinate planes
+``Z[..., j]``, each a long array: ``einsum`` over so short a last axis and
+a ``(..., n, 1)`` factor broadcast over ``(..., n, d)`` spend their time
+in inner loops of d entries.  The sums take the planes in the order of
+numpy's two-lane ``einsum`` loop, so both forms give the same bits there.
+Larger blocks, where the plane loop loses, take ``einsum`` and the
+broadcast product.
 """
 
 from __future__ import annotations
@@ -28,6 +38,10 @@ __all__ = [
 
 _TINY = np.finfo(np.float64).tiny
 
+# Largest block size whose per-block sums and scalings run one coordinate
+# plane at a time; larger blocks take einsum and a broadcast product.
+_PLANE_MAX_D = 3
+
 
 def _block_view(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
@@ -36,11 +50,40 @@ def _block_view(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     return Z.reshape(Z.shape[:-1] + (n, d))
 
 
+def _block_dot(Ab: np.ndarray, Bb: np.ndarray) -> np.ndarray:
+    """Inner product of every pair of blocks of two ``(..., n, d)`` views, as
+    ``(..., n)``.  Up to ``_PLANE_MAX_D`` the sum runs over the d strided
+    coordinate planes.  Like ``einsum`` it warns of no overflow."""
+    d = Ab.shape[-1]
+    if d > _PLANE_MAX_D:
+        return np.einsum("...i,...i->...", Ab, Bb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = Ab[..., 0] * Bb[..., 0]
+        # planes 0, 2, 1: the order of numpy's two-lane einsum sum, whose
+        # bits this then gives
+        for j in range(d - 1, 0, -1):
+            out += Ab[..., j] * Bb[..., j]
+    return out
+
+
+def _block_scale(scale: np.ndarray, Ab: np.ndarray) -> np.ndarray:
+    """Every block of a ``(..., n, d)`` view times its own factor from the
+    ``(..., n)`` array ``scale``: the bits of the broadcast product, one
+    coordinate plane at a time up to ``_PLANE_MAX_D``."""
+    d = Ab.shape[-1]
+    if d > _PLANE_MAX_D:
+        return scale[..., None] * Ab
+    out = np.empty(Ab.shape)
+    for j in range(d):
+        np.multiply(scale, Ab[..., j], out=out[..., j])
+    return out
+
+
 def _block_norms(Zb: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every block of a ``(..., n, d)`` view, as ``(..., n, 1)``:
+    """Euclidean norm of every block of a ``(..., n, d)`` view, as ``(..., n)``:
     ``sqrt`` of the summed squares, or the max-scaled norm where that sum is
     subnormal and has lost bits (``sqrt`` of 2.2e-162 squared exceeds 2.2e-162)."""
-    squares = np.einsum("...i,...i->...", Zb, Zb)[..., None]
+    squares = _block_dot(Zb, Zb)
     norms = np.sqrt(squares)
     if squares.min(initial=np.inf) < _TINY:
         subnormal = (squares > 0) & (squares < _TINY)
@@ -50,10 +93,10 @@ def _block_norms(Zb: np.ndarray) -> np.ndarray:
 
 
 def _scaled_block_norms(Zb: np.ndarray) -> np.ndarray:
-    """Block norms as ``(..., n, 1)``, each block scaled by its largest entry
+    """Block norms as ``(..., n)``, each block scaled by its largest entry
     first, so a nonzero block never gets norm 0 by underflow."""
-    top = np.abs(Zb).max(axis=-1, keepdims=True)
-    return top * _block_norms(Zb / np.where(top > 0, top, 1.0))
+    top = np.abs(Zb).max(axis=-1)
+    return top * _block_norms(Zb / np.where(top > 0, top, 1.0)[..., None])
 
 
 def eta(
@@ -76,7 +119,7 @@ def eta(
     # underflows to 0 is killed rather than kept
     r = _block_norms(Zb) if norms is None else norms
     scale = 1.0 - alpha / np.maximum(r, alpha)
-    return (scale * Zb).reshape(Z.shape)
+    return _block_scale(scale, Zb).reshape(Z.shape)
 
 
 def eta_jvp(
@@ -97,7 +140,7 @@ def eta_jvp(
     Vb = _block_view(V, n, d)
     if alpha == 0.0:
         # the identity on every nonzero block, as eta keeps them all
-        return np.where(_scaled_block_norms(Zb) > 0, Vb, 0.0).reshape(Z.shape)
+        return np.where(_scaled_block_norms(Zb)[..., None] > 0, Vb, 0.0).reshape(Z.shape)
     r = _block_norms(Zb) if norms is None else norms
     # m = r on active blocks; on the others m = alpha, so s = 1 - alpha/alpha
     # is exactly 0, and m >= alpha > 0 never divides by zero.  The mask goes
@@ -106,9 +149,11 @@ def eta_jvp(
     m = np.maximum(r, alpha)
     ratio = alpha / m
     s = 1.0 - ratio
-    radial = np.einsum("...i,...i->...", Zb, Vb)[..., None] * (r > alpha) / m
+    radial = _block_dot(Zb, Vb) * (r > alpha) / m
     c = ratio * radial / m
-    return (s * Vb + c * Zb).reshape(Z.shape)
+    out = _block_scale(s, Vb)
+    out += _block_scale(c, Zb)
+    return out.reshape(Z.shape)
 
 
 def eta_dalpha(
@@ -130,7 +175,7 @@ def eta_dalpha(
         # -1/r on active blocks; 0/-alpha on the others, never -1/alpha * 0,
         # which is nan where 1/alpha overflows
         coef = (r > alpha) / -np.maximum(r, alpha)
-    return (coef * Zb).reshape(Z.shape)
+    return _block_scale(coef, Zb).reshape(Z.shape)
 
 
 def eta_trace(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
@@ -139,7 +184,7 @@ def eta_trace(Z: np.ndarray, alpha: float, n: int, d: int) -> np.ndarray:
     Zb = _block_view(Z, n, d)
     # the block norm and activity gate of eta_dalpha, so the trace counts
     # exactly the blocks eta keeps
-    r = (_scaled_block_norms(Zb) if alpha == 0.0 else _block_norms(Zb))[..., 0]
+    r = _scaled_block_norms(Zb) if alpha == 0.0 else _block_norms(Zb)
     active = r > alpha
     safe = np.where(active, r, 1.0)
     per_block = np.where(active, d - alpha * (d - 1) / safe, 0.0)

@@ -6,7 +6,8 @@ batch-mean squared loss of the layer-k output.  A layer stops when the
 validation metric, the worst normalized squared error over the validation
 set, has not improved by more than ``tol`` for ``patience_iters``
 consecutive evaluations; the best parameters seen are then frozen and the
-next layer starts.
+next layer starts.  A stage whose network diverges or whose gradient goes
+non-finite is frozen the same way, with a warning, and training goes on.
 
 Training is deterministic: one seeded generator drives the minibatch draws,
 and identical seed and config reproduce the history bit for bit.
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .blockcore import _as_batch, kron_adjoint, kron_apply
+from .solvers import DivergenceError
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant, backward, forward, stage_arrays
 
 __all__ = [
@@ -145,6 +147,10 @@ def empirical_risk(X_hat: np.ndarray, X_star: np.ndarray) -> float:
 # Adam
 
 
+class _NonFiniteGradient(ValueError):
+    """A gradient :func:`adam_step` refuses; the trainer freezes the layer."""
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments, created lazily as zeros."""
@@ -177,7 +183,7 @@ def adam_step(
     for name, value in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for {name} of layer {layer + 1}")
+            raise _NonFiniteGradient(f"non-finite gradient for {name} of layer {layer + 1}")
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
@@ -206,14 +212,15 @@ _LOCAL_STAGE = {
 }
 
 # Block size of the frame an albista stage trains in.
-_FRAME_D = 3
+_FRAME_D = 2
 
 
 def _frame_view(params: NetworkParams) -> NetworkParams | None:
     """albista with blocks larger than the frame as a network of block size
-    3 that shares ``params``' ``alphas`` and ``gammas`` arrays, so a stage
-    trained through it updates ``params``; None for any other network, and
-    for one whose dictionary or ``B`` is not held as a lift's base."""
+    2 that shares ``params``' ``alphas`` and ``gammas`` arrays, so a stage
+    trained through it updates ``params``; None for any other network, for
+    albista at d <= 2, and for one whose dictionary or ``B`` is not held as
+    a lift's base."""
     if params.variant is not NetworkVariant.ALBISTA or params.d <= _FRAME_D:
         return None
     if params.dictionary.shape[1] != params.n or params.B[0].shape[1] != params.n:
@@ -232,19 +239,24 @@ def _frame_view(params: NetworkParams) -> NetworkParams | None:
 
 def _block_frame(
     X: np.ndarray, S: np.ndarray, T: np.ndarray, n: int, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every block of the states ``X``, steps ``S`` and targets ``T`` (rows
-    of ``n`` blocks of size ``d``) in an orthonormal frame of its span:
-    x -> (|x|, 0, 0), s -> (s1, s2, 0), x* -> (t1, t2, t3), as three
-    ``(rows, 3n)`` arrays.
+    of ``n`` blocks of size ``d``) in an orthonormal frame of span{x, s}:
+    x -> (|x|, 0), s -> (s1, s2) and x* -> (t1, t2), as three ``(rows, 2n)``
+    arrays, and each row's constant ``c = sum_i |x*_i - t1 e1 - t2 e2|^2``,
+    the squared length of its target off the blocks' planes, as ``(rows,)``.
+
+    A stage's output lies in span{x, s}, so its error off the plane is
+    that of an estimate 0 against a target of length ``sqrt(c)``: ``c``
+    adds to every row's squared error and to its target's squared norm.
 
     The coordinates come in closed form from per-block inner products, so
     every inner product among x, s and x* is kept to rounding and no basis
     vector is formed.  The two lengths off x, ``s2 = |s - s1 e1|`` and
     ``|x* - t1 e1|`` with ``e1 = x / |x|``, are taken from those vectors:
     from ``|s|^2 - s1^2`` they keep only half their digits where s or x*
-    nearly lies along x.  ``t2`` is clipped to ``|x* - t1 e1|``, so
-    ``|x*'| = |x*|`` also where rounding breaks Cauchy-Schwarz.
+    nearly lies along x.  ``t2`` is clipped to ``|x* - t1 e1|``, so a block's
+    part of ``c``, ``|x* - t1 e1|^2 - t2^2``, is never negative.
     """
     rows = X.shape[0]
     Xb, Sb, Tb = (A.reshape(rows, n, d) for A in (X, S, T))
@@ -252,10 +264,10 @@ def _block_frame(
     def dot(A, B):
         return np.einsum("ijk,ijk->ij", A, B)
 
-    # each coordinate is written into its slot; the other slots stay 0
+    # each coordinate is written into its slot; the other slot of x stays 0
     frame = np.zeros((3, rows, n, _FRAME_D))
-    x_norm, s1, s2, t1, t2, t3 = (
-        frame[i, ..., j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+    x_norm, s1, s2, t1, t2 = (
+        frame[i, ..., j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))
     )
     np.sqrt(dot(Xb, Xb), out=x_norm)
     has_x = x_norm > 0
@@ -274,8 +286,25 @@ def _block_frame(
     t_off = length_off_x(Tb, t1)
     np.divide(dot(Sb, Tb) - s1 * t1, s2, out=t2, where=s2 > 0)
     np.clip(t2, -t_off, t_off, out=t2)
-    np.sqrt(np.maximum(t_off * t_off - t2 * t2, 0.0), out=t3)
-    return tuple(frame.reshape(3, rows, n * _FRAME_D))
+    c = (t_off * t_off - t2 * t2).sum(axis=1)
+    return (*frame.reshape(3, rows, n * _FRAME_D), c)
+
+
+def _stage_risk(X_hat: np.ndarray, T: np.ndarray, c: np.ndarray | None) -> float:
+    """:func:`empirical_risk` of a stage's batch against its targets; a framed
+    batch (see :func:`_block_frame`) adds half the mean of its row constants."""
+    risk = empirical_risk(X_hat, T)
+    return risk if c is None else risk + 0.5 * float(c.mean())
+
+
+def _stage_ratios(X_hat: np.ndarray, T: np.ndarray, c: np.ndarray | None) -> np.ndarray:
+    """:func:`batch_nmse_ratios` of a stage's outputs; a framed split gets one
+    more column, an estimate of 0 against each target's length ``sqrt(c)``
+    off the frame."""
+    if c is not None:
+        X_hat = np.column_stack((X_hat, np.zeros(len(c))))
+        T = np.column_stack((T, np.sqrt(c)))
+    return batch_nmse_ratios(X_hat, T)
 
 
 def layerwise_train(
@@ -285,7 +314,12 @@ def layerwise_train(
 
     Minibatches are drawn with replacement from the fixed training set.
     A layer that never improves within its step budget is frozen at its
-    best observed state and training advances with a warning.
+    best observed state and training advances with a warning.  So is a
+    layer whose network diverges in a step or in a validation check after
+    one (:class:`~blockunfold.solvers.DivergenceError`), or whose gradient
+    goes non-finite: the warning names the layer and the reason, and the
+    next layer trains from the frozen one.  A stage whose starting point
+    already diverges has no finite state to freeze, and raises.
 
     Every step, validation check and prefix update of stage k runs one
     forward pass from a cached state per sample: the frozen prefix's output
@@ -294,15 +328,17 @@ def layerwise_train(
     ``s = B^T (D x{k-1} - y)`` is also cached, so every step is elementwise.
 
     An albista stage then depends on each block only through x{k-1}, s and
-    the target x*: its loss, gradients and validation metric are sums over
-    blocks of functions of their inner products, which a rotation of the
-    block keeps.  So where d > 3 (and the network holds its dictionary and
-    B as a lift's base) the stage's steps and checks run on the
-    coordinates of each block in an orthonormal frame of span{x, s, x*}
-    (:func:`_block_frame`), through a block-size-3 view of the network that
-    shares its alphas and gammas.  The same forward, backward and Adam code
-    then handles 3 numbers per block instead of d.  The prefix update at
-    the end of the stage runs at full d.
+    the target x*.  Its output ``eta(x - gamma s)`` lies in span{x, s}, so
+    its loss, gradients and validation metric depend on x* only through the
+    target's part in that plane and the squared length of the rest.  So
+    where d > 2 (and the network holds its dictionary and B as a lift's
+    base) the stage's steps and checks run on the coordinates of each block
+    in an orthonormal frame of span{x, s} (:func:`_block_frame`), through a
+    block-size-2 view of the network that shares its alphas and gammas.
+    The same forward, backward and Adam code then handles 2 numbers per
+    block instead of d; each row's squared target length off the planes,
+    one constant, is added to its loss and to both sides of its NMSE ratio.
+    The prefix update at the end of the stage runs at full d.
     """
     if data.X_train.shape[0] < 1 or data.X_val.shape[0] < 1:
         raise ValueError("training and validation sets must be nonempty")
@@ -328,15 +364,16 @@ def layerwise_train(
         if params.variant is NetworkVariant.ALBISTA:
             D, B = params.dictionary, params.B[0]
             steps = [kron_adjoint(kron_apply(X, D) - Y, B) for X, Y in zip(prefixes, Ys)]
-        # per split, the measurements, states, gradient terms and targets
-        # the stage's steps and checks run on, and the network they run
-        # through; a framed run is one cached layer, which reads only the
-        # row count of its measurements
-        net, cache = params, list(zip(Ys, prefixes, steps, Xs))
+        # per split, the measurements, states, gradient terms, targets and
+        # row constants the stage's steps and checks run on, and the network
+        # they run through; a framed run is one cached layer, which reads
+        # only the row count of its measurements
+        net, cache = params, [(*split, None) for split in zip(Ys, prefixes, steps, Xs)]
         if framed is not None:
             net = framed
             cache = [
-                (Y[:, :0], *_block_frame(X, S, T, params.n, params.d)) for Y, X, S, T in cache
+                (Y[:, :0], *_block_frame(X, S, T, params.n, params.d))
+                for Y, X, S, T, _ in cache
             ]
 
         def run(net: NetworkParams, split, rows=slice(None)) -> ForwardPass:
@@ -351,7 +388,8 @@ def layerwise_train(
             )
 
         def val_metric() -> float:
-            return float(batch_nmse_ratios(run(net, cache[1]).iterates[-1], cache[1][3]).max())
+            T, c = cache[1][3:]
+            return float(_stage_ratios(run(net, cache[1]).iterates[-1], T, c).max())
 
         best_metric = val_metric()
         best_snapshot = {name: value.copy() for name, value in trained.items()}
@@ -360,29 +398,38 @@ def layerwise_train(
         init_metric = best_metric
         patience = 0
         steps_in_layer = 0
-        while steps_in_layer < cfg.max_iters_per_layer and patience < cfg.patience_iters:
-            idx = rng.integers(0, n_train, size=cfg.batch_size)
-            X_batch = cache[0][3][idx]
-            fp = run(net, cache[0], idx)
-            grads = backward(net, fp, X_batch)
-            loss = empirical_risk(fp.iterates[-1], X_batch)
-            adam_step(trained, stage_arrays(grads, kidx), state, cfg.learning_rate, kidx)
-            _clamp_alphas(params)
-            history.steps.append(global_step)
-            history.layers.append(layer)
-            history.train_losses.append(loss)
-            global_step += 1
-            steps_in_layer += 1
-            if steps_in_layer % cfg.eval_every == 0:
-                metric = val_metric()
-                history.val_steps.append(global_step)
-                history.val_nmse_db.append(_ratio_db(metric))
-                if metric < best_metric - cfg.tol:
-                    best_metric = metric
-                    best_snapshot = {name: value.copy() for name, value in trained.items()}
-                    patience = 0
-                else:
-                    patience += 1
+        T_train, c_train = cache[0][3:]
+        try:
+            while steps_in_layer < cfg.max_iters_per_layer and patience < cfg.patience_iters:
+                idx = rng.integers(0, n_train, size=cfg.batch_size)
+                X_batch = T_train[idx]
+                fp = run(net, cache[0], idx)
+                grads = backward(net, fp, X_batch)
+                c_batch = None if c_train is None else c_train[idx]
+                loss = _stage_risk(fp.iterates[-1], X_batch, c_batch)
+                adam_step(trained, stage_arrays(grads, kidx), state, cfg.learning_rate, kidx)
+                _clamp_alphas(params)
+                history.steps.append(global_step)
+                history.layers.append(layer)
+                history.train_losses.append(loss)
+                global_step += 1
+                steps_in_layer += 1
+                if steps_in_layer % cfg.eval_every == 0:
+                    metric = val_metric()
+                    history.val_steps.append(global_step)
+                    history.val_nmse_db.append(_ratio_db(metric))
+                    if metric < best_metric - cfg.tol:
+                        best_metric = metric
+                        best_snapshot = {name: value.copy() for name, value in trained.items()}
+                        patience = 0
+                    else:
+                        patience += 1
+        except (DivergenceError, _NonFiniteGradient) as exc:
+            warnings.warn(
+                f"layer {layer} stopped at step {steps_in_layer + 1}: {exc}; "
+                "freezing at its best observed state",
+                stacklevel=2,
+            )
         for name, value in best_snapshot.items():
             trained[name][...] = value
         if best_metric >= init_metric and steps_in_layer >= cfg.max_iters_per_layer:
@@ -393,7 +440,7 @@ def layerwise_train(
             )
         # the frame goes before the prefix update and the full-size steps
         # after it; after the last layer no stage needs a prefix
-        cache = None
+        cache = T_train = c_train = None
         if local and layer < params.depth:
             prefixes = [run(params, split).iterates[-1] for split in zip(Ys, prefixes, steps)]
         del steps

@@ -222,7 +222,7 @@ class ForwardPass:
     holds ``D x - y`` per executed gradient-step layer; when the run was
     given ``step_init``, that array stands in for the first layer's
     ``B^T (D x - y)`` and its residual slot is None.  ``norms`` holds
-    the block norms of each pre-threshold point, as ``(batch, n, 1)``, or
+    the block norms of each pre-threshold point, as ``(batch, n)``, or
     None for a layer with threshold 0.
     """
 

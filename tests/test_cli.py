@@ -472,6 +472,38 @@ class TestErrors:
         assert err == "error: diverged: non-finite activation (layer 2)\n"
 
     @pytest.mark.parametrize(
+        "learning_rate, reason",
+        [
+            ("1e150", "non-finite gradient for S of layer 2"),
+            ("3e153", "non-finite activation (layer 2)"),
+        ],
+    )
+    # step sizes this large overflow Adam's moments and the activations on
+    # purpose; the numpy warnings on the way are not what is checked
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_training_stage_freezes_its_layer(
+        self, tmp_path, learning_rate, reason
+    ):
+        # tied starts at x = 0, where its shared S does not act, so at these
+        # step sizes layer 1 trains and layer 2 fails on its second step
+        text = TINY_CFG.replace("variant = albista", "variant = tied").replace(
+            "learning_rate = 0.02", f"learning_rate = {learning_rate}"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning) as record:
+            assert main(["all", "--config", cfg, "--out", str(out)]) == 0
+        stopped = [str(w.message) for w in record if " stopped at step " in str(w.message)]
+        assert stopped[0] == (
+            f"layer 2 stopped at step 2: {reason}; freezing at its best observed state"
+        )
+        layers = np.loadtxt(out / "history.csv", delimiter=",", skiprows=2)[:, 1]
+        assert np.count_nonzero(layers == 1) > 1 and np.count_nonzero(layers == 2) == 1
+        # the frozen network runs: eval wrote every layer's curve
+        curve = read_eval_curves(out / "eval.csv")["tied_trained"]
+        assert sorted(curve) == [0, 1, 2, 3, 4] and all(map(math.isfinite, curve.values()))
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("learning_rate", "learning_rat", "unknown key 'learning_rat' in [training]"),

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blockunfold.operators import eta, eta_dalpha, eta_jvp, eta_trace
+from blockunfold.operators import _block_norms, eta, eta_dalpha, eta_jvp, eta_trace
 
 
 def fd_jvp(z, alpha, v, n, d, h=1e-6):
@@ -324,3 +326,130 @@ class TestKernelsAgainstOracle:
         np.testing.assert_array_equal(eta(z, 5.0, 2, 2), 0.0)
         np.testing.assert_array_equal(eta_jvp(z, 5.0, v, 2, 2), 0.0)
         np.testing.assert_array_equal(eta_dalpha(z, 5.0, 2, 2), 0.0)
+
+
+# The kernels with every per-block sum an einsum over the block axis and
+# every per-block scaling one broadcast product, as they run above
+# ``operators._PLANE_MAX_D``: the oracle of the coordinate-plane form below it.
+
+_TINY = np.finfo(np.float64).tiny
+
+
+def einsum_block_norms(Zb):
+    squares = np.einsum("...i,...i->...", Zb, Zb)[..., None]
+    norms = np.sqrt(squares)
+    subnormal = (squares > 0) & (squares < _TINY)
+    if subnormal.any():
+        norms[subnormal] = einsum_scaled_block_norms(Zb)[subnormal]
+    return norms
+
+
+def einsum_scaled_block_norms(Zb):
+    top = np.abs(Zb).max(axis=-1, keepdims=True)
+    return top * einsum_block_norms(Zb / np.where(top > 0, top, 1.0))
+
+
+def einsum_eta(Z, alpha, n, d):
+    if alpha == 0.0:
+        return Z.copy()
+    Zb = Z.reshape(Z.shape[:-1] + (n, d))
+    r = einsum_block_norms(Zb)
+    return ((1.0 - alpha / np.maximum(r, alpha)) * Zb).reshape(Z.shape)
+
+
+def einsum_eta_jvp(Z, alpha, V, n, d):
+    Zb = Z.reshape(Z.shape[:-1] + (n, d))
+    Vb = V.reshape(V.shape[:-1] + (n, d))
+    if alpha == 0.0:
+        return np.where(einsum_scaled_block_norms(Zb) > 0, Vb, 0.0).reshape(Z.shape)
+    r = einsum_block_norms(Zb)
+    m = np.maximum(r, alpha)
+    ratio = alpha / m
+    radial = np.einsum("...i,...i->...", Zb, Vb)[..., None] * (r > alpha) / m
+    return ((1.0 - ratio) * Vb + (ratio * radial / m) * Zb).reshape(Z.shape)
+
+
+def einsum_eta_dalpha(Z, alpha, n, d):
+    Zb = Z.reshape(Z.shape[:-1] + (n, d))
+    if alpha == 0.0:
+        r = einsum_scaled_block_norms(Zb)
+        coef = np.where(r > 0, -1.0 / np.where(r > 0, r, 1.0), 0.0)
+    else:
+        r = einsum_block_norms(Zb)
+        coef = (r > alpha) / -np.maximum(r, alpha)
+    return (coef * Zb).reshape(Z.shape)
+
+
+def library_kernels(Z, alpha, V, n, d):
+    return {
+        "_block_norms": _block_norms(Z.reshape(Z.shape[:-1] + (n, d))),
+        "eta": eta(Z, alpha, n, d),
+        "eta_jvp": eta_jvp(Z, alpha, V, n, d),
+        "eta_dalpha": eta_dalpha(Z, alpha, n, d),
+    }
+
+
+def einsum_kernels(Z, alpha, V, n, d):
+    return {
+        "_block_norms": einsum_block_norms(Z.reshape(Z.shape[:-1] + (n, d)))[..., 0],
+        "eta": einsum_eta(Z, alpha, n, d),
+        "eta_jvp": einsum_eta_jvp(Z, alpha, V, n, d),
+        "eta_dalpha": einsum_eta_dalpha(Z, alpha, n, d),
+    }
+
+
+@st.composite
+def plane_cases(draw):
+    """Batched (Z, V, alpha, n, d) for d = 1 to 9, with zero blocks, blocks
+    whose squared norm is subnormal or underflows to 0, blocks on the kink,
+    and alpha = 0."""
+    n, d, batch = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    alpha = draw(st.just(0.0) | _ENTRIES.map(lambda x: abs(x) / 2.0))
+    Zb = draw(arrays(np.float64, (batch, n, d), elements=_ENTRIES))
+    V = draw(arrays(np.float64, (batch, n * d), elements=_ENTRIES))
+    kinds = draw(st.lists(st.sampled_from(["free", "zero", "subnormal", "kink"]),
+                          min_size=batch * n, max_size=batch * n))
+    for idx, kind in enumerate(kinds):
+        b, i = divmod(idx, n)
+        if kind == "subnormal":
+            Zb[b, i] *= 1e-160
+        elif kind != "free":
+            Zb[b, i] = 0.0
+        if kind == "kink":
+            Zb[b, i, draw(st.integers(0, d - 1))] = draw(st.sampled_from([alpha, -alpha]))
+    return Zb.reshape(batch, n * d), V, alpha, n, d
+
+
+class TestCoordinatePlanes:
+    """Up to operators._PLANE_MAX_D the kernels sum and scale blocks one
+    coordinate plane at a time, in the order of einsum's sum; above it they
+    run the einsum form.  On both sides of the cutoff they give its bits."""
+
+    @given(case=plane_cases())
+    @example(case=(np.full((1, 3), 3e-162), np.ones((1, 3)), 1e-162, 1, 3))
+    @example(case=(np.array([[1.2, -1.6, 0.0]]), np.ones((1, 3)), 2.0, 1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_einsum_form(self, case):
+        Z, V, alpha, n, d = case
+        got = library_kernels(Z, alpha, V, n, d)
+        want = einsum_kernels(Z, alpha, V, n, d)
+        for name in got:
+            assert got[name].shape == want[name].shape, name
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_overflow_warns_no_more_than_the_einsum_form(self, d):
+        # squares of 1e200 overflow, and +inf + -inf is nan: einsum warns of
+        # neither, so the plane sums must not either
+        rng = np.random.default_rng(d)
+        Z = np.full((2, 3 * d), 1e200) * rng.choice([-1.0, 1.0], (2, 3 * d))
+        V = np.full((2, 3 * d), 1e200) * rng.choice([-1.0, 1.0], (2, 3 * d))
+        Z[0, :d] = 1.0
+        raised = []
+        for kernels in (library_kernels, einsum_kernels):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+                warnings.simplefilter("always")
+                kernels(Z, 0.5, V, 3, d)
+            raised.append({(w.category, str(w.message)) for w in caught})
+        got, want = raised
+        assert got <= want

@@ -4,7 +4,7 @@
 function of the package wrapped by ``benchmark/tracer.py`` and fails when a
 function with a per-layer metric in ``BENCHMARK.json`` is never called.
 Here the same stages run on a tiny albista config with blocks larger than
-the trainer's 3-coordinate frame, so the framed training stage is covered.
+the trainer's 2-coordinate frame, so the framed training stage is covered.
 """
 
 from blockunfold.cli import main
@@ -59,7 +59,7 @@ def test_traced_stages_call_every_measured_function_and_none_raises(tmp_path):
     raised = {k: v for k, v in summary.items() if k.endswith(".errors") and v}
     assert raised == {}
 
-    # every training step runs the whole gradient chain, on 3 coordinates
+    # every training step runs the whole gradient chain, on 2 coordinates
     # per block
     steps = len((out / "history.csv").read_text().splitlines()) - 2
     for name in (
@@ -71,4 +71,4 @@ def test_traced_stages_call_every_measured_function_and_none_raises(tmp_path):
     ):
         assert summary[f"{name}.calls"] == steps, name
     assert summary["unfolding.forward.calls"] > steps
-    assert summary["operators.eta_jvp.elems"] == steps * BATCH * N * 3
+    assert summary["operators.eta_jvp.elems"] == steps * BATCH * N * 2

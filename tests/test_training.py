@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from blockunfold import training
 from blockunfold.blockcore import kron_lift
+from blockunfold.solvers import DivergenceError
 from blockunfold.training import (
     AdamState,
     TrainConfig,
@@ -409,6 +410,53 @@ class TestLayerwiseTraining:
         np.testing.assert_allclose(cached.alphas, ref.alphas, rtol=1e-10)
         np.testing.assert_allclose(cached.gammas, ref.gammas, rtol=1e-10)
 
+    @pytest.mark.parametrize(
+        "failure, reason",
+        [
+            ("gradient", "non-finite gradient for alphas of layer 2"),
+            ("divergence", "non-finite activation (layer 2)"),
+        ],
+    )
+    def test_failing_stage_freezes_at_its_best_check(self, rng, monkeypatch, failure, reason):
+        D, data = toy_data(rng, n_train=60)
+        params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=D.data.copy())
+        cfg = TrainConfig(
+            learning_rate=0.02,
+            patience_iters=100,
+            batch_size=12,
+            max_iters_per_layer=30,
+            seed=9,
+            eval_every=5,
+        )
+        calls = 0
+
+        def failing_backward(net, fp, X_star):
+            # every layer runs its 30 steps, so call 43 is layer 2's 13th
+            # step, after its checks at steps 5 and 10
+            nonlocal calls
+            calls += 1
+            grads = backward(net, fp, X_star)
+            if calls == 43:
+                if failure == "divergence":
+                    raise DivergenceError("non-finite activation", 2, unit="layer")
+                grads.alphas[1] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", failing_backward)
+        with pytest.warns(UserWarning) as record:
+            trained, history = layerwise_train(params, data, cfg)
+        stopped = [str(w.message) for w in record if " stopped at step " in str(w.message)]
+        assert stopped == [
+            f"layer 2 stopped at step 13: {reason}; freezing at its best observed state"
+        ]
+        assert [history.layers.count(k) for k in (1, 2, 3)] == [30, 12, 30]
+        # layer 2 holds the state of its best check, and layer 3 trained on
+        assert history.frozen_val_db[1] == min(history.val_nmse_db[7:10])
+        X_hat = forward(trained, data.Y_val, depth=2).iterates[-1]
+        got = training._ratio_db(float(batch_nmse_ratios(X_hat, data.X_val).max()))
+        assert got == pytest.approx(history.frozen_val_db[1], abs=1e-9)
+        assert trained.alphas[2] != params.alphas[2]
+
 
 # per-block cases of (x, s, x*) a frame must map exactly
 FRAME_CASES = (
@@ -465,22 +513,23 @@ def stage_reference(X, S, T, alpha, gamma, n, d):
     return values, scales
 
 
-def one_stage(params, Y, X, S, T):
+def one_stage(params, Y, X, S, T, c=None):
     """Loss, alpha and gamma gradients and per-row NMSE of one cached albista
-    layer run from states ``X`` with gradient terms ``S`` against ``T``."""
+    layer run from states ``X`` with gradient terms ``S`` against ``T``, and,
+    for a framed layer, the row constants ``c``, as the trainer takes them."""
     fp = forward(params, Y, depth=1, x_init=X, step_init=S)
     grads = backward(params, fp, T)
     X_hat = fp.iterates[-1]
     return (
-        empirical_risk(X_hat, T),
+        training._stage_risk(X_hat, T, c),
         grads.alphas[0],
         grads.gammas[0],
-        batch_nmse_ratios(X_hat, T),
+        training._stage_ratios(X_hat, T, c),
     )
 
 
 class TestBlockFrame:
-    """An albista stage at d > 3 trains on per-block frame coordinates."""
+    """An albista stage at d > 2 trains on per-block frame coordinates."""
 
     @staticmethod
     def _network(rng, n, d, alpha=0.1, gamma=0.8):
@@ -492,7 +541,7 @@ class TestBlockFrame:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        d=st.sampled_from([5, 8]),
+        d=st.sampled_from([3, 5, 8]),
         cases=st.lists(st.sampled_from(FRAME_CASES), min_size=4, max_size=12),
         first_layer=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
@@ -536,32 +585,37 @@ class TestBlockFrame:
                 err = np.abs(np.asarray(value, dtype=np.longdouble) - ref)
                 assert np.all(err <= 1e-12 * np.abs(ref) + 1e-14 * scale), (path, name)
 
-    @pytest.mark.parametrize("d", [4, 5, 8])
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
     def test_targets_keep_their_block_norms(self, rng, d):
         n, rows = len(FRAME_CASES), 4
         blocks = np.array([[frame_case(rng, c, d) for c in FRAME_CASES] for _ in range(rows)])
         X, S, T = (blocks[:, :, i].reshape(rows, n * d) for i in range(3))
-        X_f, S_f, T_f = training._block_frame(X, S, T, n, d)
-        assert X_f.shape == S_f.shape == T_f.shape == (rows, 3 * n)
-        framed = np.linalg.norm(T_f.reshape(rows, n, 3), axis=2)
+        X_f, S_f, T_f, c = training._block_frame(X, S, T, n, d)
+        assert X_f.shape == S_f.shape == T_f.shape == (rows, 2 * n)
+        assert c.shape == (rows,) and np.all(c >= 0.0)
+        # each row's target: its in-plane coordinates and the row constant
+        # hold its squared norm
+        framed = np.sqrt(np.einsum("ij,ij->i", T_f, T_f) + c)
+        np.testing.assert_allclose(framed, np.linalg.norm(T, axis=1), rtol=1e-14, atol=0.0)
+        # no block's in-plane part is longer than the block
+        in_plane = np.linalg.norm(T_f.reshape(rows, n, 2), axis=2)
         full = np.linalg.norm(T.reshape(rows, n, d), axis=2)
-        np.testing.assert_allclose(framed, full, rtol=1e-14, atol=0.0)
-        # x -> (|x|, 0, 0) and s -> (s1, s2, 0)
+        assert np.all(in_plane <= full * (1 + 1e-15))
+        # x -> (|x|, 0)
         np.testing.assert_allclose(
-            X_f.reshape(rows, n, 3)[..., 0], np.linalg.norm(X.reshape(rows, n, d), axis=2),
+            X_f.reshape(rows, n, 2)[..., 0], np.linalg.norm(X.reshape(rows, n, d), axis=2),
             rtol=1e-14,
         )
-        assert np.all(X_f.reshape(rows, n, 3)[..., 1:] == 0.0)
-        assert np.all(S_f.reshape(rows, n, 3)[..., 2] == 0.0)
+        assert np.all(X_f.reshape(rows, n, 2)[..., 1] == 0.0)
 
     def test_view_shares_the_scalars_so_adam_updates_land_in_the_network(self, rng):
         params = self._network(rng, n=6, d=5)
         view = training._frame_view(params)
-        assert view.d == 3 and view.alphas is params.alphas and view.gammas is params.gammas
+        assert view.d == 2 and view.alphas is params.alphas and view.gammas is params.gammas
         grads = backward(
             view,
-            forward(view, np.ones((2, 1)), x_init=np.ones((2, 18)), step_init=np.ones((2, 18))),
-            np.zeros((2, 18)),
+            forward(view, np.ones((2, 1)), x_init=np.ones((2, 12)), step_init=np.ones((2, 12))),
+            np.zeros((2, 12)),
         )
         before = params.copy()
         adam_step(stage_arrays(view, 0), stage_arrays(grads, 0), AdamState(), 0.1, 0)
@@ -572,7 +626,6 @@ class TestBlockFrame:
         "variant, d",
         [
             (NetworkVariant.ALBISTA, 2),
-            (NetworkVariant.ALBISTA, 3),
             (NetworkVariant.TIED_LBISTA, 5),
             (NetworkVariant.TIED_LBISTA_CP, 5),
             (NetworkVariant.UNTIED_LBISTA, 5),
@@ -582,7 +635,8 @@ class TestBlockFrame:
     )
     @pytest.mark.filterwarnings("ignore:layer . did not improve")
     def test_no_frame_below_four_or_for_other_variants(self, rng, monkeypatch, variant, d):
-        # these stages run the full-size code they ran before the frame
+        # these stages run at full size: albista at d = 2, the frame's own
+        # block size, and every other variant
         def no_frame(*args):
             raise AssertionError("a frame was built")
 
@@ -596,8 +650,9 @@ class TestBlockFrame:
         )
         layerwise_train(params, data, cfg)
 
-    def test_framed_training_matches_full_block_size(self, rng, monkeypatch):
-        D, data = toy_data(rng, n=6, d=5, n_train=60)
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_framed_training_matches_full_block_size(self, rng, monkeypatch, d):
+        D, data = toy_data(rng, n=6, d=d, n_train=60)
         B_base = D.kron_base + 0.1 * rng.standard_normal(D.kron_base.shape)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=B_base)
         assert training._frame_view(params) is not None

@@ -325,7 +325,7 @@ class TestBackward:
     def test_kept_block_norms_give_the_same_gradients(self, rng):
         params, X_star, Y = lifted_network(NetworkVariant.ALBISTA, rng)
         fp = forward(params, Y)
-        assert len(fp.norms) == fp.depth and all(r.shape == (5, 6, 1) for r in fp.norms)
+        assert len(fp.norms) == fp.depth and all(r.shape == (5, 6) for r in fp.norms)
         kept = backward(params, fp, X_star)
         fp.norms = None
         recomputed = backward(params, fp, X_star)
