@@ -13,16 +13,17 @@ storage.  The solvers, metrics and networks take them in batches, one
 signal per row of a ``(batch, n*d)`` array.  Dictionaries are immutable
 after construction and safe to share across threads.
 
-A lift ``M = W (x) I_d`` never needs its dense ``(m*d) x (n*d)`` product:
-:func:`kron_apply` and :func:`kron_adjoint` take ``W`` itself (its width
-says it is a base), ``d`` times fewer flops than the lift.
-:func:`kron_lift` keeps the base it lifts; :func:`kron_factor` finds the
-base of a dense lift.
+A lift ``M = W (x) I_d`` is held as its ``m x n`` base ``W`` (its width says
+so, :func:`_is_base`); the dense ``(m*d) x (n*d)`` matrix is built only on
+request.  The products (:func:`kron_apply`, :func:`kron_adjoint`, ``d``
+times fewer flops), coherence, feasibility and block norms take ``W``.
+:func:`kron_factor` finds the base of a dense lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
     "load_matrix",
 ]
 
-# Hard cap on dense Kronecker lifts; beyond this the lift is a usage error.
+# Hard cap on the dense data of a lift; beyond this it is a usage error.
 MAX_LIFT_ENTRIES = 10**8
 
 ORTHONORMAL_TOL = 1e-10
@@ -68,38 +69,40 @@ def _as_batch(A: np.ndarray, width: int, name: str) -> np.ndarray:
     return A
 
 
+def _is_base(M: np.ndarray, n: int) -> bool:
+    """The width rule for ``n`` blocks of ``d`` entries: a matrix of ``n`` columns
+    is the base ``W`` of the lift ``W (x) I_d``, one of ``n*d`` is dense; at d = 1 both."""
+    return M.shape[1] == n
+
+
 @dataclass(frozen=True)
 class BlockDictionary:
-    """Dense ``n_y x (n*d)`` matrix partitioned into ``n`` column blocks of width ``d``.
+    """An ``n_y x (n*d)`` matrix partitioned into ``n`` column blocks of width ``d``.
 
+    ``held``, the one matrix stored, is the ``m x n`` base ``W`` of a lift
+    ``W (x) I_d`` (``n_y = m*d``) or the dense matrix (:func:`_is_base`).
     When ``orthonormal_blocks`` is set, every block satisfies
     ``D[i]^T D[i] = I_d`` up to ``1e-10`` in Frobenius norm; construction
-    fails otherwise.  ``kron_base`` is the ``m x n`` base ``W`` when the
-    data is the lift ``W (x) I_d`` (:func:`kron_lift` sets it), else None.
+    fails otherwise.
     """
 
-    data: np.ndarray
+    held: np.ndarray
     n: int
     d: int
     orthonormal_blocks: bool = False
-    kron_base: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError(f"BlockDictionary data must be 2-d, got shape {data.shape}")
+        held = np.asarray(self.held, dtype=np.float64)
+        if held.ndim != 2:
+            raise ValueError(f"BlockDictionary matrix must be 2-d, got shape {held.shape}")
         if self.n < 1 or self.d < 1:
             raise ValueError(f"invalid block structure n={self.n}, d={self.d}")
-        if data.shape[1] != self.n * self.d:
+        if held.shape[1] not in (self.n, self.n * self.d):
             raise ValueError(
-                f"column count {data.shape[1]} does not match n*d = {self.n * self.d}"
+                f"column count {held.shape[1]} matches neither n = {self.n} "
+                f"nor n*d = {self.n * self.d}"
             )
-        object.__setattr__(self, "data", _freeze(data))
-        if self.kron_base is not None:
-            base = _freeze(self.kron_base)
-            if base.shape[1] != self.n or base.shape[0] * self.d != data.shape[0]:
-                raise ValueError(f"kron_base of shape {base.shape} does not lift to {data.shape}")
-            object.__setattr__(self, "kron_base", base)
+        object.__setattr__(self, "held", _freeze(held))
         if self.orthonormal_blocks:
             resid = self.max_block_gram_residual()
             if resid > ORTHONORMAL_TOL:
@@ -108,26 +111,47 @@ class BlockDictionary:
                 )
 
     @property
+    def kron_base(self) -> np.ndarray | None:
+        """The base ``W`` when the dictionary is the lift ``W (x) I_d``, else None."""
+        return self.held if _is_base(self.held, self.n) else None
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The dense matrix; a lift's is built on first request and kept (two
+        threads asking at once may each build it, to equal read-only arrays)."""
+        if self.d == 1 or self.kron_base is None:
+            return self.held
+        if self.held.size * self.d**2 > MAX_LIFT_ENTRIES:
+            raise ValueError(f"a lift of {self.held.size * self.d**2} entries is above the cap")
+        lifted = _kron_eye(self.held, self.d)
+        lifted.flags.writeable = False
+        return lifted
+
+    @property
     def n_y(self) -> int:
-        return self.data.shape[0]
+        return self.held.shape[0] * (1 if self.kron_base is None else self.d)
 
     @property
     def n_x(self) -> int:
-        return self.data.shape[1]
+        return self.n * self.d
 
     def block(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n:
             raise IndexError(f"block index {i} out of range [0, {self.n})")
-        return self.data[:, i * self.d : (i + 1) * self.d]
+        if self.d > 1 and self.kron_base is not None:
+            return _kron_eye(self.held[:, i : i + 1], self.d)
+        return self.held[:, i * self.d : (i + 1) * self.d]
 
     def max_block_gram_residual(self) -> float:
-        return float(_block_gram_residuals(self.data, self.data, self.n, self.d).max())
+        return float(_feasibility_residuals(self, self).max())
 
-    @property
-    def held(self) -> np.ndarray:
-        """The matrix the products take: the base when there is one, else
-        the data."""
-        return self.data if self.kron_base is None else self.kron_base
+
+def _feasibility_residuals(B: BlockDictionary, D: BlockDictionary) -> np.ndarray:
+    """``||B[i]^T D[i] - I_d||_F`` per block; for two lifts ``W (x) I_d`` and
+    ``K (x) I_d`` it is ``sqrt(d) |w_i^T k_i - 1|``, taken on the bases."""
+    if D.d > 1 and B.kron_base is not None and D.kron_base is not None:
+        return np.sqrt(D.d) * np.abs(np.einsum("ij,ij->j", B.held, D.held) - 1.0)
+    return _block_gram_residuals(B.data, D.data, D.n, D.d)
 
 
 def _block_gram_residuals(X: np.ndarray, Y: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -181,27 +205,22 @@ def cross_block_coherence(B: BlockDictionary, D: BlockDictionary) -> float:
     Feasibility means ``B[i]^T D[i] = I_d`` within ``FEASIBILITY_TOL``
     (Frobenius); a violating block raises with its index.  When both are
     lifts, ``B = W (x) I_d`` and ``D = K (x) I_d``, the product is
-    ``B^T D = (W^T K) (x) I_d``: with ``G = W^T K`` the block residual is
-    ``sqrt(d) |G_ii - 1|`` and the coherence the largest off-diagonal
-    ``|G_ij|`` over d, so the ``(n*d)^2`` product is never formed.
+    ``B^T D = (W^T K) (x) I_d``, so the coherence is the largest
+    off-diagonal ``|(W^T K)_ij|`` over d and the ``(n*d)^2`` product is
+    never formed; so are the residuals (:func:`_feasibility_residuals`).
     """
     if B.n != D.n or B.d != D.d or B.n_y != D.n_y:
         raise ValueError("B and D must share shape and block structure")
     if D.n < 2:
         raise ValueError("cross block coherence needs at least 2 blocks")
-    lifts = B.kron_base is not None and D.kron_base is not None
-    if lifts:
-        G = B.kron_base.T @ D.kron_base
-        resid = np.sqrt(D.d) * np.abs(np.diagonal(G) - 1.0)
-    else:
-        resid = _block_gram_residuals(B.data, D.data, D.n, D.d)
+    resid = _feasibility_residuals(B, D)
     bad = np.flatnonzero(resid > FEASIBILITY_TOL)
     if bad.size:
         raise ValueError(
             f"B is infeasible at block {bad[0]}: ||B[i]^T D[i] - I||_F = {resid[bad[0]]:.3e}"
         )
-    if lifts:
-        return _max_off_diagonal(G) / D.d
+    if B.kron_base is not None and D.kron_base is not None:
+        return _max_off_diagonal(B.held.T @ D.held) / D.d
     return _pairwise_block_spectral_max(B.data.T @ D.data, D.n, D.d) / D.d
 
 
@@ -218,8 +237,8 @@ def mutual_coherence(A: np.ndarray) -> float:
 
 
 def kron_lift(K: np.ndarray, d: int) -> BlockDictionary:
-    """Dense lift ``K (x) I_d`` of the ``m x n`` channel matrix K; block ``i``
-    equals ``K[:,i] (x) I_d``, so ``n_y = m*d`` and ``n_x = n*d``.
+    """The lift ``K (x) I_d`` of the ``m x n`` channel matrix K, held as K;
+    block ``i`` equals ``K[:,i] (x) I_d``, so ``n_y = m*d`` and ``n_x = n*d``.
 
     The lift has orthonormal blocks iff all columns of K have unit norm.
     """
@@ -228,16 +247,8 @@ def kron_lift(K: np.ndarray, d: int) -> BlockDictionary:
         raise ValueError(f"K must be 2-d, got shape {K.shape}")
     if d < 1:
         raise ValueError(f"channel count d must be >= 1, got {d}")
-    entries = K.size * d * d
-    if entries > MAX_LIFT_ENTRIES:
-        raise ValueError(
-            f"lift would have {entries} entries, above the cap {MAX_LIFT_ENTRIES}"
-        )
-    lifted = _kron_eye(K, d)
-    lifted.flags.writeable = False
-    col_norms = np.linalg.norm(K, axis=0)
-    orth = bool(np.max(np.abs(col_norms**2 - 1.0)) * np.sqrt(d) <= ORTHONORMAL_TOL)
-    return BlockDictionary(lifted, n=K.shape[1], d=d, orthonormal_blocks=orth, kron_base=K)
+    D = BlockDictionary(K, n=K.shape[1], d=d)
+    return replace(D, orthonormal_blocks=D.max_block_gram_residual() <= ORTHONORMAL_TOL)
 
 
 def _kron_eye(W: np.ndarray, d: int) -> np.ndarray:

@@ -69,6 +69,7 @@ from .unfolding import (
     save_checkpoint,
 )
 from .verify import (
+    _observed_sparsity,
     calibrated_network,
     error_bound_curve,
     estimate_kappa,
@@ -311,8 +312,8 @@ def cmd_weights(cfg: ExperimentConfig) -> int:
 def _load_artifacts(cfg: ExperimentConfig):
     """The dataset directory, its problem and the analytic weights' base
     ``B_base``; each stage reads the splits it uses with :func:`load_split`.
-    The networks take ``B_base`` as it is; only eval's ``alamp`` baseline
-    and verify's calibrated network lift it to ``B_base (x) I_d``."""
+    The networks take ``B_base`` as it is, and so do eval's ``alamp`` baseline
+    and verify's calibrated network, as the lift ``B_base (x) I_d`` it holds."""
     data_dir = _require(cfg.out_dir / "data" / "manifest.txt", "gen").parent
     _, problem = load_dataset(data_dir)
     base_B = load_matrix(_require(cfg.out_dir / "weights" / "B_base.npy", "weights"))
@@ -324,10 +325,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     params = init_from_bista(
         cfg.variant, problem.D, cfg.depth, B_analytic=base_B, alpha=cfg.bista_alpha
     )
-    # the network holds what it uses of the problem, so the lifted
-    # dictionary is not kept through training; the splits and the
-    # trainer's caches go when it returns, before the checkpoint is written
-    del problem
     t0 = time.perf_counter()
     trained, history = layerwise_train(
         params,
@@ -418,10 +415,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         params = load_checkpoint(ckpt)
         notes.append("source = trained checkpoint")
     else:
-        block_counts = np.count_nonzero(
-            np.linalg.norm(X_test.reshape(X_test.shape[0], n, d), axis=2) > 0, axis=1
-        )
-        s_obs = max(int(block_counts.max()), 1)
+        s_obs = max(_observed_sparsity(X_test, n, d), 1)
         B = kron_lift(base_B, d)
         gamma = min(1.0, 0.9 * step_size_limit(d * cross_block_coherence(B, D), s_obs))
         params, constants = calibrated_network(D, B, gamma, cfg.depth, X_test, Y_test, sigma)

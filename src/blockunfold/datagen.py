@@ -13,7 +13,7 @@ with an infinite SNR meaning exact measurements.
 Generation is deterministic and counter-based: sample i of a dataset only
 depends on (seed, i).  Each row's signal and noise are drawn from that
 row's own generator; the measurements ``Y`` of a whole split then come from
-one batched product through the ``m x n`` base of the lifted dictionary,
+one batched product through the ``m x n`` base the lifted dictionary holds,
 not from one dense lifted matvec per sample.  So parallel generation and
 partial reads give the same ``X`` bits as the sequential order, and the
 same ``Y`` up to the rounding of one product: the BLAS kernel that computes
@@ -172,13 +172,17 @@ def noise_sigma(cfg: ScenarioConfig) -> float:
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Materialized measurement operator for a scenario."""
+    """Measurement operator of a scenario: the lift ``D = K (x) I_d``, held
+    as its channel matrix ``K``."""
 
     cfg: ScenarioConfig
-    K: np.ndarray
     D: BlockDictionary
     kernel: np.ndarray | None = None
     rank: int | None = None
+
+    @property
+    def K(self) -> np.ndarray:  # the channel matrix, which D holds
+        return self.D.held
 
 
 def build_problem(cfg: ScenarioConfig) -> ProblemData:
@@ -187,8 +191,7 @@ def build_problem(cfg: ScenarioConfig) -> ProblemData:
         kernel, rank = None, None
     else:
         kernel, K, rank = gen_circulant_K(cfg.n, cfg.rank, cfg.seed)
-    D = kron_lift(K, cfg.d)
-    return ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
+    return ProblemData(cfg=cfg, D=kron_lift(K, cfg.d), kernel=kernel, rank=rank)
 
 
 def _draw_signal(rng, cfg: ScenarioConfig) -> np.ndarray:
@@ -336,11 +339,10 @@ def load_dataset(data_dir: str | Path) -> tuple[ScenarioConfig, ProblemData]:
         cfg = ScenarioConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{data / 'manifest.txt'}: {exc}") from exc
-    K = load_matrix(_matrix_file(data, "K"))
-    D = kron_lift(K, cfg.d)
+    D = kron_lift(load_matrix(_matrix_file(data, "K")), cfg.d)
     kernel_path = _matrix_file(data, "kernel")
     kernel = load_matrix(kernel_path).ravel() if kernel_path.exists() else None
-    return cfg, ProblemData(cfg=cfg, K=K, D=D, kernel=kernel, rank=rank)
+    return cfg, ProblemData(cfg=cfg, D=D, kernel=kernel, rank=rank)
 
 
 def load_split(data_dir: str | Path, split: str) -> tuple[np.ndarray, np.ndarray]:

@@ -166,10 +166,12 @@ def eta_dalpha(
     """
     Zb = _block_view(Z, n, d)
     if alpha == 0.0:
-        # every nonzero block is active, also one whose squared norm underflows
-        r = _scaled_block_norms(Zb)
-        active = r > alpha
-        coef = np.where(active, -1.0 / np.where(active, r, 1.0), 0.0)
+        # every nonzero block is active, also a tiny one: divided by its
+        # largest entry first, its norm is >= 1, so -1/r cannot overflow
+        top = np.abs(Zb).max(axis=-1)
+        Zb = Zb / np.where(top > 0, top, 1.0)[..., None]
+        r = _block_norms(Zb)
+        coef = np.where(r > 0, -1.0 / np.where(r > 0, r, 1.0), 0.0)
     else:
         r = _block_norms(Zb) if norms is None else norms
         # -1/r on active blocks; 0/-alpha on the others, never -1/alpha * 0,

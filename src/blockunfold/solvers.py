@@ -18,8 +18,8 @@ plain AMP form).
 Solvers are pure given their inputs.  Each takes a batch of measurement
 vectors, one per row of a ``(batch, n_y)`` array, and runs every row at
 once, one GEMM per step.  A 1-d measurement vector is rejected; pass
-``y[None]`` for one signal.  A dictionary that is a lift ``K (x) I_d``
-multiplies through its base ``K`` (:attr:`~.blockcore.BlockDictionary.held`).
+``y[None]`` for one signal.  A lift ``K (x) I_d`` is held as its base ``K``
+(:attr:`~.blockcore.BlockDictionary.held`); the solvers multiply through it.
 """
 
 from __future__ import annotations

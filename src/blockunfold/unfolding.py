@@ -41,6 +41,7 @@ import numpy as np
 from .blockcore import (
     BlockDictionary,
     _as_batch,
+    _is_base,
     _kron_eye,
     _read_manifest,
     _write_manifest,
@@ -120,8 +121,7 @@ class NetworkParams:
 
     @property
     def n_y(self) -> int:
-        rows, cols = self.dictionary.shape
-        return rows * (self.n_x // cols)
+        return self.dictionary.shape[0] * (self.d if _is_base(self.dictionary, self.n) else 1)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -171,12 +171,11 @@ class NetworkParams:
 
 
 def _hold(M, n: int, d: int, fixed: bool) -> np.ndarray:
-    """``M`` in the form a network holds it.  An array with ``n`` columns is
-    a base and one with ``n*d`` columns is dense (at d = 1 the two are the
-    same).  A fixed matrix is held as given; a base given for a trained
-    matrix becomes its lift."""
+    """``M`` in the form a network holds it, read from its width
+    (:func:`~.blockcore._is_base`).  A fixed matrix is held as given; a base
+    given for a trained matrix becomes its lift."""
     M = np.asarray(M, dtype=np.float64)
-    if fixed or d == 1 or M.shape[1] != n:
+    if fixed or d == 1 or not _is_base(M, n):
         return M
     return _kron_eye(M, d)
 
@@ -442,10 +441,10 @@ def init_from_bista(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     gamma0 = default_step_size(D)
-    base = D.data if B_analytic is None else np.asarray(B_analytic, dtype=np.float64)
-    if D.data.shape not in (base.shape, (base.shape[0] * D.d, base.shape[-1] * D.d)):
+    base = D.held if B_analytic is None else np.asarray(B_analytic, dtype=np.float64)
+    if (D.n_y, D.n_x) not in (base.shape, (base.shape[0] * D.d, base.shape[-1] * D.d)):
         raise ValueError(
-            f"B_analytic has shape {base.shape}, expected {D.data.shape} "
+            f"B_analytic has shape {base.shape}, expected {(D.n_y, D.n_x)} "
             f"or the base of a lift of it"
         )
     if variant is NetworkVariant.ALBISTA and B_analytic is None:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockcore import BlockDictionary, _as_batch, cross_block_coherence, kron_lift
+from .blockcore import BlockDictionary, _as_batch, cross_block_coherence
 # unused here; kept for benchmark/tests/test_harness.py's rebinding check
 from .operators import eta  # noqa: F401
 from .unfolding import ForwardPass, NetworkParams, NetworkVariant, forward
@@ -91,14 +91,14 @@ def max_weight_block_norm(B: BlockDictionary) -> float:
     return max(float(np.linalg.norm(B.block(j), 2)) for j in range(B.n))
 
 
-def _dictionary(M: np.ndarray, n: int, d: int) -> BlockDictionary:
-    """A matrix a network holds as a dictionary: a base (``n`` columns) is
-    lifted with :func:`kron_lift`, a dense matrix taken as it is."""
-    return kron_lift(M, d) if M.shape[1] == n else BlockDictionary(M, n=n, d=d)
-
-
 def _l21_rows(X: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.linalg.norm(X.reshape(X.shape[0], n, d), axis=2).sum(axis=1)
+
+
+def _observed_sparsity(X: np.ndarray, n: int, d: int) -> int:
+    """The largest number of nonzero blocks in one row of ``X``."""
+    norms = np.linalg.norm(X.reshape(X.shape[0], n, d), axis=2)
+    return int(np.count_nonzero(norms > 0, axis=1).max())
 
 
 def measure_constants(
@@ -125,12 +125,12 @@ def measure_constants(
             f"constants are defined for the gradient-step variants, not {params.variant.value}"
         )
     n, d = params.n, params.d
-    D = _dictionary(params.dictionary, n, d)
+    D = BlockDictionary(params.dictionary, n=n, d=d)
     # the tied variants share one matrix across layers
     distinct = fp.depth if params.variant is NetworkVariant.UNTIED_LBISTA_CP else 1
     mu_tilde = B_norm = 0.0
     for k, Bk in enumerate(params.B[:distinct], start=1):
-        B = _dictionary(Bk, n, d)
+        B = BlockDictionary(Bk, n=n, d=d)
         try:
             mu_tilde = max(mu_tilde, cross_block_coherence(B, D))
         except ValueError as exc:
@@ -141,16 +141,14 @@ def measure_constants(
     C_X = np.array(
         [float(_l21_rows(Xk - X_star, n, d).max()) for Xk in fp.iterates]
     )
-    norms = np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2)
-    s_obs, M = int(np.count_nonzero(norms > 0, axis=1).max()), float(norms.max())
     return BoundConstants(
         mu_tilde_b=mu_tilde,
         mu=d * mu_tilde,
         C=C,
         C_X=C_X,
         sigma=sigma,
-        s=s_obs if s is None else s,
-        M=M,
+        s=_observed_sparsity(X_star, n, d) if s is None else s,
+        M=float(np.linalg.norm(X_star.reshape(X_star.shape[0], n, d), axis=2).max()),
     )
 
 

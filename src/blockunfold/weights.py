@@ -16,7 +16,7 @@ solved in minimum norm by the Moore-Penrose inverse.  This module provides:
   matrix ``G = D D^T``: one pseudo-inverse of G and a batch of ``d x d``
   solves,
 * the Kronecker reduction: for D = K (x) I_d it suffices to solve at the
-  d = 1 level and lift the result,
+  d = 1 level and lift the result, held as that d = 1 solution,
 * an FFT solution for circulant K, where the dual spectrum is the
   conjugate reciprocal of the kernel spectrum (zeroed bins dropped, and the
   kernel rescaled by n/rank so the diagonal constraint still holds).
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcore import FEASIBILITY_TOL, BlockDictionary, cross_block_coherence, kron_lift
-from .blockcore import _block_gram_residuals, _kron_eye
+from .blockcore import _feasibility_residuals
 
 __all__ = [
     "AnalyticWeights",
@@ -80,12 +80,12 @@ def _assemble(
     kernel: np.ndarray | None = None,
     rank: int | None = None,
 ) -> AnalyticWeights:
-    resid = float(_block_gram_residuals(Bmat, D.data, D.n, D.d).max())
+    B = BlockDictionary(Bmat, n=D.n, d=D.d)
+    resid = float(_feasibility_residuals(B, D).max())
     if resid > FEASIBILITY_TOL:
         raise ValueError(
             f"computed weights are infeasible: max ||B[i]^T D[i] - I||_F = {resid:.3e}"
         )
-    B = BlockDictionary(Bmat, n=D.n, d=D.d)
     coherence = cross_block_coherence(B, D) if D.n >= 2 else 0.0
     return AnalyticWeights(
         B=B, feasibility_residual=resid, cross_coherence=coherence, kernel=kernel, rank=rank
@@ -161,24 +161,17 @@ def kron_weights(K: np.ndarray, d: int, base: AnalyticWeights) -> AnalyticWeight
     """Lift a d = 1 weight matrix for K to the MMV dictionary K (x) I_d.
 
     The lifted matrix ``base.B (x) I_d`` is feasible and optimal for the
-    Frobenius surrogate without ever solving at the lifted dimensions.
+    Frobenius surrogate without ever solving at the lifted dimensions.  It
+    is held as ``base.B``, and its residual and coherence come from
+    ``base.B^T K`` (:func:`~.blockcore.cross_block_coherence`).
     """
     if base.B.d != 1:
         raise ValueError("base weights must be at the d = 1 level")
     D = kron_lift(K, d)  # also checks that K is 2-d and d >= 1
-    K = np.asarray(K, dtype=np.float64)
-    m, n = K.shape
-    if base.B.n != n or base.B.n_y != m:
-        raise ValueError(f"base weights are {base.B.n_y} x {base.B.n}, expected {m} x {n}")
-    diag = np.einsum("ij,ij->j", base.B.data, K)
-    if np.max(np.abs(diag - 1.0)) > FEASIBILITY_TOL:
-        raise ValueError(
-            f"base weights infeasible for K: max |B[:,i]^T K[:,i] - 1| = "
-            f"{np.max(np.abs(diag - 1.0)):.3e}"
-        )
-    if d == 1:
-        return base
-    return _assemble(_kron_eye(base.B.data, d), D)
+    if base.B.held.shape != D.held.shape:
+        raise ValueError(f"base weights are {base.B.held.shape}, expected {D.held.shape}")
+    lifted = _assemble(base.B.held, D)  # raises for weights infeasible for K
+    return base if d == 1 else lifted
 
 
 # ---------------------------------------------------------------------------

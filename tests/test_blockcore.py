@@ -1,5 +1,7 @@
 import pickle
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from blockunfold.blockcore import (
 )
 from blockunfold.blockcore import (
     MAX_LIFT_ENTRIES,
+    ORTHONORMAL_TOL,
     _block_gram_residuals,
     _pairwise_block_spectral_max,
     _read_manifest,
@@ -198,12 +201,15 @@ class TestKroneckerBridge:
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
     def test_lift_entry_cap(self, rng):
-        # the cap is checked before the lift is built, so no array of
-        # 100 * 100 * 1001**2 entries is ever allocated
+        # the lift holds its 100 x 100 base; the cap is checked before the
+        # dense data is built, so no array of 100 * 100 * 1001**2 entries
+        # is ever allocated
         K = rng.standard_normal((100, 100))
         assert K.size * 1001**2 > MAX_LIFT_ENTRIES
+        D = kron_lift(K, 1001)
+        assert D.held.shape == (100, 100) and D.n_y == 100_100
         with pytest.raises(ValueError, match="cap"):
-            kron_lift(K, 1001)
+            D.data
 
     def test_lift_input_checks(self, rng):
         with pytest.raises(ValueError, match="2-d"):
@@ -215,6 +221,21 @@ class TestKroneckerBridge:
         K = unit_column_matrix(4, 6, rng)
         assert kron_lift(K, 2).orthonormal_blocks
         assert not kron_lift(2.0 * K, 2).orthonormal_blocks
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("columns", ["unit", "near_unit", "scaled"])
+    def test_gram_residual_and_flag_match_the_dense_route(self, rng, d, columns):
+        # a lift's residual sqrt(d) |k_j^T k_j - 1|, taken on the base,
+        # against the per-block Gram residuals of its dense data
+        K = unit_column_matrix(4, 6, rng)
+        if columns == "near_unit":
+            K = K * (1.0 + 1e-12 * rng.random(6))  # within ORTHONORMAL_TOL
+        elif columns == "scaled":
+            K = K * rng.uniform(0.5, 2.0, 6)
+        D = kron_lift(K, d)
+        dense = _block_gram_residuals(D.data, D.data, 6, d).max()
+        assert D.max_block_gram_residual() == pytest.approx(dense, rel=1e-6, abs=1e-14)
+        assert D.orthonormal_blocks == (dense <= ORTHONORMAL_TOL) == (columns != "scaled")
 
 
 class TestKronFactor:
@@ -256,8 +277,6 @@ class TestKronFactor:
         np.testing.assert_array_equal(D.kron_base, K)
         dense = BlockDictionary(rng.standard_normal((6, 10)), n=5, d=2)
         assert dense.kron_base is None and dense.held is dense.data
-        with pytest.raises(ValueError, match="does not lift"):
-            BlockDictionary(D.data, n=5, d=2, kron_base=K.T)
 
     @given(
         m=st.integers(1, 6),
@@ -489,16 +508,40 @@ class TestValidation:
             np.testing.assert_array_equal(D.block(i), D.data[:, 2 * i : 2 * i + 2])
 
     def test_kron_lift_holds_one_lift(self, rng):
+        # the lift holds a copy of its base; its dense data is built on
+        # request as one array, and kept
         K = unit_column_matrix(64, 256, rng)
+        peaks = []
         tracemalloc.start()
         try:
             D = kron_lift(K, 8)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            data = D.data
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert D.orthonormal_blocks
-        assert peak <= 1.1 * D.data.nbytes
-        assert_same_bits(D.data, np.kron(K, np.eye(8)))
+        assert D.orthonormal_blocks and "data" in vars(D) and D.data is data
+        assert peaks[0] <= 1.1 * K.nbytes + 2**16
+        assert peaks[1] <= 1.1 * data.nbytes + K.nbytes
+        assert_same_bits(data, np.kron(K, np.eye(8)))
+        assert not data.flags.writeable
+
+    def test_threads_sharing_a_lift_get_equal_data(self, rng):
+        # threads that ask for a shared lift's data at once may each build
+        # it; every one gets the same read-only bits, and one array is kept
+        D = kron_lift(rng.standard_normal((8, 16)), 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(lambda _: D.data, range(32), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for A in results:
+            assert_same_bits(A, np.kron(D.held, np.eye(3)))
+            assert not A.flags.writeable
+        assert any(A is D.data for A in results)
 
     def test_writable_data_is_copied(self, rng):
         A = rng.standard_normal((4, 6))

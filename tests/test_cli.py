@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +558,34 @@ class TestSplitLoading:
         for name in ("X_test", "Y_test"):
             (data / f"{name}.npy").unlink()
         assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
+
+
+class TestNoDenseLift:
+    """A lift is held as its base, so no albista stage builds the dense
+    ``K (x) I_d`` or ``W (x) I_d``.  The circulant instance is noiseless:
+    at ``snr_db = 20`` its checkpoint fails verify's containment check."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [TINY_CFG, CIRCULANT_CFG.replace("snr_db = 20", "snr_db = inf")],
+        ids=["closed_form", "circulant_fft"],
+    )
+    def test_albista_stages_build_no_dense_lift(self, tmp_path, monkeypatch, text):
+        def refuse(W, d):
+            raise AssertionError(f"dense lift of a {W.shape} matrix at d = {d}")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("blockunfold.") and hasattr(module, "_kron_eye"):
+                monkeypatch.setattr(module, "_kron_eye", refuse)
+        cfg = write_cfg(tmp_path, text)
+        assert read_config(cfg).scenario.d > 1
+        out = tmp_path / "run"
+        for stage in ("gen", "weights", "train", "eval", "verify"):
+            assert main([stage, "--config", cfg, "--out", str(out)]) == 0, stage
+        # verify's calibrated route, without a checkpoint
+        (out / "checkpoint.txt").unlink()
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert "edge-calibrated" in (out / "verify.csv").read_text()
 
 
 class TestTracedPipeline:

@@ -199,7 +199,9 @@ class TestBaseProduct:
     def test_batch_matches_per_row_lift(self, case):
         cfg = BASE_PRODUCT_CASES[case]
         D = build_problem(cfg).D
-        assert D.kron_base is not None
+        # the problem holds the m x n base; no dense lift is built
+        assert D.kron_base is D.held and D.held.shape == (cfg.m, cfg.n)
+        assert vars(D).get("data", D.held) is D.held
         assert_matches_reference(gen_signal_batch(cfg, D, 40, 7), reference_batch(cfg, D, 40, 7))
 
     @pytest.mark.parametrize("snr_db", [30.0, np.inf])

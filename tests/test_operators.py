@@ -306,6 +306,10 @@ class TestKernelsAgainstOracle:
         # the zero block keeps the zero side
         np.testing.assert_array_equal(eta_jvp(z, 0.0, v, 2, 2), [1.0, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(eta_dalpha(z, 0.0, 2, 2), [-1.0, 0.0, 0.0, 0.0])
+        # a block whose norm is below 1/DBL_MAX, where -1/||z|| overflows
+        with np.errstate(all="raise"):
+            tiny = eta_dalpha(np.array([3e-310, 4e-310]), 0.0, 1, 2)
+        np.testing.assert_allclose(tiny, [-0.6, -0.8], rtol=1e-12)
 
     def test_trace_counts_only_the_blocks_eta_keeps(self):
         # ||3e-162 * 1_4|| = 6e-162 < alpha, but its squared norm is
@@ -372,7 +376,9 @@ def einsum_eta_jvp(Z, alpha, V, n, d):
 def einsum_eta_dalpha(Z, alpha, n, d):
     Zb = Z.reshape(Z.shape[:-1] + (n, d))
     if alpha == 0.0:
-        r = einsum_scaled_block_norms(Zb)
+        top = np.abs(Zb).max(axis=-1, keepdims=True)
+        Zb = Zb / np.where(top > 0, top, 1.0)
+        r = einsum_block_norms(Zb)
         coef = np.where(r > 0, -1.0 / np.where(r > 0, r, 1.0), 0.0)
     else:
         r = einsum_block_norms(Zb)
@@ -428,6 +434,8 @@ class TestCoordinatePlanes:
     @given(case=plane_cases())
     @example(case=(np.full((1, 3), 3e-162), np.ones((1, 3)), 1e-162, 1, 3))
     @example(case=(np.array([[1.2, -1.6, 0.0]]), np.ones((1, 3)), 2.0, 1, 3))
+    # a block below 1/DBL_MAX at alpha = 0: -1/||z|| would overflow
+    @example(case=(np.array([[3e-310, 4e-310]]), np.ones((1, 2)), 0.0, 1, 2))
     @settings(max_examples=300, deadline=None)
     def test_match_the_einsum_form(self, case):
         Z, V, alpha, n, d = case

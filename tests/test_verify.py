@@ -66,8 +66,8 @@ def calibrated_reference(D, B, gamma, depth, X_star, Y, sigma):
     n, d = D.n, D.d
     mu = d * cross_block_coherence(B, D)
     C = abs(gamma) * max_weight_block_norm(B)
-    # kron_weights' B carries no base; the network factors it once
-    B_base = kron_factor(B.data, d)
+    # kron_weights' B is held as its base
+    B_base = B.kron_base
 
     def worst_l21_error(X):
         return np.linalg.norm((X - X_star).reshape(X.shape[0], n, d), axis=2).sum(axis=1).max()

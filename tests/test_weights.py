@@ -3,6 +3,7 @@ import pytest
 
 from blockunfold.blockcore import (
     BlockDictionary,
+    _kron_eye,
     block_coherence,
     kron_lift,
     mutual_coherence,
@@ -10,6 +11,7 @@ from blockunfold.blockcore import (
 from blockunfold.cli import read_config
 from blockunfold.datagen import build_problem
 from blockunfold.weights import (
+    _assemble,
     circulant,
     circulant_dual_kernel,
     circulant_weights_fft,
@@ -169,6 +171,25 @@ class TestKroneckerReduction:
         base = closed_form_weights(BlockDictionary(K, n=10, d=1))
         lifted = kron_weights(K, 3, base)
         assert lifted.cross_coherence == pytest.approx(base.cross_coherence / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_certificates_match_the_dense_assembly(self, rng, d, unit):
+        # the lift is held as its base, with residual and coherence from
+        # W^T K; the reference assembles the dense W (x) I_d against the lift
+        K = unit_column_matrix(6, 10, rng)
+        if not unit:
+            K = K * rng.uniform(0.5, 2.0, 10)
+        R = rng.standard_normal((6, 10))
+        # w_i^T k_i = 1 + up to 1e-10: feasible, with residuals to compare
+        W = R * (1.0 + 1e-10 * rng.random(10)) / np.einsum("ij,ij->j", R, K)
+        base = _assemble(W, BlockDictionary(K, n=10, d=1))
+        lifted = kron_weights(K, d, base)
+        dense = _assemble(_kron_eye(W, d), kron_lift(K, d))
+        assert lifted.B.held.shape == (6, 10)
+        np.testing.assert_array_equal(lifted.B.data, dense.B.data)
+        assert lifted.feasibility_residual == pytest.approx(dense.feasibility_residual, rel=1e-5)
+        assert lifted.cross_coherence == pytest.approx(dense.cross_coherence, rel=1e-12)
 
     def test_infeasible_base_rejected(self, rng):
         K = unit_column_matrix(6, 10, rng)
