@@ -22,7 +22,7 @@ times fewer flops), coherence, feasibility and block norms take ``W``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -44,6 +44,7 @@ __all__ = [
 # Hard cap on the dense data of a lift; beyond this it is a usage error.
 MAX_LIFT_ENTRIES = 10**8
 
+# Largest block Gram residual of a dictionary with orthonormal blocks.
 ORTHONORMAL_TOL = 1e-10
 
 # Feasibility demanded of weight matrices: ||B[i]^T D[i] - I_d||_F per block.
@@ -81,15 +82,11 @@ class BlockDictionary:
 
     ``held``, the one matrix stored, is the ``m x n`` base ``W`` of a lift
     ``W (x) I_d`` (``n_y = m*d``) or the dense matrix (:func:`_is_base`).
-    When ``orthonormal_blocks`` is set, every block satisfies
-    ``D[i]^T D[i] = I_d`` up to ``1e-10`` in Frobenius norm; construction
-    fails otherwise.
     """
 
     held: np.ndarray
     n: int
     d: int
-    orthonormal_blocks: bool = False
 
     def __post_init__(self):
         held = np.asarray(self.held, dtype=np.float64)
@@ -103,12 +100,6 @@ class BlockDictionary:
                 f"nor n*d = {self.n * self.d}"
             )
         object.__setattr__(self, "held", _freeze(held))
-        if self.orthonormal_blocks:
-            resid = self.max_block_gram_residual()
-            if resid > ORTHONORMAL_TOL:
-                raise ValueError(
-                    f"blocks are not orthonormal: max ||D[i]^T D[i] - I||_F = {resid:.3e}"
-                )
 
     @property
     def kron_base(self) -> np.ndarray | None:
@@ -247,8 +238,7 @@ def kron_lift(K: np.ndarray, d: int) -> BlockDictionary:
         raise ValueError(f"K must be 2-d, got shape {K.shape}")
     if d < 1:
         raise ValueError(f"channel count d must be >= 1, got {d}")
-    D = BlockDictionary(K, n=K.shape[1], d=d)
-    return replace(D, orthonormal_blocks=D.max_block_gram_residual() <= ORTHONORMAL_TOL)
+    return BlockDictionary(K, n=K.shape[1], d=d)
 
 
 def _kron_eye(W: np.ndarray, d: int) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 Layers are trained one at a time: for layer k only that stage's parameters
 are optimized (shared matrices take part in every stage), against the
-batch-mean squared loss of the layer-k output.  A layer stops when the
-validation metric, the worst normalized squared error over the validation
-set, has not improved by more than ``tol`` for ``patience_iters``
-consecutive evaluations; the best parameters seen are then frozen and the
-next layer starts.  A stage whose network diverges or whose gradient goes
-non-finite is frozen the same way, with a warning, and training goes on.
+batch-mean squared loss of the layer-k output.  The loss is this module's:
+:func:`empirical_risk` gives it with its gradient at the output, which
+:func:`~blockunfold.unfolding.backward` takes back through the network.
+A layer stops when the validation metric, the worst normalized squared
+error over the validation set, has not improved by more than ``tol`` for
+``patience_iters`` consecutive evaluations; the best parameters seen are
+then frozen and the next layer starts.  A stage whose network diverges or
+whose gradient goes non-finite is frozen the same way, with a warning, and
+training goes on.
 
 Training is deterministic: one seeded generator drives the minibatch draws,
 and identical seed and config reproduce the history bit for bit.
@@ -134,13 +137,16 @@ def mean_nmse_db(X_hat: np.ndarray, X_star: np.ndarray) -> float:
     return _ratio_db(float(batch_nmse_ratios(X_hat, X_star).mean()))
 
 
-def empirical_risk(X_hat: np.ndarray, X_star: np.ndarray) -> float:
-    """Batch mean of 1/2 ||x_hat_j - x*_j||^2."""
+def empirical_risk(X_hat: np.ndarray, X_star: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch mean of 1/2 ||x_hat_j - x*_j||^2 and its gradient with respect to
+    ``X_hat``, ``(X_hat - X_star) / batch``, from one residual."""
     X_hat, X_star = _check_pair(X_hat, X_star)
     if X_hat.shape[0] == 0:
         raise ValueError("empty batch")
     diff = X_hat - X_star
-    return float(0.5 * np.einsum("ij,ij->i", diff, diff).mean())
+    loss = float(0.5 * np.einsum("ij,ij->i", diff, diff).mean())
+    diff /= X_hat.shape[0]
+    return loss, diff
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +222,40 @@ _FRAME_D = 2
 
 
 def _frame_view(params: NetworkParams) -> NetworkParams | None:
-    """albista with blocks larger than the frame as a network of block size
-    2 that shares ``params``' ``alphas`` and ``gammas`` arrays, so a stage
-    trained through it updates ``params``; None for any other network, for
-    albista at d <= 2, and for one whose dictionary or ``B`` is not held as
-    a lift's base."""
+    """albista with blocks larger than the frame as a network of ``n + 1``
+    blocks of size 2 and no measurements, whose dictionary and ``B`` are
+    ``(0, n + 1)``, sharing ``params``' ``alphas`` and ``gammas`` arrays, so a
+    stage trained through it updates ``params``; None for any other network
+    and for albista at d <= 2."""
     if params.variant is not NetworkVariant.ALBISTA or params.d <= _FRAME_D:
         return None
-    if params.dictionary.shape[1] != params.n or params.B[0].shape[1] != params.n:
-        return None
+    empty = np.zeros((0, params.n + 1))
     return NetworkParams(
         variant=params.variant,
-        n=params.n,
+        n=params.n + 1,
         d=_FRAME_D,
         depth=params.depth,
-        dictionary=params.dictionary,
+        dictionary=empty,
         alphas=params.alphas,
         gammas=params.gammas,
-        B=params.B,
+        B=[empty] * params.depth,
     )
 
 
 def _block_frame(
     X: np.ndarray, S: np.ndarray, T: np.ndarray, n: int, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every block of the states ``X``, steps ``S`` and targets ``T`` (rows
     of ``n`` blocks of size ``d``) in an orthonormal frame of span{x, s}:
-    x -> (|x|, 0), s -> (s1, s2) and x* -> (t1, t2), as three ``(rows, 2n)``
-    arrays, and each row's constant ``c = sum_i |x*_i - t1 e1 - t2 e2|^2``,
-    the squared length of its target off the blocks' planes, as ``(rows,)``.
+    x -> (|x|, 0), s -> (s1, s2) and x* -> (t1, t2), as three arrays of
+    ``n + 1`` blocks of size 2 per row.
 
-    A stage's output lies in span{x, s}, so its error off the plane is
-    that of an estimate 0 against a target of length ``sqrt(c)``: ``c``
-    adds to every row's squared error and to its target's squared norm.
+    A stage's output lies in span{x, s}, so its error off the plane is that
+    of an estimate 0 against a target of length ``sqrt(c)``, with ``c =
+    sum_i |x*_i - t1 e1 - t2 e2|^2`` the squared length of the row's target
+    off the blocks' planes.  The extra block holds that: its state and step
+    are 0, so the stage's output there is 0, and its target is
+    ``(sqrt(c), 0)``; each row's squared error and target norm include ``c``.
 
     The coordinates come in closed form from per-block inner products, so
     every inner product among x, s and x* is kept to rounding and no basis
@@ -264,10 +271,10 @@ def _block_frame(
     def dot(A, B):
         return np.einsum("ijk,ijk->ij", A, B)
 
-    # each coordinate is written into its slot; the other slot of x stays 0
-    frame = np.zeros((3, rows, n, _FRAME_D))
+    # each coordinate is written into its slot; the other slots stay 0
+    frame = np.zeros((3, rows, n + 1, _FRAME_D))
     x_norm, s1, s2, t1, t2 = (
-        frame[i, ..., j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))
+        frame[i, :, :n, j] for i, j in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1))
     )
     np.sqrt(dot(Xb, Xb), out=x_norm)
     has_x = x_norm > 0
@@ -286,25 +293,8 @@ def _block_frame(
     t_off = length_off_x(Tb, t1)
     np.divide(dot(Sb, Tb) - s1 * t1, s2, out=t2, where=s2 > 0)
     np.clip(t2, -t_off, t_off, out=t2)
-    c = (t_off * t_off - t2 * t2).sum(axis=1)
-    return (*frame.reshape(3, rows, n * _FRAME_D), c)
-
-
-def _stage_risk(X_hat: np.ndarray, T: np.ndarray, c: np.ndarray | None) -> float:
-    """:func:`empirical_risk` of a stage's batch against its targets; a framed
-    batch (see :func:`_block_frame`) adds half the mean of its row constants."""
-    risk = empirical_risk(X_hat, T)
-    return risk if c is None else risk + 0.5 * float(c.mean())
-
-
-def _stage_ratios(X_hat: np.ndarray, T: np.ndarray, c: np.ndarray | None) -> np.ndarray:
-    """:func:`batch_nmse_ratios` of a stage's outputs; a framed split gets one
-    more column, an estimate of 0 against each target's length ``sqrt(c)``
-    off the frame."""
-    if c is not None:
-        X_hat = np.column_stack((X_hat, np.zeros(len(c))))
-        T = np.column_stack((T, np.sqrt(c)))
-    return batch_nmse_ratios(X_hat, T)
+    np.sqrt((t_off * t_off - t2 * t2).sum(axis=1), out=frame[2, :, n, 0])
+    return tuple(frame.reshape(3, rows, (n + 1) * _FRAME_D))
 
 
 def layerwise_train(
@@ -331,14 +321,13 @@ def layerwise_train(
     the target x*.  Its output ``eta(x - gamma s)`` lies in span{x, s}, so
     its loss, gradients and validation metric depend on x* only through the
     target's part in that plane and the squared length of the rest.  So
-    where d > 2 (and the network holds its dictionary and B as a lift's
-    base) the stage's steps and checks run on the coordinates of each block
-    in an orthonormal frame of span{x, s} (:func:`_block_frame`), through a
-    block-size-2 view of the network that shares its alphas and gammas.
-    The same forward, backward and Adam code then handles 2 numbers per
-    block instead of d; each row's squared target length off the planes,
-    one constant, is added to its loss and to both sides of its NMSE ratio.
-    The prefix update at the end of the stage runs at full d.
+    where d > 2 the stage's steps and checks run on the coordinates of each
+    block in an orthonormal frame of span{x, s}, plus one block per row for
+    the rest (:func:`_block_frame`), through a block-size-2 view of the
+    network that shares its alphas and gammas (:func:`_frame_view`).  The
+    same forward, :func:`empirical_risk`, backward and Adam code then
+    handles 2 numbers per block instead of d.  The prefix update at the end
+    of the stage runs at full d.
     """
     if data.X_train.shape[0] < 1 or data.X_val.shape[0] < 1:
         raise ValueError("training and validation sets must be nonempty")
@@ -364,16 +353,14 @@ def layerwise_train(
         if params.variant is NetworkVariant.ALBISTA:
             D, B = params.dictionary, params.B[0]
             steps = [kron_adjoint(kron_apply(X, D) - Y, B) for X, Y in zip(prefixes, Ys)]
-        # per split, the measurements, states, gradient terms, targets and
-        # row constants the stage's steps and checks run on, and the network
-        # they run through; a framed run is one cached layer, which reads
-        # only the row count of its measurements
-        net, cache = params, [(*split, None) for split in zip(Ys, prefixes, steps, Xs)]
+        # per split, the measurements, states, gradient terms and targets
+        # the stage's steps and checks run on, and the network they run
+        # through; the frame has no measurements
+        net, cache = params, list(zip(Ys, prefixes, steps, Xs))
         if framed is not None:
             net = framed
             cache = [
-                (Y[:, :0], *_block_frame(X, S, T, params.n, params.d))
-                for Y, X, S, T, _ in cache
+                (Y[:, :0], *_block_frame(X, S, T, params.n, params.d)) for Y, X, S, T in cache
             ]
 
         def run(net: NetworkParams, split, rows=slice(None)) -> ForwardPass:
@@ -388,8 +375,7 @@ def layerwise_train(
             )
 
         def val_metric() -> float:
-            T, c = cache[1][3:]
-            return float(_stage_ratios(run(net, cache[1]).iterates[-1], T, c).max())
+            return float(batch_nmse_ratios(run(net, cache[1]).iterates[-1], cache[1][3]).max())
 
         best_metric = val_metric()
         best_snapshot = {name: value.copy() for name, value in trained.items()}
@@ -398,15 +384,13 @@ def layerwise_train(
         init_metric = best_metric
         patience = 0
         steps_in_layer = 0
-        T_train, c_train = cache[0][3:]
+        T_train = cache[0][3]
         try:
             while steps_in_layer < cfg.max_iters_per_layer and patience < cfg.patience_iters:
                 idx = rng.integers(0, n_train, size=cfg.batch_size)
-                X_batch = T_train[idx]
                 fp = run(net, cache[0], idx)
-                grads = backward(net, fp, X_batch)
-                c_batch = None if c_train is None else c_train[idx]
-                loss = _stage_risk(fp.iterates[-1], X_batch, c_batch)
+                loss, G = empirical_risk(fp.iterates[-1], T_train[idx])
+                grads = backward(net, fp, G)
                 adam_step(trained, stage_arrays(grads, kidx), state, cfg.learning_rate, kidx)
                 _clamp_alphas(params)
                 history.steps.append(global_step)
@@ -440,7 +424,7 @@ def layerwise_train(
             )
         # the frame goes before the prefix update and the full-size steps
         # after it; after the last layer no stage needs a prefix
-        cache = T_train = c_train = None
+        cache = T_train = None
         if local and layer < params.depth:
             prefixes = [run(params, split).iterates[-1] for split in zip(Ys, prefixes, steps)]
         del steps

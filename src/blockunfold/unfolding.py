@@ -13,13 +13,16 @@ and alpha/gamma the per-layer threshold and step size:
     albista     as tied_cp with B fixed to a precomputed analytical weight
                 matrix; only the 2K scalars (a{k}, g{k}) are trained
 
-Gradients are hand-derived reverse-mode passes through the layer recursion,
-using the threshold Jacobian-vector products from :mod:`.operators`; at
-block-norm kinks the zero-side subgradient is used.  Forward and backward
-take row batches only, measurements ``(batch, n_y)`` and signals
-``(batch, n_x)`` with one sample per row (``y[None]`` for one sample); a
-1-d array is rejected.  They are embarrassingly parallel over samples, and
-parameters are read-only during a pass.
+``backward`` is the network's vector-Jacobian product: given the gradient
+of any loss at the output it returns the loss's parameter gradients, by a
+hand-derived reverse-mode pass through the layer recursion that uses the
+threshold Jacobian-vector products from :mod:`.operators`; at block-norm
+kinks the zero-side subgradient is used.  The loss itself is the
+trainer's (:mod:`.training`).  Forward and backward take row batches only,
+measurements ``(batch, n_y)`` and signals ``(batch, n_x)`` with one sample
+per row (``y[None]`` for one sample); a 1-d array is rejected.  They are
+embarrassingly parallel over samples, and parameters are read-only during
+a pass.
 
 A network holds each fixed matrix (the dictionary, and albista's ``B``)
 as it is given, which for a lift ``W (x) I_d`` is its ``m x n`` base ``W``
@@ -253,11 +256,8 @@ def forward(
     albista, whose weight matrix B is fixed, ``step_init`` may also carry
     the cached gradient term ``B^T (D x_init - y)`` of the first executed
     layer, one row per sample; that layer then needs no matrix product.
-    ``Y`` is a ``(batch, n_y)`` batch with one row per sample.  A run of
-    that one layer alone reads only ``Y``'s row count, so its width is not
-    checked there: the trainer runs such layers on a network of smaller
-    block size.  All iterates are retained for diagnostics and for the
-    backward pass.
+    ``Y`` is a ``(batch, n_y)`` batch with one row per sample.  All
+    iterates are retained for diagnostics and for the backward pass.
     """
     K = params.depth if depth is None else depth
     if not 0 <= K <= params.depth:
@@ -265,8 +265,7 @@ def forward(
     if not 0 <= start <= K:
         raise ValueError(f"start must be in [0, {K}], got {start}")
     Y = np.asarray(Y, dtype=np.float64)
-    reads_Y = step_init is None or K - start > 1
-    if Y.ndim != 2 or (reads_Y and Y.shape[1] != params.n_y):
+    if Y.ndim != 2 or Y.shape[1] != params.n_y:
         raise ValueError(f"Y has shape {Y.shape}, expected (batch, {params.n_y})")
     D = params.dictionary
     n, d = params.n, params.d
@@ -357,9 +356,9 @@ def _dot(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", A, B))
 
 
-def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Gradients:
-    """Gradients of the batch-mean squared loss 1/S sum_j 1/2 ||x{K}_j - x*_j||^2
-    with respect to the variant's parameters.
+def backward(params: NetworkParams, fp: ForwardPass, G: np.ndarray) -> Gradients:
+    """Gradients of a loss L of the pass's output x{K} with respect to the
+    variant's parameters, given ``G = dL/dx{K}`` as ``(batch, n_x)``.
 
     Gradients cover the layers the pass executed; the others get zero
     scalars and, untied, no matrices.  For a resumed pass (``fp.start > 0``)
@@ -369,10 +368,9 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     v = params.variant
     n, d = params.n, params.d
     D = params.dictionary
-    X_star = _as_batch(X_star, params.n_x, "X_star")
-    batch = fp.iterates[0].shape[0]
-    if X_star.shape[0] != batch:
-        raise ValueError("X_star batch size does not match the forward pass")
+    G = _as_batch(G, params.n_x, "G")
+    if G.shape[0] != fp.iterates[0].shape[0]:
+        raise ValueError("G batch size does not match the forward pass")
 
     executed = range(fp.start, fp.start + fp.depth)
 
@@ -389,7 +387,6 @@ def backward(params: NetworkParams, fp: ForwardPass, X_star: np.ndarray) -> Grad
     if v is not NetworkVariant.ALBISTA:
         grads.B = accumulators(params.B)
 
-    G = (fp.iterates[-1] - X_star) / batch
     for j in reversed(range(fp.depth)):
         k = fp.start + j
         Z = fp.prethresh[j]

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockunfold.blockcore import BlockDictionary
+from blockunfold.blockcore import ORTHONORMAL_TOL, BlockDictionary
+from blockunfold.training import empirical_risk
 from blockunfold.unfolding import ForwardPass
 from blockunfold.verify import support_violation_layers
 
@@ -16,12 +17,21 @@ def random_orthonormal_block_dictionary(n_y: int, n: int, d: int, rng) -> BlockD
     for _ in range(n):
         Q, _ = np.linalg.qr(rng.standard_normal((n_y, d)))
         cols.append(Q)
-    return BlockDictionary(np.hstack(cols), n=n, d=d, orthonormal_blocks=True)
+    D = BlockDictionary(np.hstack(cols), n=n, d=d)
+    assert D.max_block_gram_residual() <= ORTHONORMAL_TOL
+    return D
 
 
 def unit_column_matrix(m: int, n: int, rng) -> np.ndarray:
     K = rng.standard_normal((m, n))
     return K / np.linalg.norm(K, axis=0)
+
+
+def risk_gradient(fp: ForwardPass, X_star: np.ndarray) -> np.ndarray:
+    """``G = dL/dx{K}`` of the trainer's loss of the pass ``fp`` against the
+    targets ``X_star``, from :func:`~blockunfold.training.empirical_risk` as
+    the trainer gives it to ``backward``."""
+    return empirical_risk(fp.iterates[-1], X_star)[1]
 
 
 def first_escape(iterates, x_star, n: int, d: int) -> int:

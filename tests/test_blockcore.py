@@ -78,7 +78,8 @@ class TestNormsAndSupport:
 class TestCoherence:
     def test_orthogonal_columns(self, rng):
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        D = BlockDictionary(Q, n=6, d=1, orthonormal_blocks=True)
+        D = BlockDictionary(Q, n=6, d=1)
+        assert D.max_block_gram_residual() <= ORTHONORMAL_TOL
         assert block_coherence(D) == pytest.approx(0.0, abs=1e-12)
 
     def test_lifted_coherence_matches_channel_coherence(self, rng):
@@ -219,8 +220,8 @@ class TestKroneckerBridge:
 
     def test_orthonormal_flag_tracks_unit_columns(self, rng):
         K = unit_column_matrix(4, 6, rng)
-        assert kron_lift(K, 2).orthonormal_blocks
-        assert not kron_lift(2.0 * K, 2).orthonormal_blocks
+        assert kron_lift(K, 2).max_block_gram_residual() <= ORTHONORMAL_TOL
+        assert kron_lift(2.0 * K, 2).max_block_gram_residual() > ORTHONORMAL_TOL
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("columns", ["unit", "near_unit", "scaled"])
@@ -235,7 +236,8 @@ class TestKroneckerBridge:
         D = kron_lift(K, d)
         dense = _block_gram_residuals(D.data, D.data, 6, d).max()
         assert D.max_block_gram_residual() == pytest.approx(dense, rel=1e-6, abs=1e-14)
-        assert D.orthonormal_blocks == (dense <= ORTHONORMAL_TOL) == (columns != "scaled")
+        orthonormal = D.max_block_gram_residual() <= ORTHONORMAL_TOL
+        assert orthonormal == (dense <= ORTHONORMAL_TOL) == (columns != "scaled")
 
 
 class TestKronFactor:
@@ -497,11 +499,6 @@ class TestManifest:
 
 
 class TestValidation:
-    def test_orthonormal_flag_enforced(self, rng):
-        M = rng.standard_normal((6, 4))
-        with pytest.raises(ValueError, match="orthonormal"):
-            BlockDictionary(M, n=2, d=2, orthonormal_blocks=True)
-
     def test_block_accessor_matches_slices(self, rng):
         D = random_orthonormal_block_dictionary(6, 3, 2, rng)
         for i in range(3):
@@ -521,7 +518,8 @@ class TestValidation:
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert D.orthonormal_blocks and "data" in vars(D) and D.data is data
+        assert D.max_block_gram_residual() <= ORTHONORMAL_TOL
+        assert "data" in vars(D) and D.data is data
         assert peaks[0] <= 1.1 * K.nbytes + 2**16
         assert peaks[1] <= 1.1 * data.nbytes + K.nbytes
         assert_same_bits(data, np.kron(K, np.eye(8)))

@@ -60,7 +60,7 @@ def test_traced_stages_call_every_measured_function_and_none_raises(tmp_path):
     assert raised == {}
 
     # every training step runs the whole gradient chain, on 2 coordinates
-    # per block
+    # per block and one more block per row for the rest of its target
     steps = len((out / "history.csv").read_text().splitlines()) - 2
     for name in (
         "unfolding.backward",
@@ -71,4 +71,4 @@ def test_traced_stages_call_every_measured_function_and_none_raises(tmp_path):
     ):
         assert summary[f"{name}.calls"] == steps, name
     assert summary["unfolding.forward.calls"] > steps
-    assert summary["operators.eta_jvp.elems"] == steps * BATCH * N * 2
+    assert summary["operators.eta_jvp.elems"] == steps * BATCH * (N + 1) * 2

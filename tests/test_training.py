@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,7 @@ from blockunfold.unfolding import (
     stage_arrays,
 )
 
-from conftest import unit_column_matrix
+from conftest import risk_gradient, unit_column_matrix
 
 
 def toy_data(rng, m=4, n=6, d=2, n_train=40, n_val=16):
@@ -88,11 +90,13 @@ class TestMetrics:
 class TestEmpiricalRisk:
     def test_perfect_predictions(self, rng):
         X = rng.standard_normal((4, 6))
-        assert empirical_risk(X, X) == 0.0
+        loss, G = empirical_risk(X, X)
+        assert loss == 0.0
+        np.testing.assert_array_equal(G, 0.0)
 
     def test_single_sample(self, rng):
         x = rng.standard_normal(6)
-        assert empirical_risk(x[None], np.zeros((1, 6))) == pytest.approx(
+        assert empirical_risk(x[None], np.zeros((1, 6)))[0] == pytest.approx(
             0.5 * x @ x, rel=1e-14
         )
 
@@ -100,9 +104,10 @@ class TestEmpiricalRisk:
         X_hat = rng.standard_normal((7, 5))
         X_star = rng.standard_normal((7, 5))
         per_sample = [0.5 * np.sum((X_hat[i] - X_star[i]) ** 2) for i in range(7)]
-        assert empirical_risk(X_hat, X_star) == pytest.approx(
-            np.mean(per_sample), rel=1e-12
-        )
+        loss, G = empirical_risk(X_hat, X_star)
+        assert loss == pytest.approx(np.mean(per_sample), rel=1e-12)
+        # the gradient of the batch mean with respect to the estimates
+        np.testing.assert_array_equal(G, (X_hat - X_star) / 7)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +119,7 @@ class TestAdam:
         D, data = toy_data(rng)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 2, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
-        grads = backward(params, fp, fp.iterates[-1])
+        grads = backward(params, fp, risk_gradient(fp, fp.iterates[-1]))
         before = params.copy()
         for k in range(2):
             adam_step(stage_arrays(params, k), stage_arrays(grads, k), AdamState(), 0.1, k)
@@ -126,7 +131,7 @@ class TestAdam:
         D, data = toy_data(rng)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 1, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
-        grads = backward(params, fp, data.X_train)
+        grads = backward(params, fp, risk_gradient(fp, data.X_train))
         g = float(grads.alphas[0])
         assert g != 0.0
         before = float(params.alphas[0])
@@ -163,7 +168,7 @@ class TestAdam:
         D, data = toy_data(rng)
         params = init_from_bista(NetworkVariant.ALBISTA, D, 1, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
-        grads = backward(params, fp, data.X_train)
+        grads = backward(params, fp, risk_gradient(fp, data.X_train))
         grads.alphas[0] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient for alphas of layer 1"):
             adam_step(stage_arrays(params, 0), stage_arrays(grads, 0), AdamState(), 1e-3, 0)
@@ -183,7 +188,7 @@ class TestAdam:
         D, data = toy_data(rng)
         params = init_from_bista(variant, D, 3, B_analytic=D.data.copy())
         fp = forward(params, data.Y_train)
-        grads = backward(params, fp, data.X_train)
+        grads = backward(params, fp, risk_gradient(fp, data.X_train))
         stage = stage_arrays(grads, 1)
         stage[field].flat[0] = np.inf
         before = params.copy()
@@ -203,7 +208,8 @@ class TestAdam:
         # gradient of the full pass is nonzero
         params.alphas[:] *= 0.1
         before = params.copy()
-        grads = backward(params, forward(params, data.Y_train), data.X_train)
+        fp = forward(params, data.Y_train)
+        grads = backward(params, fp, risk_gradient(fp, data.X_train))
         k = 2
         assert all(np.any(g != 0.0) for g in stage_arrays(grads, k).values())
         assert np.count_nonzero(grads.alphas) == 4
@@ -397,6 +403,8 @@ class TestLayerwiseTraining:
             seed=9,
             eval_every=5,
         )
+        # the frame runs on the cached step alone, so both runs are full size
+        monkeypatch.setattr(training, "_frame_view", lambda params: None)
         cached, h_cached = layerwise_train(params, data, cfg)
 
         def uncached_forward(*args, step_init=None, **kwargs):
@@ -430,12 +438,12 @@ class TestLayerwiseTraining:
         )
         calls = 0
 
-        def failing_backward(net, fp, X_star):
+        def failing_backward(net, fp, G):
             # every layer runs its 30 steps, so call 43 is layer 2's 13th
             # step, after its checks at steps 5 and 10
             nonlocal calls
             calls += 1
-            grads = backward(net, fp, X_star)
+            grads = backward(net, fp, G)
             if calls == 43:
                 if failure == "divergence":
                     raise DivergenceError("non-finite activation", 2, unit="layer")
@@ -513,19 +521,14 @@ def stage_reference(X, S, T, alpha, gamma, n, d):
     return values, scales
 
 
-def one_stage(params, Y, X, S, T, c=None):
+def one_stage(params, Y, X, S, T):
     """Loss, alpha and gamma gradients and per-row NMSE of one cached albista
-    layer run from states ``X`` with gradient terms ``S`` against ``T``, and,
-    for a framed layer, the row constants ``c``, as the trainer takes them."""
+    layer run from states ``X`` with gradient terms ``S`` against ``T``, as
+    the trainer takes them."""
     fp = forward(params, Y, depth=1, x_init=X, step_init=S)
-    grads = backward(params, fp, T)
-    X_hat = fp.iterates[-1]
-    return (
-        training._stage_risk(X_hat, T, c),
-        grads.alphas[0],
-        grads.gammas[0],
-        training._stage_ratios(X_hat, T, c),
-    )
+    loss, G = empirical_risk(fp.iterates[-1], T)
+    grads = backward(params, fp, G)
+    return loss, grads.alphas[0], grads.gammas[0], batch_nmse_ratios(fp.iterates[-1], T)
 
 
 class TestBlockFrame:
@@ -555,6 +558,15 @@ class TestBlockFrame:
         d=5, cases=["s_nearly_parallel_x"] * 4 + ["s_parallel_x"],
         first_layer=True, seed=3, gamma=0.1, active=0.125,
     )
+    # rows whose targets lie in their blocks' planes (sqrt(c) = 0 up to
+    # rounding), and rows whose targets are all zero (exactly, with the
+    # extra block's target too)
+    @example(
+        d=3, cases=["target_in_span"] * 4, first_layer=False, seed=5, gamma=0.8, active=0.5,
+    )
+    @example(
+        d=8, cases=["zero_s_and_target"] * 4, first_layer=False, seed=7, gamma=0.8, active=0.5,
+    )
     def test_stage_matches_full_block_size(self, d, cases, first_layer, seed, gamma, active):
         rng = np.random.default_rng(seed)
         n, rows = len(cases), 3
@@ -572,7 +584,7 @@ class TestBlockFrame:
         Y = np.zeros((rows, params.n_y))
         full = one_stage(params, Y, X, S, T)
         view = training._frame_view(params)
-        framed = one_stage(view, Y, *training._block_frame(X, S, T, n, d))
+        framed = one_stage(view, Y[:, :0], *training._block_frame(X, S, T, n, d))
         # each path against an extended-precision reference, to 1e-12
         # relative, with a floor of 1e-14 times the sum of the absolute terms
         # (about 45 ulps of it): a sum that cancels keeps only the digits its
@@ -590,33 +602,33 @@ class TestBlockFrame:
         n, rows = len(FRAME_CASES), 4
         blocks = np.array([[frame_case(rng, c, d) for c in FRAME_CASES] for _ in range(rows)])
         X, S, T = (blocks[:, :, i].reshape(rows, n * d) for i in range(3))
-        X_f, S_f, T_f, c = training._block_frame(X, S, T, n, d)
-        assert X_f.shape == S_f.shape == T_f.shape == (rows, 2 * n)
-        assert c.shape == (rows,) and np.all(c >= 0.0)
-        # each row's target: its in-plane coordinates and the row constant
-        # hold its squared norm
-        framed = np.sqrt(np.einsum("ij,ij->i", T_f, T_f) + c)
+        frame = training._block_frame(X, S, T, n, d)
+        X_f, S_f, T_f = (A.reshape(rows, n + 1, 2) for A in frame)
+        # the extra block: state and step 0, target (sqrt(c), 0)
+        assert np.all(X_f[:, n] == 0.0) and np.all(S_f[:, n] == 0.0)
+        assert np.all(T_f[:, n, 0] >= 0.0) and np.all(T_f[:, n, 1] == 0.0)
+        # each row's target keeps its norm, the extra block holding the
+        # part off the blocks' planes
+        framed = np.linalg.norm(T_f.reshape(rows, -1), axis=1)
         np.testing.assert_allclose(framed, np.linalg.norm(T, axis=1), rtol=1e-14, atol=0.0)
         # no block's in-plane part is longer than the block
-        in_plane = np.linalg.norm(T_f.reshape(rows, n, 2), axis=2)
+        in_plane = np.linalg.norm(T_f[:, :n], axis=2)
         full = np.linalg.norm(T.reshape(rows, n, d), axis=2)
         assert np.all(in_plane <= full * (1 + 1e-15))
         # x -> (|x|, 0)
         np.testing.assert_allclose(
-            X_f.reshape(rows, n, 2)[..., 0], np.linalg.norm(X.reshape(rows, n, d), axis=2),
-            rtol=1e-14,
+            X_f[:, :n, 0], np.linalg.norm(X.reshape(rows, n, d), axis=2), rtol=1e-14
         )
-        assert np.all(X_f.reshape(rows, n, 2)[..., 1] == 0.0)
+        assert np.all(X_f[:, :n, 1] == 0.0)
 
     def test_view_shares_the_scalars_so_adam_updates_land_in_the_network(self, rng):
         params = self._network(rng, n=6, d=5)
         view = training._frame_view(params)
         assert view.d == 2 and view.alphas is params.alphas and view.gammas is params.gammas
-        grads = backward(
-            view,
-            forward(view, np.ones((2, 1)), x_init=np.ones((2, 12)), step_init=np.ones((2, 12))),
-            np.zeros((2, 12)),
-        )
+        assert (view.n, view.n_y) == (7, 0)
+        X = np.ones((2, view.n_x))
+        fp = forward(view, np.ones((2, 0)), x_init=X, step_init=X)
+        grads = backward(view, fp, risk_gradient(fp, np.zeros_like(X)))
         before = params.copy()
         adam_step(stage_arrays(view, 0), stage_arrays(grads, 0), AdamState(), 0.1, 0)
         assert params.alphas[0] != before.alphas[0]
@@ -634,7 +646,7 @@ class TestBlockFrame:
         ids=lambda v: getattr(v, "value", v),
     )
     @pytest.mark.filterwarnings("ignore:layer . did not improve")
-    def test_no_frame_below_four_or_for_other_variants(self, rng, monkeypatch, variant, d):
+    def test_no_frame_at_block_size_two_or_for_other_variants(self, rng, monkeypatch, variant, d):
         # these stages run at full size: albista at d = 2, the frame's own
         # block size, and every other variant
         def no_frame(*args):
@@ -669,3 +681,27 @@ class TestBlockFrame:
         np.testing.assert_allclose(h_framed.val_nmse_db, h_full.val_nmse_db, rtol=0, atol=1e-10)
         np.testing.assert_allclose(framed.alphas, full.alphas, rtol=1e-12)
         np.testing.assert_allclose(framed.gammas, full.gammas, rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_every_held_form_trains_on_the_frame(self, rng, d):
+        # one training path for albista at d > 2, whichever form the network
+        # holds its dictionary and B in
+        D, data = toy_data(rng, n=6, d=d, n_train=60)
+        B_base = D.kron_base + 0.1 * rng.standard_normal(D.kron_base.shape)
+        base = init_from_bista(NetworkVariant.ALBISTA, D, 3, B_analytic=B_base)
+        D_lift, B_lift = D.data, np.kron(B_base, np.eye(d))
+        cfg = TrainConfig(
+            learning_rate=0.02, patience_iters=4,
+            batch_size=12, max_iters_per_layer=60, seed=9, eval_every=5,
+        )
+        want, h_want = layerwise_train(base, data, cfg)
+        for dictionary, B in ((D.kron_base, B_lift), (D_lift, B_base), (D_lift, B_lift)):
+            params = replace(base, dictionary=dictionary, B=[B] * 3)
+            assert training._frame_view(params) is not None
+            got, h_got = layerwise_train(params, data, cfg)
+            assert h_got.steps == h_want.steps and h_got.layers == h_want.layers
+            assert h_got.layer_boundaries == h_want.layer_boundaries
+            np.testing.assert_allclose(h_got.train_losses, h_want.train_losses, rtol=1e-12)
+            np.testing.assert_allclose(h_got.val_nmse_db, h_want.val_nmse_db, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.alphas, want.alphas, rtol=1e-12)
+            np.testing.assert_allclose(got.gammas, want.gammas, rtol=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockunfold.blockcore import (
+    ORTHONORMAL_TOL,
     BlockDictionary,
     _kron_eye,
     block_coherence,
@@ -56,7 +57,8 @@ def hermitian_kernel(n, zero_bins, rng):
 class TestKktOracle:
     def test_orthogonal_square_returns_columns(self, rng):
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        D = BlockDictionary(Q, n=6, d=1, orthonormal_blocks=True)
+        D = BlockDictionary(Q, n=6, d=1)
+        assert D.max_block_gram_residual() <= ORTHONORMAL_TOL
         for i in range(6):
             np.testing.assert_allclose(
                 solve_kkt_oracle(D, i).ravel(), Q[:, i], atol=1e-9
